@@ -266,14 +266,14 @@ class RepresentativeSet:
         if a == 0:
             raise ValueError("a must be nonzero")
         if p % 3 == 2:
-            ainv3 = spec.inv_i(ff.cube_root(spec.element(a)).i)
-            return (1, spec.mul_i(ainv3, c))
+            ainv3 = spec.inv(ff.cube_root(spec.element(a)).i)
+            return (1, spec.mul(ainv3, c))
         if c != 0:
-            return (spec.div_i(a, spec.pow_i(c, 3)), 1)
+            return (spec.mul(a, spec.pow(c, -3)), 1)
         w = ff.primitive_element(spec).i
         for i in range(3):
-            if spec.pow_i(spec.div_i(a, spec.pow_i(w, i)), (p - 1) // 3) == 1:
-                return (spec.pow_i(w, i), 0)
+            if spec.pow(spec.mul(a, spec.pow(w, -i)), (p - 1) // 3) == 1:
+                return (spec.pow(w, i), 0)
         raise AssertionError("cube coset classification failed")
 
 
@@ -286,7 +286,7 @@ def representatives(p: int) -> RepresentativeSet:
         members = tuple((1, c) for c in range(p))
     else:
         w = ff.primitive_element(spec).i
-        members = tuple((spec.pow_i(w, i), 0) for i in range(3)) + \
+        members = tuple((spec.pow(w, i), 0) for i in range(3)) + \
             tuple((a, 1) for a in range(1, p))
     return RepresentativeSet(p, members)
 
@@ -296,10 +296,8 @@ def fiber_profile(f, spec: ff.FieldSpec):
     if spec.e != 1:
         raise ValueError("fiber profiles characterize sums over prime fields only")
     coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) % spec.p for c in f]
-    counts = [0] * spec.p
-    for a in range(spec.p):
-        counts[spec.eval_poly_i(coeffs, a)] += 1
-    return tuple(counts)
+    values = spec.eval_poly(coeffs, np.arange(spec.p))
+    return tuple(np.bincount(values, minlength=spec.p).tolist())
 
 
 def scale_invariance_check(f, lam: ff.FieldElem) -> bool:
@@ -308,7 +306,7 @@ def scale_invariance_check(f, lam: ff.FieldElem) -> bool:
     if lam.i == 0:
         raise ValueError("lambda must be nonzero")
     coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
-    scaled = [spec.mul_i(c, spec.pow_i(lam.i, k)) for k, c in enumerate(coeffs)]
+    scaled = [spec.mul(c, spec.pow(lam.i, k)) for k, c in enumerate(coeffs)]
     return exp_sum_field(coeffs, spec) == exp_sum_field(scaled, spec)
 
 

@@ -153,19 +153,6 @@ def zeta(spec: CycSpec, k: int = 1) -> CycInt:
     return CycInt.from_histogram(spec, hist)
 
 
-def cyc_arith(a: CycInt, b, op: str) -> CycInt:
-    """Named dispatch; 'conj' is unary (b ignored)."""
-    if op == "add":
-        return a + a._other(b)
-    if op == "sub":
-        return a - a._other(b)
-    if op == "mul":
-        return a * a._other(b)
-    if op == "conj":
-        return a.conj()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def embed(a: CycInt) -> complex:
     """Evaluate at exp(2*pi*i/n) in double precision.
 
@@ -182,21 +169,15 @@ def exp_sum_field(f, spec: ff.FieldSpec) -> CycInt:
     first) of FieldElems or element indices.
     """
     coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
-    p = spec.p
-    cspec = cyc_spec(p)
-    hist = [0] * p
-    if spec.trace_table is not None and spec.mul_table is not None:
-        vals = np.zeros(spec.q, dtype=np.int64)
-        idx = np.arange(spec.q, dtype=np.int64)
-        for c in reversed(coeffs):
-            vals = spec.add_table[spec.mul_table[vals, idx], c]
-        tr = spec.trace_table[vals]
-        for t in tr:
-            hist[t] += 1
-    else:
-        for a in range(spec.q):
-            hist[spec.trace_i(spec.eval_poly_i(coeffs, a))] += 1
-    return CycInt.from_histogram(cspec, hist)
+    n = spec.q - 1
+    j = np.arange(n)  # a = g**j runs over the nonzero elements
+    tr = np.full(spec.q, spec.tr(coeffs[0]) if coeffs else 0)  # tr[0]: a = 0
+    for k, c in enumerate(coeffs[1:], start=1):
+        if c:
+            # c * a**k = g**(log c + k*j); the trace is additive over the terms
+            tr[1:] += spec.tr(spec.exp[spec.log[c] + k * j % n])
+    hist = np.bincount(tr % spec.p, minlength=spec.p)
+    return CycInt.from_histogram(cyc_spec(spec.p), hist.tolist())
 
 
 def exp_sum_gr(f, spec: gr9.GR9Spec) -> CycInt:

@@ -5,26 +5,36 @@ the extension degree e, and a fixed monic irreducible modulus of degree e
 over F_p.  Elements are residues of degree < e, stored by the index
 ``sum(c_i * p**i)`` of their coefficient vector ``(c_0, ..., c_{e-1})``;
 index order is the canonical element order used everywhere (vertex labels,
-the "smallest" primitive element, table layouts).
+the "smallest" primitive element, array layouts).
 
 The modulus is chosen deterministically: the lexicographically smallest
 monic irreducible polynomial of degree e, comparing coefficient tuples
 constant term first.  This keeps every derived object reproducible.
 
-For small fields (q <= TABLE_LIMIT) full operation tables are precomputed
-as numpy arrays; the graph builders and character sums index them directly.
-Larger fields fall back to per-element polynomial arithmetic.
+Every field, up to ``DEFAULT_MAX_Q``, has one representation of O(q) size:
+
+  * ``exp[k] = g**k`` and ``log[a]`` for the smallest primitive element g.
+    ``log[0]`` is a sentinel and ``exp`` is zero-padded past 2(q-1), so
+    ``mul(a, b) = exp[log[a] + log[b]]`` needs no masking of zero;
+  * the trace vector ``trace[a] = tr(a)``;
+  * addition and subtraction digit by digit on the base-p indices (XOR
+    for p = 2).
+
+The operations ``add, sub, neg, mul, inv, pow, tr`` work elementwise on an
+integer ndarray of indices or on a single Python int, which gives a Python
+int back.  The polynomial helpers below build the arrays and serve as the
+reference the tests compare them against.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_MAX_Q = 1 << 20
-TABLE_LIMIT = 256
 
 
 class SizeBudgetError(ValueError):
@@ -158,7 +168,9 @@ def is_irreducible(modulus, p: int) -> bool:
 def smallest_irreducible(p: int, e: int):
     """Lexicographically smallest monic irreducible of degree e over F_p
     (low-degree coefficients compared first)."""
-    for low in itertools.product(range(p), repeat=e):
+    # for e >= 2 a zero constant term means the factor x: skip those candidates
+    constant = range(1, p) if e > 1 else range(p)
+    for low in itertools.product(constant, *[range(p)] * (e - 1)):
         cand = low + (1,)
         if is_irreducible(cand, p):
             return cand
@@ -166,6 +178,11 @@ def smallest_irreducible(p: int, e: int):
 
 
 # ----------------------------------------------------------------------
+
+def _out(x):
+    """An operation's result: the array itself, or a Python int for a scalar."""
+    return x if isinstance(x, np.ndarray) else int(x)
+
 
 class FieldElem:
     """Immutable element of GF(p^e), identified by its index in the spec."""
@@ -189,27 +206,27 @@ class FieldElem:
 
     def __add__(self, other):
         o = self._other(other)
-        return FieldElem(self.spec, self.spec.add_i(self.i, o.i))
+        return FieldElem(self.spec, self.spec.add(self.i, o.i))
 
     def __sub__(self, other):
         o = self._other(other)
-        return FieldElem(self.spec, self.spec.sub_i(self.i, o.i))
+        return FieldElem(self.spec, self.spec.sub(self.i, o.i))
 
     def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg_i(self.i))
+        return FieldElem(self.spec, self.spec.neg(self.i))
 
     def __mul__(self, other):
         o = self._other(other)
-        return FieldElem(self.spec, self.spec.mul_i(self.i, o.i))
+        return FieldElem(self.spec, self.spec.mul(self.i, o.i))
 
     def __truediv__(self, other):
         o = self._other(other)
-        return FieldElem(self.spec, self.spec.div_i(self.i, o.i))
+        return FieldElem(self.spec, self.spec.mul(self.i, self.spec.inv(o.i)))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        return FieldElem(self.spec, self.spec.pow_i(self.i, n))
+        return FieldElem(self.spec, self.spec.pow(self.i, n))
 
     def __eq__(self, other):
         return (isinstance(other, FieldElem)
@@ -228,10 +245,8 @@ class FieldElem:
 class FieldSpec:
     """GF(p^e) with a fixed defining polynomial; immutable and shareable."""
 
-    __slots__ = ("p", "e", "q", "modulus", "key",
-                 "add_table", "sub_table", "mul_table", "neg_table",
-                 "inv_table", "trace_table", "frob_table",
-                 "exp_table", "log_table", "_gen_index")
+    __slots__ = ("p", "e", "q", "modulus", "key", "exp", "log", "trace",
+                 "_weights")
 
     def __init__(self, p: int, e: int, max_q: int = DEFAULT_MAX_Q):
         if not is_prime(p):
@@ -244,14 +259,8 @@ class FieldSpec:
         self.p, self.e, self.q = p, e, q
         self.modulus = smallest_irreducible(p, e)
         self.key = (p, e, self.modulus)
-        self._gen_index = None
-        if q <= TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self.add_table = self.sub_table = self.mul_table = None
-            self.neg_table = self.inv_table = None
-            self.trace_table = self.frob_table = None
-            self.exp_table = self.log_table = None
+        self._weights = [p ** j for j in range(e)]
+        self._build()
 
     # -- index <-> coefficient vector
 
@@ -295,55 +304,57 @@ class FieldSpec:
     def elements(self):
         return (FieldElem(self, i) for i in range(self.q))
 
-    # -- table construction
+    # -- construction
 
-    def _build_tables(self):
+    def _build(self):
         p, e, q = self.p, self.e, self.q
+        n = q - 1
+        # the trace is F_p-linear: accumulate it digit by digit
         idx = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, e), dtype=np.int64)
-        t = idx.copy()
-        for j in range(e):
-            digits[:, j] = t % p
-            t //= p
-        weights = p ** np.arange(e, dtype=np.int64)
+        trace = np.zeros(q, dtype=np.int64)
+        for j, w in enumerate(self._weights):
+            trace += idx // w % p * self._basis_trace(j)
+        self.trace = trace % p
 
-        add = np.zeros((q, q), dtype=np.int64)
-        for j in range(e):
-            add += ((digits[:, None, j] + digits[None, :, j]) % p) * weights[j]
-        self.add_table = add
-        self.neg_table = np.asarray(
-            [self.coeffs_index([-c for c in self.index_coeffs(i)]) for i in range(q)],
-            dtype=np.int64)
-        self.sub_table = add[:, self.neg_table]
+        # block doubling: g^(m+i) = g^m * g^i, so one matrix product maps the
+        # first m powers onto the next m
+        mat = self._mul_matrix(self._find_generator())
+        exp = np.ones(1, dtype=np.int64)
+        while exp.size < n:
+            exp = np.concatenate([exp, self._apply(mat, exp[:n - exp.size])])
+            mat = mat @ mat % p
+        hits = np.bincount(exp, minlength=q)
+        if hits[0] or np.any(hits[1:] != 1):
+            raise RuntimeError("powers of the generator must hit every "
+                               "nonzero element exactly once")
+        self.log = np.full(q, 2 * n, dtype=np.int64)
+        self.log[exp] = np.arange(n)
+        self.exp = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
 
-        gen = self._find_generator()
-        self._gen_index = gen
-        exp = np.empty(q - 1, dtype=np.int64)
-        exp[0] = 1
-        gpoly = _ptrim(self.index_coeffs(gen))
-        acc = (1,)
-        for k in range(1, q - 1):
-            acc = _pmulmod(acc, gpoly, self.modulus, p)
-            exp[k] = self.coeffs_index(acc + (0,) * e)
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self.exp_table, self.log_table = exp, log
+    def _mul_matrix(self, g: int) -> np.ndarray:
+        """The e x e matrix over F_p of multiplication by g."""
+        gpoly = _ptrim(self.index_coeffs(g))
+        cols = [_pmulmod((0,) * j + (1,), gpoly, self.modulus, self.p)
+                for j in range(self.e)]
+        return np.array([c + (0,) * (self.e - len(c)) for c in cols],
+                        dtype=np.int64).T
 
-        mul = np.zeros((q, q), dtype=np.int64)
-        if q > 1:
-            nz = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-            mul[1:, 1:] = nz
-        self.mul_table = mul
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(-log[1:]) % (q - 1)]
-        self.inv_table = inv
+    def _apply(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Indices of mat applied to the coefficient vectors of the indices x.
 
-        tr_basis = np.asarray([self._basis_trace(j) for j in range(e)], dtype=np.int64)
-        self.trace_table = (digits @ tr_basis) % p
-        frob_rows = np.asarray(
-            [(list(_ppow((0,) * j + (1,), p, self.modulus, p)) + [0] * e)[:e]
-             for j in range(e)], dtype=np.int64)
-        self.frob_table = ((digits @ frob_rows) % p) @ weights
+        The map is linear, so it is tabulated separately on the low e//2
+        and the high e - e//2 base-p digits, and the two images are added.
+        """
+        p, w = self.p, np.array(self._weights, dtype=np.int64)
+        split = p ** (self.e // 2)
+
+        def image(v):
+            digits = np.stack([v // wj % p for wj in self._weights], axis=1)
+            return digits @ mat.T % p @ w
+
+        low = image(np.arange(split, dtype=np.int64))
+        high = image(np.arange(self.q // split, dtype=np.int64) * split)
+        return self.add(low[x % split], high[x // split])
 
     def _basis_trace(self, j: int) -> int:
         base = _ptrim((0,) * j + (1,))
@@ -353,7 +364,8 @@ class FieldSpec:
             t = _ppow(t, self.p, self.modulus, self.p)
             for k, c in enumerate(t):
                 acc[k] = (acc[k] + c) % self.p
-        assert not any(acc[1:self.e]), "trace of a basis element must be scalar"
+        if any(acc[1:self.e]):
+            raise RuntimeError("trace of a basis element must be scalar")
         return acc[0]
 
     def _find_generator(self) -> int:
@@ -367,68 +379,56 @@ class FieldSpec:
                 return i
         raise RuntimeError("no generator found")  # pragma: no cover
 
-    # -- index-level operations (fast tables, polynomial fallback)
+    # -- operations on element indices (a Python int or an integer ndarray)
 
-    def add_i(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        ca, cb = self.index_coeffs(a), self.index_coeffs(b)
-        return self.coeffs_index([x + y for x, y in zip(ca, cb)])
+    def add(self, a, b):
+        return self._digitwise(operator.add, a, b)
 
-    def sub_i(self, a: int, b: int) -> int:
-        return self.add_i(a, self.neg_i(b))
+    def sub(self, a, b):
+        return self._digitwise(operator.sub, a, b)
 
-    def neg_i(self, a: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        return self.coeffs_index([-c for c in self.index_coeffs(a)])
+    def neg(self, a):
+        return self.sub(0, a)
 
-    def mul_i(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        c = _pmulmod(_ptrim(self.index_coeffs(a)), _ptrim(self.index_coeffs(b)),
-                     self.modulus, self.p)
-        return self.coeffs_index(c + (0,) * self.e)
+    def _digitwise(self, op, a, b):
+        """op (+ or -) applied digit by digit to base-p indices, mod p."""
+        p = self.p
+        if p == 2:
+            return _out(a ^ b)
+        if self.e == 1:
+            return _out(op(a, b) % p)
+        s = 0
+        for w in self._weights:
+            # a // w and b // w agree with their digits at w modulo p
+            s = s + op(a // w, b // w) % p * w
+        return _out(s)
 
-    def inv_i(self, a: int) -> int:
-        if a == 0:
+    def mul(self, a, b):
+        return _out(self.exp[self.log[a] + self.log[b]])
+
+    def inv(self, a):
+        if not np.all(a != 0):
             raise ZeroDivisionError("division by zero in GF(q)")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return self.pow_i(a, self.q - 2)
+        return _out(self.exp[-self.log[a] % (self.q - 1)])
 
-    def div_i(self, a: int, b: int) -> int:
-        return self.mul_i(a, self.inv_i(b))
-
-    def pow_i(self, a: int, n: int) -> int:
-        if a == 0:
-            if n > 0:
-                return 0
-            if n == 0:
-                return 1
+    def pow(self, a, k: int):
+        """a**k with 0**0 = 1."""
+        nonzero = a != 0
+        if k < 0 and not np.all(nonzero):
             raise ZeroDivisionError("0 cannot be raised to a negative power")
-        if self.log_table is not None:
-            return int(self.exp_table[(int(self.log_table[a]) * n) % (self.q - 1)])
-        c = _ppow(_ptrim(self.index_coeffs(a)), n % (self.q - 1), self.modulus, self.p)
-        return self.coeffs_index(c + (0,) * self.e)
+        n = self.q - 1
+        r = self.exp[self.log[a] * (k % n) % n]
+        return _out(r * nonzero if k > 0 else r)
 
-    def trace_i(self, a: int) -> int:
-        if self.trace_table is not None:
-            return int(self.trace_table[a])
-        acc_vec = [0] * self.e
-        t = a
-        for _ in range(self.e):
-            for k, c in enumerate(self.index_coeffs(t)):
-                acc_vec[k] = (acc_vec[k] + c) % self.p
-            t = self.pow_i(t, self.p)
-        assert not any(acc_vec[1:])
-        return acc_vec[0]
+    def tr(self, a):
+        """Absolute trace GF(p^e) -> F_p, as integers in [0, p)."""
+        return _out(self.trace[a])
 
-    def eval_poly_i(self, coeffs, a: int) -> int:
+    def eval_poly(self, coeffs, a):
         """Horner evaluation of a polynomial given by element indices."""
         acc = 0
         for c in reversed(list(coeffs)):
-            acc = self.add_i(self.mul_i(acc, a), c)
+            acc = self.add(self.mul(acc, a), c)
         return acc
 
     def __repr__(self):
@@ -459,37 +459,14 @@ def field_for(q: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
     return ff_make(*pe, max_q=max_q)
 
 
-_ARITH_OPS = {"add", "sub", "mul", "div", "pow"}
-
-
-def ff_arith(a: FieldElem, b, op: str) -> FieldElem:
-    """Named arithmetic dispatch; 'pow' reads b as an integer exponent."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown op {op!r}")
-    if op == "pow":
-        n = b.i if isinstance(b, FieldElem) else int(b)
-        return a ** n
-    if not isinstance(b, FieldElem) or b.spec.key != a.spec.key:
-        raise ValueError("mismatched field specs")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    return a / b
-
-
 def trace(a: FieldElem) -> int:
     """Absolute trace GF(p^e) -> F_p, as an integer in [0, p)."""
-    return a.spec.trace_i(a.i)
+    return a.spec.tr(a.i)
 
 
 def primitive_element(spec: FieldSpec) -> FieldElem:
     """Smallest element (index order) of multiplicative order q - 1."""
-    if spec._gen_index is None:
-        spec._gen_index = spec._find_generator()
-    return FieldElem(spec, spec._gen_index)
+    return FieldElem(spec, int(spec.exp[1]))
 
 
 def cube_root(a: FieldElem) -> FieldElem:
@@ -512,8 +489,7 @@ def moment_sum(spec: FieldSpec, k: int) -> int:
         raise ValueError("k must be >= 0")
     acc = 0
     for i in range(spec.q):
-        term = 1 if (k == 0 and i == 0) else spec.pow_i(i, k)
-        acc = spec.add_i(acc, term)
+        acc = spec.add(acc, spec.pow(i, k))
     coeffs = spec.index_coeffs(acc)
     assert not any(coeffs[1:]), "moment sum must lie in the prime subfield"
     return coeffs[0]
@@ -533,44 +509,33 @@ class RootProfile:
         return self.counts.get(k, 0)
 
 
+def _root_profile(spec: FieldSpec, t: np.ndarray, lead: np.ndarray) -> RootProfile:
+    """Root counts over the points t of every nonzero a*lead(t) + b*t + c."""
+    q = spec.q
+    minus = spec.neg(np.arange(q))
+    tally = np.zeros(t.size + 1, dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            # the roots of a*lead + b*t + c are the points where
+            # a*lead + b*t == -c, read off a value histogram
+            hist = np.bincount(spec.add(spec.mul(a, lead), spec.mul(b, t)), minlength=q)
+            tally += np.bincount(hist[minus], minlength=t.size + 1)
+    tally[t.size] -= 1  # the zero polynomial vanishes everywhere
+    return RootProfile(q, {k: int(m) for k, m in enumerate(tally) if m})
+
+
 def quadratic_root_profile(spec: FieldSpec) -> RootProfile:
     """Root-count profile of all nonzero a2*t^2 + a1*t + a0 over GF(q)."""
-    q = spec.q
-    counts: dict[int, int] = {}
-    # v(t) = a2*t^2 + a1*t; the number of roots of v(t) + a0 is the number
-    # of t with v(t) == -a0, read off a value histogram.
-    for a2 in range(q):
-        for a1 in range(q):
-            hist = [0] * q
-            for t in range(q):
-                v = spec.add_i(spec.mul_i(a2, spec.mul_i(t, t)), spec.mul_i(a1, t))
-                hist[v] += 1
-            for a0 in range(q):
-                if a2 == 0 and a1 == 0 and a0 == 0:
-                    continue
-                k = hist[spec.neg_i(a0)]
-                counts[k] = counts.get(k, 0) + 1
-    return RootProfile(q, counts)
+    t = np.arange(spec.q)
+    return _root_profile(spec, t, spec.mul(t, t))
 
 
 def cubic_root_profile_even(spec: FieldSpec) -> RootProfile:
     """Nonzero-root profile of all nonzero a3*t^3 + a1*t + a0, q even."""
-    q = spec.q
-    if q % 2:
+    if spec.q % 2:
         raise ValueError("even-characteristic profile requested for odd q")
-    counts: dict[int, int] = {}
-    for a3 in range(q):
-        for a1 in range(q):
-            hist = [0] * q
-            for t in range(1, q):  # nonzero roots only
-                v = spec.add_i(spec.mul_i(a3, spec.pow_i(t, 3)), spec.mul_i(a1, t))
-                hist[v] += 1
-            for a0 in range(q):
-                if a3 == 0 and a1 == 0 and a0 == 0:
-                    continue
-                k = hist[spec.neg_i(a0)]
-                counts[k] = counts.get(k, 0) + 1
-    return RootProfile(q, counts)
+    t = np.arange(1, spec.q)  # nonzero roots only
+    return _root_profile(spec, t, spec.pow(t, 3))
 
 
 def quadratic_profile_expected(q: int) -> dict:

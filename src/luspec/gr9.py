@@ -23,7 +23,7 @@ class GR9Spec:
     """GR(9, e) with Teichmueller set and 3-adic expansion table."""
 
     __slots__ = ("e", "q", "modulus", "field", "beta", "teich",
-                 "_teich_of_residue", "_expand", "key")
+                 "_expand", "key")
 
     def __init__(self, e: int, max_q: int = DEFAULT_MAX_Q):
         if e < 1:
@@ -53,11 +53,8 @@ class GR9Spec:
             assert x ** q == x, "x^q = x fails on the Teichmueller set"
         self.teich = tuple(teich)
 
-        # residue (field index) -> Teichmueller representative
-        self._teich_of_residue = {}
-        for x in self.teich:
-            self._teich_of_residue[self.residue(x).i] = x
-        assert len(self._teich_of_residue) == q
+        assert len({self.residue(x).i for x in self.teich}) == q, \
+            "Teichmueller set must map onto the residue field"
 
         # unique 3-adic expansion, tabulated over T x T
         self._expand = {}
@@ -98,11 +95,6 @@ class GR9Spec:
     def residue(self, x: "RingElem") -> ff.FieldElem:
         """Reduction mod 3R, as an element of the companion field GF(3^e)."""
         return self.field.element(tuple(c % 3 for c in x.coeffs))
-
-    def teich_lift(self, a) -> "RingElem":
-        """Teichmueller representative of a residue (FieldElem or index)."""
-        i = a.i if isinstance(a, ff.FieldElem) else int(a)
-        return self._teich_of_residue[i]
 
     def __repr__(self):
         return f"GR9Spec(GR(9,{self.e}), q={self.q}, modulus={self.modulus})"

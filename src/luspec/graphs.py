@@ -142,9 +142,9 @@ def _connection_index_tuples(spec: FieldSpec):
     out = []
     for ti in range(1, spec.q):
         for ri in range(spec.q):
-            u = spec.mul_i(ri, ti)
-            v = spec.neg_i(spec.mul_i(u, ti))
-            w = spec.mul_i(spec.mul_i(ri, ri), ti)
+            u = spec.mul(ri, ti)
+            v = spec.neg(spec.mul(u, ti))
+            w = spec.mul(spec.mul(ri, ri), ti)
             out.append((ti, u, v, w))
     return out
 
@@ -214,26 +214,25 @@ def _check_size(spec: FieldSpec, max_q: int):
     if spec.q > max_q:
         raise SizeBudgetError(
             f"q={spec.q} exceeds the graph construction bound {max_q}")
-    if spec.add_table is None:
-        raise SizeBudgetError(f"q={spec.q} has no operation tables")
 
 
 def build_gamma(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyStructure:
     """Point collinearity graph: q^4 vertices, q*(q-1)-regular."""
     _check_size(spec, max_q)
     q = spec.q
-    add, sub, mul = spec.add_table, spec.sub_table, spec.mul_table
+    add, sub, mul = spec.add, spec.sub, spec.mul
     P1, P2, P3, P4 = _coord_cols(q)
     n = q ** 4
     nb = np.empty((n, q * (q - 1)), dtype=np.int32)
     col = 0
     for d in range(1, q):  # d = p1' - p1 != 0
-        ivd = int(spec.inv_table[d])
-        Q1 = add[P1, d]
+        ivd = spec.inv(d)
+        Q1 = add(P1, d)
+        P2Q1 = mul(P2, Q1)
         for b in range(q):  # b = p2'
-            e2 = sub[P2, b]
-            Q4 = add[P4, mul[ivd, mul[e2, e2]]]
-            Q3 = sub[P3, sub[mul[P2, Q1], mul[P1, b]]]
+            e2 = sub(P2, b)
+            Q4 = add(P4, mul(ivd, mul(e2, e2)))
+            Q3 = sub(P3, sub(P2Q1, mul(P1, b)))
             nb[:, col] = Q1 + q * b + q * q * Q3 + q ** 3 * Q4
             col += 1
     nb.sort(axis=1)
@@ -244,21 +243,21 @@ def build_d4(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyStru
     """Bipartite point-line incidence graph: 2*q^4 vertices, q-regular."""
     _check_size(spec, max_q)
     q = spec.q
-    sub, mul = spec.sub_table, spec.mul_table
+    sub, mul = spec.sub, spec.mul
     C1, C2, C3, C4 = _coord_cols(q)
     n4 = q ** 4
     nb_pts = np.empty((n4, q), dtype=np.int32)
     nb_lns = np.empty((n4, q), dtype=np.int32)
     for a in range(q):
         # lines through each point, parameterized by l1 = a
-        L2 = sub[mul[C1, a], C2]
-        L3 = sub[mul[C1, L2], C3]
-        L4 = sub[mul[C2, a], C4]
+        L2 = sub(mul(C1, a), C2)
+        L3 = sub(mul(C1, L2), C3)
+        L4 = sub(mul(C2, a), C4)
         nb_pts[:, a] = n4 + (a + q * L2 + q * q * L3 + q ** 3 * L4)
         # points on each line, parameterized by p1 = a
-        P2 = sub[mul[C1, a], C2]
-        P3 = sub[mul[C2, a], C3]
-        P4 = sub[mul[P2, C1], C4]
+        P2 = sub(mul(C1, a), C2)
+        P3 = sub(mul(C2, a), C3)
+        P4 = sub(mul(P2, C1), C4)
         nb_lns[:, a] = a + q * P2 + q * q * P3 + q ** 3 * P4
     nb = np.vstack([nb_pts, nb_lns])
     nb.sort(axis=1)
@@ -269,17 +268,17 @@ def build_cayley(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> Adjacency
     """Cay(G, S): vertex g(t,u,v,w) at index enc(t,u,v,w); g ~ g' iff g'*g^-1 in S."""
     _check_size(spec, max_q)
     q = spec.q
-    add, sub, mul = spec.add_table, spec.sub_table, spec.mul_table
+    add, sub, mul = spec.add, spec.sub, spec.mul
     T, U, V, W = _coord_cols(q)
     n = q ** 4
     two = 2 % spec.p
     nb = np.empty((n, q * (q - 1)), dtype=np.int32)
     for col, (ts, us, vs, ws) in enumerate(_connection_index_tuples(spec)):
         # left multiplication: s*g = (ts+t, us+u, vs+v-2*ts*u, ws+w)
-        T2 = add[T, ts]
-        U2 = add[U, us]
-        V2 = sub[add[V, vs], mul[two, mul[ts, U]]]
-        W2 = add[W, ws]
+        T2 = add(T, ts)
+        U2 = add(U, us)
+        V2 = sub(add(V, vs), mul(two, mul(ts, U)))
+        W2 = add(W, ws)
         nb[:, col] = T2 + q * U2 + q * q * V2 + q ** 3 * W2
     nb.sort(axis=1)
     return AdjacencyStructure("CAYLEY4", q, n, nb, bipartite=False)
@@ -288,14 +287,13 @@ def build_cayley(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> Adjacency
 def action_permutation(spec: FieldSpec, g: GroupElem) -> np.ndarray:
     """The permutation P -> P*g of point indices, vectorized over all points."""
     q = spec.q
-    add, sub, mul = spec.add_table, spec.sub_table, spec.mul_table
+    add, sub, mul = spec.add, spec.sub, spec.mul
     P1, P2, P3, P4 = _coord_cols(q)
     t, u, v, w = g.t.i, g.u.i, g.v.i, g.w.i
-    tu = spec.mul_i(t, u)
-    Q1 = add[P1, t]
-    Q2 = add[P2, u]
-    Q3 = add[P3, sub[add[spec.add_i(v, tu), mul[P2, t]], mul[P1, u]]]
-    Q4 = add[P4, w]
+    Q1 = add(P1, t)
+    Q2 = add(P2, u)
+    Q3 = add(P3, sub(add(add(v, mul(t, u)), mul(P2, t)), mul(P1, u)))
+    Q4 = add(P4, w)
     return (Q1 + q * Q2 + q * q * Q3 + q ** 3 * Q4).astype(np.int64)
 
 
@@ -306,9 +304,8 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     bijection carrying Cay(G, S) onto the collinearity graph.
     """
     q = spec.q
-    add, mul = spec.add_table, spec.mul_table
     T, U, V, W = _coord_cols(q)
-    VP = add[V, mul[T, U]]
+    VP = spec.add(V, spec.mul(T, U))
     return (T + q * U + q * q * VP + q ** 3 * W).astype(np.int64)
 
 

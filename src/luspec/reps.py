@@ -184,7 +184,7 @@ def build_M(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
         for ii in range(q):
             i = FieldElem(spec, ii)
             k = ff.trace(alpha * (g.v - two * i * g.u) + beta * g.w)
-            jj = spec.add_i(ii, t)
+            jj = spec.add(ii, t)
             acc[ii, jj] = acc[ii, jj] + _zeta_pow(spec, k)
     return RepMatrix((alpha.i, beta.i, "S"), acc)
 
@@ -278,17 +278,16 @@ def conjugacy_class_data(spec: FieldSpec):
     """(class count, size histogram) of G by exhaustive orbit computation."""
     q = spec.q
     n = q ** 4
-    add, sub, mul = spec.add_table, spec.sub_table, spec.mul_table
     idx = np.arange(n, dtype=np.int64)
     T, U, V, W = idx % q, (idx // q) % q, (idx // q ** 2) % q, idx // q ** 3
     two = 2 % spec.p
     orbmin = idx.copy()
-    for h in range(n):
-        th, uh = h % q, (h // q) % q
-        # h g h^-1 = g(t, u, v + 2*(t*uh - u*th), w)
-        shift = mul[two, sub[mul[T, uh], mul[U, th]]]
-        conj = T + q * U + q * q * add[V, shift] + q ** 3 * W
-        np.minimum(orbmin, conj, out=orbmin)
+    # h g h^-1 = g(t, u, v + 2*(t*uh - u*th), w) depends on h only through (th, uh)
+    for th in range(q):
+        for uh in range(q):
+            shift = spec.mul(two, spec.sub(spec.mul(T, uh), spec.mul(U, th)))
+            conj = T + q * U + q * q * spec.add(V, shift) + q ** 3 * W
+            np.minimum(orbmin, conj, out=orbmin)
     classes, sizes = np.unique(orbmin, return_counts=True)
     hist: dict[int, int] = {}
     for s in sizes:

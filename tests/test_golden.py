@@ -1,0 +1,56 @@
+"""Byte-for-byte CLI output, pinned by SHA-256 digests.
+
+The digests were recorded before the field arithmetic was reduced to a
+single O(q) representation.  They must not be regenerated to make a changed
+program pass: a new digest means the output changed.  q = 127 is left out
+because its closed form takes about 15 s.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from luspec import cli
+
+GOLDEN = {
+    "spectrum --q 2 --no-timestamp":
+        "7e54033712a499362d55d96f90792d77be19bfe5185b8ddb6be2630b6e69bb32",
+    "spectrum --q 3 --no-timestamp":
+        "8de3506d0385403c2921491acfa7b21e986026931bc3158f837fc1eb8a47506f",
+    "spectrum --q 4 --no-timestamp":
+        "6519ffe94ae5fa731a51fa933708ae854ecb2fc421b204540f1c1bc160ef6153",
+    "spectrum --q 5 --no-timestamp":
+        "0a3042e35e09540815dd3e2cc362540818a18c5bb373bd759978ce1554769858",
+    "spectrum --q 7 --no-timestamp":
+        "e66cdcc32b70d74ed77c7601a4dddd0cb077e725316549cb31b60169b34875df",
+    "spectrum --q 8 --no-timestamp":
+        "f5c153cb2244f3838fb9e0d4fe4828446b92a3a18ee5e2cce8b5bb648e9fb800",
+    "spectrum --q 9 --no-timestamp":
+        "efa1a40740e580a6efaa4b8cc7dd24582341b9272ae9f5b5e431d074d5d6f866",
+    "spectrum --q 11 --no-timestamp":
+        "1da13dfc8a2cae9baff225d0805b7e238471bc22374dd871ae4ec1e5d7168f62",
+    "spectrum --q 13 --no-timestamp":
+        "0adf712ebc14a5936866b0b3550c9aa0d7509dedbb681c11acb6193965a4d757",
+    "spectrum --q 27 --no-timestamp":
+        "63698c6e7cb68768acbe284f7f2cd2710fb5ecd15a324d42021c3a2f50004ad5",
+    "spectrum --q 81 --no-timestamp":
+        "5fb2faa35956e99d0696c1ccc25469914675ec3ce6986768f194e3c9f5cad8c2",
+    "spectrum --q 125 --no-timestamp":
+        "f6872666eb17e013d12c392369b3245a27ec134417b78e0a4fc93c384c1c5fb4",
+    "spectrum --q 257 --no-timestamp":
+        "2120bf5f3de8251d0c14eef2e3ffadfcdd892e0a1bb2d679df04fd56bcea77eb",
+    "spectrum --graph d4 --q 257 --no-timestamp":
+        "7975b172fe1a90fbf998fbf247077a7ea45d8c5a6c26ab5de49225a6f584ecda",
+    "epsilons --q 257 --no-timestamp":
+        "d6d2fea0a8ee735255ddea93f315ba77f775ae7430e3790da0aba75cc53d3701",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_cli_output_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]

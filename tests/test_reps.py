@@ -85,8 +85,8 @@ def test_u_reindexing_similarity_q5():
         u2 = reps.build_U(c * c * d * a, c * d * d * b, spec)
         for i in range(5):
             for j in range(5):
-                ci = spec.mul_i(c.i, i)
-                dj = spec.mul_i(d.i, j)
+                ci = spec.mul(c.i, i)
+                dj = spec.mul(d.i, j)
                 assert u2.entries[i, j] == u1.entries[ci, dj]
 
 
