@@ -2,7 +2,7 @@
 
 Submodules:
   ff          finite field GF(p^e) arithmetic, trace, root-count profiles
-  gr9         the Galois ring GR(9,e): Teichmueller set, 3-adic trace
+  gr9         the Galois ring GR(9,e) as the traces of its Teichmueller set
   cyclo       exact cyclotomic integers and exponential sums, Weil checks
   graphs      D(4,q), Gamma(4,q), the vertex group, Cayley realization
   reps        characters and degree-q representations of the vertex group
@@ -13,7 +13,7 @@ Submodules:
 
 from . import cyclo, ff, gr9, graphs  # noqa: F401
 from .ff import FieldElem, FieldSpec, ff_make, field_for  # noqa: F401
-from .gr9 import GR9Spec, RingElem, gr9_make  # noqa: F401
+from .gr9 import GR9Spec, gr9_make  # noqa: F401
 from .cyclo import CycInt, cyc_spec, embed, exp_sum_field, exp_sum_gr  # noqa: F401
 
 __version__ = "0.1.0"

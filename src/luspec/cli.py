@@ -51,7 +51,7 @@ def _parse_q_list(text: str) -> list[int]:
             q = int(part)
         except ValueError:
             raise UsageError(f"q={part!r} is not an integer") from None
-    # prime power check deferred to field_for so the message is uniform
+        # prime power check deferred to _field so the message is uniform
         out.append(q)
     return out
 
@@ -371,6 +371,9 @@ def main(argv=None) -> int:
                    "verify": cmd_verify, "epsilons": cmd_epsilons,
                    "ramanujan": cmd_ramanujan}[cfg.command]
         return handler(cfg)
+    except oracle.VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

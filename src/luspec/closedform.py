@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cyclo, ff, gr9
+from . import ff, gr9
 from .cyclo import CycInt, embed, exp_sum_field, exp_sum_gr
 
 
@@ -199,15 +199,6 @@ def spectrum_even(spec: ff.FieldSpec) -> SpectrumMultiset:
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
-def _trivial_odd_pairs(q: int):
-    return [
-        (ExactValue.integer(q * (q - 1)), 1),
-        (ExactValue.integer(q), q * (q - 1) ** 2),
-        (ExactValue.integer(0), 3 * q * (q - 1)),
-        (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
-    ]
-
-
 def epsilon_family(spec: ff.FieldSpec):
     """The (eps, multiplicity) classes carried by the odd-q spectrum.
 
@@ -217,9 +208,9 @@ def epsilon_family(spec: ff.FieldSpec):
     q = spec.q
     if spec.p == 3:
         R = gr9.gr9_make(spec.e)
-        three = R.element(3)
-        for k, c in enumerate(R.teich):
-            eps = exp_sum_gr([R.zero, three * c, R.zero, R.one], R)
+        # Teichmueller order 0, 1, beta, beta^2, ...: T[k] reduces to g^(k-1)
+        for k in range(q):
+            eps = exp_sum_gr(int(spec.exp[k - 1]) if k else 0, R)
             yield (1, k), eps, q * (q - 1) ** 2
     elif q % 3 == 2:
         for c in range(q):
@@ -237,7 +228,12 @@ def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
     q = spec.q
     if q % 2 == 0:
         raise ValueError("spectrum_odd needs odd q")
-    pairs = _trivial_odd_pairs(q)
+    pairs = [
+        (ExactValue.integer(q * (q - 1)), 1),
+        (ExactValue.integer(q), q * (q - 1) ** 2),
+        (ExactValue.integer(0), 3 * q * (q - 1)),
+        (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
+    ]
     for _, eps, mult in epsilon_family(spec):
         pairs.append((ExactValue.eps_shift(eps, q), mult))
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
@@ -320,70 +316,6 @@ def epsilon_square_coincidences(p: int):
         for j in range(i + 1, len(sums)):
             if sums[i][1] == -sums[j][1]:
                 out.append((sums[i][0], sums[j][0]))
-    return out
-
-
-def _assert_symmetric_functions(values, expected):
-    """Elementary symmetric functions of exact values equal the given integers."""
-    spec = values[0].spec
-    es = [CycInt.integer(spec, 1)]
-    for v in values:
-        nxt = [es[0]]
-        for k in range(1, len(es) + 1):
-            prev = es[k] if k < len(es) else CycInt.integer(spec, 0)
-            nxt.append(prev + es[k - 1] * v)
-        es = nxt
-    got = es[1:]
-    assert len(got) == len(expected)
-    for g, want in zip(got, expected):
-        assert g.is_rational and g.as_int == want, \
-            f"symmetric function {g!r} != {want}"
-
-
-def spectrum_prime(p: int) -> SpectrumMultiset:
-    """Gamma(4,p) spectrum for odd prime p via representatives; asserts the
-    advertised distinct-root counts (p+3 for 5 < p = 2 mod 3, p+6 for
-    p = 1 mod 3) and the explicit shapes at p = 3, 5."""
-    if p == 2 or not ff.is_prime(p):
-        raise ValueError("spectrum_prime needs an odd prime")
-    spec = ff.ff_make(p, 1)
-    pairs = _trivial_odd_pairs(p)
-    if p == 3:
-        for _, eps, mult in epsilon_family(spec):
-            pairs.append((ExactValue.eps_shift(eps, p), mult))
-        out = SpectrumMultiset.assemble("GAMMA4", p, pairs, expected_total=81)
-        ints = {e.value.ival: e.multiplicity for e in out.entries
-                if e.value.kind == "int"}
-        assert ints == {6: 1, 3: 12, 0: 18, -3: 14}
-        cubic = [e for e in out.entries if e.value.kind == "eps2q"]
-        assert [e.multiplicity for e in cubic] == [12, 12, 12]
-        vals = [e.value.eps * e.value.eps - 3 for e in cubic]
-        _assert_symmetric_functions(vals, [0, -9, 9])  # x^3 - 9x - 9
-        return out
-
-    reps = representatives(p)
-    for a, c in reps.members:
-        eps = exp_sum_field([0, c, 0, a], spec)
-        if c == 0:
-            mult = p * (p - 1) ** 2 // 3 if p % 3 == 1 else p * (p - 1) ** 2
-        else:
-            mult = p * (p - 1) ** 2
-        pairs.append((ExactValue.eps_shift(eps, p), mult))
-    out = SpectrumMultiset.assemble("GAMMA4", p, pairs, expected_total=p ** 4)
-
-    distinct = len(out.entries)
-    if p == 5:
-        ints = {e.value.ival: e.multiplicity for e in out.entries
-                if e.value.kind == "int"}
-        assert ints == {20: 1, 5: 80, 0: 220, -5: 164}
-        quad = [e for e in out.entries if e.value.kind == "eps2q"]
-        assert [e.multiplicity for e in quad] == [80, 80]
-        vals = [e.value.eps * e.value.eps - 5 for e in quad]
-        _assert_symmetric_functions(vals, [5, -25])  # x^2 - 5x - 25
-    elif p % 3 == 2:
-        assert distinct == p + 3, f"expected {p + 3} distinct roots, got {distinct}"
-    else:
-        assert distinct == p + 6, f"expected {p + 6} distinct roots, got {distinct}"
     return out
 
 

@@ -47,7 +47,8 @@ def _reduce_histogram(spec: CycSpec, hist):
     """Exponent histogram of length n -> canonical power-basis coefficients."""
     n = spec.n
     h = list(hist)
-    assert len(h) == n
+    if len(h) != n:
+        raise RuntimeError(f"histogram of length {len(h)}, expected {n}")
     if n == 9:
         c = h[:6]
         for k in range(3):
@@ -66,7 +67,8 @@ class CycInt:
     def __init__(self, spec: CycSpec, coeffs):
         self.spec = spec
         coeffs = tuple(int(c) for c in coeffs)
-        assert len(coeffs) == spec.phi
+        if len(coeffs) != spec.phi:
+            raise RuntimeError(f"{len(coeffs)} coefficients, expected phi = {spec.phi}")
         self.coeffs = coeffs
 
     @classmethod
@@ -180,17 +182,17 @@ def exp_sum_field(f, spec: ff.FieldSpec) -> CycInt:
     return CycInt.from_histogram(cyc_spec(spec.p), hist.tolist())
 
 
-def exp_sum_gr(f, spec: gr9.GR9Spec) -> CycInt:
-    """sum over the Teichmueller set of zeta_9^trace(f(i)), exact in Z[zeta_9]."""
-    cspec = cyc_spec(9)
-    coeffs = [c if isinstance(c, gr9.RingElem) else spec.element(c) for c in f]
-    hist = [0] * 9
-    for x in spec.teich:
-        acc = spec.zero
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        hist[gr9.gr_trace(acc)] += 1
-    return CycInt.from_histogram(cspec, hist)
+def exp_sum_gr(c: int, spec: gr9.GR9Spec) -> CycInt:
+    """sum over x in the Teichmueller set T of zeta_9^Tr(x^3 + 3*T(c)*x),
+    exact in Z[zeta_9]; ``c`` is a field index.
+
+    For x in T, x^3 is the Frobenius image of x, so Tr(x^3) = Tr(x); and
+    3y mod 9 depends only on y mod 3, so Tr(3*T(c)*x) = 3*tr(c*(x mod 3)).
+    """
+    field = spec.field
+    tr = spec.teich_trace + 3 * field.tr(field.mul(c, np.arange(spec.q)))
+    hist = np.bincount(tr % 9, minlength=9)
+    return CycInt.from_histogram(cyc_spec(9), hist.tolist())
 
 
 @dataclass(frozen=True)

@@ -491,7 +491,8 @@ def moment_sum(spec: FieldSpec, k: int) -> int:
     for i in range(spec.q):
         acc = spec.add(acc, spec.pow(i, k))
     coeffs = spec.index_coeffs(acc)
-    assert not any(coeffs[1:]), "moment sum must lie in the prime subfield"
+    if any(coeffs[1:]):
+        raise RuntimeError("moment sum must lie in the prime subfield")
     return coeffs[0]
 
 

@@ -23,7 +23,11 @@ from .graphs import AdjacencyStructure
 DEFAULT_MAX_DENSE_N = 15000
 
 
-class TotalMismatchError(ValueError):
+class VerificationError(ValueError):
+    """A numeric spectrum failed a check; the CLI exits 1, not 2, on it."""
+
+
+class TotalMismatchError(VerificationError):
     """Exact and numeric spectra have different sizes."""
 
 
@@ -41,10 +45,10 @@ class NumericSpectrum:
     def check_moments(self, num_edges: int):
         s1 = float(self.values.sum())
         if abs(s1) > self.n * 1e-8:
-            raise ValueError(f"trace {s1} deviates from 0")
+            raise VerificationError(f"trace {s1} deviates from 0")
         s2 = float((self.values ** 2).sum())
         if abs(s2 - 2 * num_edges) > 1e-8 * max(1.0, 2 * num_edges):
-            raise ValueError(f"sum of squares {s2} != 2*edges {2 * num_edges}")
+            raise VerificationError(f"sum of squares {s2} != 2*edges {2 * num_edges}")
         return True
 
 
@@ -181,7 +185,8 @@ def expansion_report(q, source: str = "closed",
     gap = q - lam2
     lower = gap / 2
     upper = math.sqrt(2 * q * gap)
-    assert lower <= upper + 1e-12
+    if lower > upper + 1e-12:
+        raise RuntimeError(f"isoperimetric bounds out of order: {lower} > {upper}")
     return ExpansionReport(
         q=q, source=source, lambda2=lam2, spectral_gap=gap,
         isoperimetric_lower=lower, isoperimetric_upper=upper,

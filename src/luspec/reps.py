@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, cyclo, ff, gr9, graphs
+from . import closedform, cyclo, ff, graphs
 from .cyclo import CycInt, cyc_spec, embed, exp_sum_field
 from .closedform import ExactValue, SpectrumMultiset
 from .ff import FieldElem, FieldSpec
@@ -89,7 +89,8 @@ def even_char_value(alpha: FieldElem, beta: FieldElem, gamma: FieldElem,
     for t in spec.elements():
         if t.i and b2 * t + g2 * t * t * t == eta:
             reduced += 1 if ff.trace(alpha * t) == 0 else -1
-    assert total == q * reduced, "direct and reduced character sums disagree"
+    if total != q * reduced:
+        raise RuntimeError("direct and reduced character sums disagree")
     return CharValue((alpha.i, beta.i, gamma.i, eta.i), total)
 
 
@@ -259,10 +260,7 @@ def eigen_via_epsilon(alpha: FieldElem, beta: FieldElem) -> SpectrumMultiset:
         raise ValueError("the eps route needs alpha*beta != 0")
     pairs = []
     if spec.p == 3:
-        R = gr9.gr9_make(spec.e)
-        three = R.element(3)
-        for c in R.teich:
-            eps = cyclo.exp_sum_gr([R.zero, three * c, R.zero, R.one], R)
+        for _, eps, _ in closedform.epsilon_family(spec):
             pairs.append((ExactValue.eps_shift(eps, q), 1))
     else:
         three = spec.element([3 % spec.p] + [0] * (spec.e - 1))

@@ -1,6 +1,10 @@
+import functools
+
+import numpy as np
 import pytest
 
 from luspec import ff, graphs, oracle
+from luspec.cyclo import CycInt, cyc_spec
 
 _GRAPHS: dict = {}
 _NUMERIC: dict = {}
@@ -38,3 +42,53 @@ def numeric():
 @pytest.fixture(scope="session")
 def field():
     return ff.field_for
+
+
+@functools.lru_cache(maxsize=None)
+def _teichmueller_matrices(e: int) -> dict:
+    """{a: Z/9 matrix of multiplication by T(a)} for GR(9, e), from the
+    definition: T = {0} u the powers of b^q, b a lift of a generator of
+    GF(3^e)*, each keyed by the field index of its residue mod 3."""
+    F = ff.ff_make(3, e)
+    q = F.q
+    x_mat = np.zeros((e, e), dtype=np.int64)  # multiplication by X
+    for j in range(e - 1):
+        x_mat[j + 1, j] = 1
+    x_mat[:, e - 1] = [-m % 9 for m in F.modulus[:e]]
+    b = np.zeros((e, e), dtype=np.int64)
+    power = np.eye(e, dtype=np.int64)
+    for coeff in F.index_coeffs(int(F.exp[1])):
+        b = (b + coeff * power) % 9
+        power = x_mat @ power % 9
+    beta = np.eye(e, dtype=np.int64)
+    for _ in range(q):
+        beta = beta @ b % 9
+    teich = {0: np.zeros((e, e), dtype=np.int64)}
+    x = np.eye(e, dtype=np.int64)
+    for _ in range(q - 1):
+        teich[F.coeffs_index(x[:, 0] % 3)] = x  # column 0: the coefficients of x
+        x = x @ beta % 9
+    assert len(teich) == q and np.array_equal(x, np.eye(e, dtype=np.int64))
+    return teich
+
+
+def _reference_exp_sum_gr(c: int, e: int) -> CycInt:
+    """sum over x in T of zeta_9^Tr(x^3 + 3*T(c)*x), Tr the matrix trace."""
+    teich = _teichmueller_matrices(e)
+    hist = [0] * 9
+    for x in teich.values():
+        y = (x @ x @ x + 3 * teich[c] @ x) % 9
+        hist[int(np.trace(y)) % 9] += 1
+    return CycInt.from_histogram(cyc_spec(9), hist)
+
+
+@pytest.fixture(scope="session")
+def teichmueller():
+    """teichmueller(e): definition-level Teichmueller set of GR(9, e)."""
+    return _teichmueller_matrices
+
+
+@pytest.fixture(scope="session")
+def gr_sum_reference():
+    """gr_sum_reference(c, e): the GR(9, e) cubic sum by literal ring arithmetic."""
+    return _reference_exp_sum_gr

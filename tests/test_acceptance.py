@@ -70,7 +70,7 @@ def test_criterion_4_q7_and_q9(graph):
         rep = oracle.compare_spectra(s, oracle.numeric_spectrum(graph("gamma", q)),
                                      tol=1e-6)
         assert rep.passed and not rep.mismatches, q
-    assert len(closedform.spectrum_prime(7).entries) == 13
+    assert len(closedform.spectrum_odd(ff.field_for(7)).entries) == 13
     assert time.time() - t0 < 600.0
     _report(4, "q=7 (13 distinct roots) and q=9 (GR(9,2) route) vs oracle", t0)
 

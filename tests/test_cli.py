@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from luspec import cli
+from luspec import cli, oracle
 
 
 def run(capsys, args):
@@ -70,6 +70,30 @@ def test_verify_small(capsys):
 def test_verify_empty_list(capsys):
     code, _, err = run(capsys, ["verify", "--q", " "])
     assert code == 2
+
+
+def test_verify_non_prime_power_exits_2(capsys):
+    code, _, err = run(capsys, ["verify", "--q", "3,6"])
+    assert code == 2 and "prime power" in err
+
+
+def test_verify_total_mismatch_exits_1(capsys, monkeypatch):
+    real = oracle.numeric_spectrum
+
+    def short(adj, **kw):
+        return oracle.NumericSpectrum(real(adj, **kw).values[1:])
+
+    monkeypatch.setattr(oracle, "numeric_spectrum", short)
+    code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
+    assert code == 1 and "total mismatch 81 vs 80" in err
+
+
+def test_verify_moment_failure_exits_1(capsys, monkeypatch):
+    real = oracle.scipy.linalg.eigvalsh
+    monkeypatch.setattr(oracle.scipy.linalg, "eigvalsh",
+                        lambda a, **kw: real(a, **kw) + 1.0)
+    code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
+    assert code == 1 and "deviates from 0" in err
 
 
 def test_epsilons_q5_shows_merge(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from luspec import closedform, cyclo, ff, gr9
 from luspec.closedform import (ExactValue, SpectrumMultiset, lift_to_bipartite,
-                               spectrum_even, spectrum_odd, spectrum_prime)
+                               spectrum_closed, spectrum_even, spectrum_odd)
 
 
 def entries_dict(s):
@@ -16,6 +16,20 @@ def entries_dict(s):
 def int_entries(s):
     return {e.value.ival: e.multiplicity for e in s.entries
             if e.value.kind == "int"}
+
+
+def elementary_symmetric(values):
+    """e_1, ..., e_n of exact cyclotomic values."""
+    spec = values[0].spec
+    es = [cyclo.CycInt.integer(spec, 1)]
+    for v in values:
+        es = [es[0]] + [(es[k] if k < len(es) else 0) + es[k - 1] * v
+                        for k in range(1, len(es) + 1)]
+    return es[1:]
+
+
+def shifted_values(entries):
+    return [e.value.eps * e.value.eps - e.value.q for e in entries]
 
 
 def test_exact_value_normalization():
@@ -83,6 +97,7 @@ def test_spectrum_q3_explicit():
     roots = sorted(np.roots([1, 0, -9, -9]).real)
     got = sorted(e.approx for e in cubic)
     assert np.allclose(roots, got, atol=1e-9)
+    assert elementary_symmetric(shifted_values(cubic)) == [0, -9, 9]
 
 
 def test_spectrum_q5_explicit():
@@ -93,6 +108,7 @@ def test_spectrum_q5_explicit():
     assert [e.multiplicity for e in quad] == [80, 80]
     roots = sorted(np.roots([1, -5, -25]).real)
     assert np.allclose(roots, sorted(e.approx for e in quad), atol=1e-12)
+    assert elementary_symmetric(shifted_values(quad)) == [5, -25]
 
 
 def test_spectrum_q9_structure():
@@ -119,29 +135,67 @@ def test_weil_envelope(q):
             assert abs(e.value.ival + q) <= 4 * q + 1e-9
 
 
+def prime_spectrum_pairs(p, gr_sum_reference):
+    """The Gamma(4,p) classes assembled independently of epsilon_family:
+    from the representative cubics for p >= 5, from literal GR(9,1)
+    arithmetic for p = 3."""
+    pairs = [(ExactValue.integer(p * (p - 1)), 1),
+             (ExactValue.integer(p), p * (p - 1) ** 2),
+             (ExactValue.integer(0), 3 * p * (p - 1)),
+             (ExactValue.integer(-p), (p - 1) * (p * p - p + 1))]
+    spec = ff.ff_make(p, 1)
+    if p == 3:
+        for c in range(3):
+            pairs.append((ExactValue.eps_shift(gr_sum_reference(c, 1), 3), 12))
+        return pairs
+    for a, c in closedform.representatives(p).members:
+        eps = cyclo.exp_sum_field([0, c, 0, a], spec)
+        mult = p * (p - 1) ** 2 // (3 if c == 0 and p % 3 == 1 else 1)
+        pairs.append((ExactValue.eps_shift(eps, p), mult))
+    return pairs
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_spectrum_prime_consistent_with_odd(p):
-    a = spectrum_prime(p)
-    b = spectrum_odd(ff.ff_make(p, 1))
-    assert entries_dict(a) == entries_dict(b)
+def test_spectrum_prime_consistent_with_odd(p, gr_sum_reference):
+    want = SpectrumMultiset.assemble("GAMMA4", p,
+                                     prime_spectrum_pairs(p, gr_sum_reference),
+                                     expected_total=p ** 4)
+    assert entries_dict(spectrum_odd(ff.ff_make(p, 1))) == entries_dict(want)
 
 
 @pytest.mark.parametrize("p,count", [(7, 13), (11, 14), (13, 19)])
 def test_spectrum_prime_distinct_roots(p, count):
-    assert len(spectrum_prime(p).entries) == count
+    assert len(spectrum_odd(ff.ff_make(p, 1)).entries) == count
 
 
 @pytest.mark.parametrize("p", [17, 19, 23, 29, 31, 37, 41, 43, 47])
 def test_spectrum_prime_distinct_roots_larger(p):
     want = p + 3 if p % 3 == 2 else p + 6
-    assert len(spectrum_prime(p).entries) == want
+    assert len(spectrum_odd(ff.ff_make(p, 1)).entries) == want
 
 
 def test_spectrum_prime_rejects():
+    # the odd-q path refuses p = 2; the representative cubics need a prime p >= 5
     with pytest.raises(ValueError):
-        spectrum_prime(2)
+        spectrum_odd(ff.ff_make(2, 1))
     with pytest.raises(ValueError):
-        spectrum_prime(9)
+        closedform.representatives(9)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 64, 81,
+                               125, 243])
+def test_exact_moments(q):
+    # sum m*lambda^k in Z[zeta] for k = 0..3: vertices, trace 0, twice the
+    # edges, and six triangles for each 3-subset of each of the q^4 lines
+    moments = [0, 0, 0, 0]
+    for e in spectrum_closed(ff.field_for(q)).entries:
+        v = e.value
+        lam = v.ival if v.kind == "int" else v.eps * v.eps - v.q
+        power = 1
+        for k in range(4):
+            moments[k] = moments[k] + e.multiplicity * power
+            power = power * lam
+    assert moments == [q ** 4, 0, q ** 5 * (q - 1), 6 * q ** 4 * math.comb(q, 3)]
 
 
 # ---- representatives / coincidences / fibers ----

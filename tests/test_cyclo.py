@@ -95,25 +95,30 @@ def test_cubic_sums_real_and_weil_bounded(q):
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_gr_sums_weil_bounded(e):
     R = gr9.gr9_make(e)
-    q = R.q
-    bound = 2 * q ** 0.5 + 1e-9
-    three = R.element(3)
-    for c in R.teich:
-        eps = exp_sum_gr([R.zero, three * c, R.zero, R.one], R)
+    bound = 2 * R.q ** 0.5 + 1e-9
+    for c in range(R.q):
+        eps = exp_sum_gr(c, R)
         assert eps.conj() == eps
         assert abs(embed(eps)) <= bound
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_gr_sums_match_ring_arithmetic(e, gr_sum_reference):
+    R = gr9.gr9_make(e)
+    for c in range(R.q):
+        assert exp_sum_gr(c, R) == gr_sum_reference(c, e)
 
 
 def test_gr_sums_q3_values():
     R = gr9.gr9_make(1)
     c9 = cyc_spec(9)
     one = CycInt.integer(c9, 1)
+    # c = 0, 1, 2 give 3*T(c) = 0, 3, 6 in Z/9
     table = {0: one + zeta(c9, 1) + zeta(c9, 8),
-             3: one + zeta(c9, 4) + zeta(c9, 5),
-             6: one + zeta(c9, 2) + zeta(c9, 7)}
-    for threec, want in table.items():
-        eps = exp_sum_gr([R.zero, R.element(threec), R.zero, R.one], R)
-        assert eps == want
+             1: one + zeta(c9, 4) + zeta(c9, 5),
+             2: one + zeta(c9, 2) + zeta(c9, 7)}
+    for c, want in table.items():
+        assert exp_sum_gr(c, R) == want
 
 
 @pytest.mark.parametrize("q,f", [

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output, pinned by SHA-256 digests.
 
 The digests were recorded before the field arithmetic was reduced to a
-single O(q) representation.  They must not be regenerated to make a changed
-program pass: a new digest means the output changed.  q = 127 is left out
-because its closed form takes about 15 s.
+single O(q) representation; the q = 3^e ``epsilons`` and the q = 243
+``spectrum`` digests before GR(9,e) was reduced to a Teichmueller trace
+vector.  They must not be regenerated to make a changed program pass: a new
+digest means the output changed.  q = 127 is left out because its closed form
+takes about 15 s.
 """
 
 import contextlib
@@ -45,6 +47,18 @@ GOLDEN = {
         "7975b172fe1a90fbf998fbf247077a7ea45d8c5a6c26ab5de49225a6f584ecda",
     "epsilons --q 257 --no-timestamp":
         "d6d2fea0a8ee735255ddea93f315ba77f775ae7430e3790da0aba75cc53d3701",
+    "epsilons --q 3 --no-timestamp":
+        "a64dfb38b5cef8458be15db9ed487f8703844219abe463bcbfc006c0700dcf52",
+    "epsilons --q 9 --no-timestamp":
+        "519b8c9e6d3bd21517b434ee7e435ea9a45a3c696df3a65b39a107c463013005",
+    "epsilons --q 27 --no-timestamp":
+        "fc2d12c0808c631321eaa91b8db3feeeed016723a358bb6d995acac719b7dd18",
+    "epsilons --q 81 --no-timestamp":
+        "c3927767d3c2bcb6b3dd8fe3c8aa19c90b8bbe32715981e3f4bd1df2ed6ce7f4",
+    "epsilons --q 243 --no-timestamp":
+        "6de63c7f08f06c841a07a3d1876801e8adc84b815f4bdc7782163a2c8e4b3807",
+    "spectrum --q 243 --no-timestamp":
+        "86bf35e8c2f841ea9bd510bc5a123852699071389d87c5abb464ce49cd0bd88b",
 }
 
 

@@ -1,23 +1,28 @@
+import numpy as np
 import pytest
 
 from luspec import ff, gr9
 
 
 def test_e1_teichmueller_set():
-    R = gr9.gr9_make(1)
-    assert [x.coeffs[0] for x in R.teich] == [0, 1, 8]
-    assert R.beta.coeffs[0] == 8
-    assert R.beta * R.beta == R.one  # beta has order q - 1 = 2
+    # GR(9,1) = Z/9 with T = {0, 1, 8}; the trace is the identity
+    assert gr9.gr9_make(1).teich_trace.tolist() == [0, 1, 8]
 
 
-def test_e2_teichmueller_properties():
-    R = gr9.gr9_make(2)
-    assert len(R.teich) == 9
-    for x in R.teich:
-        assert x ** 9 == x
-    # reduction mod 3R is a bijection onto GF(9)
-    residues = {R.residue(x).i for x in R.teich}
-    assert residues == set(range(9))
+def _check_against_definition(e, teichmueller):
+    R = gr9.gr9_make(e)
+    teich = teichmueller(e)
+    assert sorted(teich) == list(range(R.q))
+    want = [int(np.trace(teich[a])) % 9 for a in range(R.q)]
+    assert R.teich_trace.tolist() == want
+
+
+def test_e2_teichmueller_properties(teichmueller):
+    _check_against_definition(2, teichmueller)
+
+
+def test_e3_sanity(teichmueller):
+    _check_against_definition(3, teichmueller)
 
 
 def test_modulus_reduces_to_field_modulus():
@@ -26,97 +31,46 @@ def test_modulus_reduces_to_field_modulus():
         assert tuple(c % 3 for c in R.modulus) == R.field.modulus
 
 
-def test_three_adic_examples():
-    R = gr9.gr9_make(1)
-    x0, x1 = gr9.three_adic(R.element(5))
-    assert (x0.coeffs[0], x1.coeffs[0]) == (8, 8)  # 8 + 3*8 = 32 = 5 mod 9
-    assert gr9.three_adic(R.zero) == (R.zero, R.zero)
-    assert gr9.three_adic(R.one) == (R.one, R.zero)
-
-
-@pytest.mark.parametrize("e", [1, 2])
-def test_three_adic_unique_over_all_elements(e):
-    R = gr9.gr9_make(e)
-    tset = set(R.teich)
-    for x in R.elements():
-        x0, x1 = gr9.three_adic(x)
-        assert x0 in tset and x1 in tset
-        assert x0 + x1 * R.element(3) == x
-
-
 def test_trace_examples():
-    R1 = gr9.gr9_make(1)
-    assert gr9.gr_trace(R1.element(5)) == 5  # e = 1: identity
-    R2 = gr9.gr9_make(2)
-    assert gr9.gr_trace(R2.one) == 2
+    for e in range(1, 7):
+        assert gr9.gr9_make(e).teich_trace[1] == e % 9  # Tr(1) = e
+    assert gr9.gr9_make(1).teich_trace[2] == 8  # T(2) = -1
 
 
-@pytest.mark.parametrize("e", [1, 2])
-def test_trace_additive_and_frobenius(e):
-    R = gr9.gr9_make(e)
-    elems = list(R.elements())
-    tr = {x.coeffs: gr9.gr_trace(x) for x in elems}
-    for x in elems:
-        for y in elems:
-            assert (tr[x.coeffs] + tr[y.coeffs]) % 9 == tr[(x + y).coeffs]
-    for x in elems:
-        assert tr[gr9.frobenius(x).coeffs] == tr[x.coeffs]
-
-
-@pytest.mark.parametrize("e", [1, 2])
-def test_frobenius_is_ring_automorphism(e):
-    R = gr9.gr9_make(e)
-    elems = list(R.elements())
-    for x in elems:
-        # on the Teichmueller set the automorphism is literal cubing
-        assert gr9.frobenius(x) == x * x * x or x not in set(R.teich)
-    for x in elems[:20]:
-        for y in elems[:20]:
-            assert gr9.frobenius(x * y) == gr9.frobenius(x) * gr9.frobenius(y)
-            assert gr9.frobenius(x + y) == gr9.frobenius(x) + gr9.frobenius(y)
-    # order e: iterating e times is the identity
-    for x in elems:
-        y = x
-        for _ in range(e):
-            y = gr9.frobenius(y)
-        assert y == x
-
-
-@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("e", range(1, 7))
 def test_trace_reduces_to_field_trace(e):
     R = gr9.gr9_make(e)
-    for x in R.elements():
-        assert gr9.gr_trace(x) % 3 == ff.trace(R.residue(x))
+    assert np.array_equal(R.teich_trace % 3, R.field.trace)
 
 
-@pytest.mark.parametrize("e", [1, 2])
-def test_zero_divisors_are_3r(e):
+@pytest.mark.parametrize("e", range(1, 7))
+def test_trace_additive_and_frobenius(e):
     R = gr9.gr9_make(e)
-    elems = list(R.elements())
-    three = R.element(3)
-    ideal = {(three * x).coeffs for x in elems}
-    divisors = set()
-    for x in elems:
-        if not x:
-            continue
-        if any((x * y).coeffs == R.zero.coeffs for y in elems if y):
-            divisors.add(x.coeffs)
-    assert divisors == ideal - {R.zero.coeffs}
-
-
-def test_e3_sanity():
-    R = gr9.gr9_make(3)
-    assert len(R.teich) == 27
-    for x in R.teich:
-        assert x ** 27 == x
+    a = np.arange(R.q)
+    # x -> x^3 is the Frobenius on T and fixes the trace
+    assert np.array_equal(R.teich_trace[R.field.pow(a, 3)], R.teich_trace)
+    # Tr is additive and the (q-1)-th roots of unity sum to 0 (q > 2)
+    assert R.teich_trace.sum() % 9 == 0
 
 
 def test_size_bound():
+    # the ring shares the field's budget: GF(3^12) fits 2^20, GF(3^13) does not
+    assert gr9.gr9_make(12).teich_trace.shape == (3 ** 12,)
     with pytest.raises(ff.SizeBudgetError):
-        gr9.gr9_make(8)
-
-
-def test_mismatched_specs_rejected():
-    R1, R2 = gr9.gr9_make(1), gr9.gr9_make(2)
+        gr9.gr9_make(13)
     with pytest.raises(ValueError):
-        R1.one + R2.one
+        gr9.gr9_make(0)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda F: F.exp.__setitem__(1, 0), "beta"),           # not a unit
+    (lambda F: F.exp.__setitem__([2, 3], F.exp[[3, 2]]), "onto GF"),
+    (lambda F: F.trace.__setitem__(1, (F.trace[1] + 1) % 3), "field trace"),
+])
+def test_construction_checks_raise(monkeypatch, corrupt, message):
+    F = ff.ff_make(3, 2)
+    monkeypatch.setattr(F, "exp", F.exp.copy())
+    monkeypatch.setattr(F, "trace", F.trace.copy())
+    corrupt(F)
+    with pytest.raises(RuntimeError, match=message):
+        gr9.GR9Spec(2)
