@@ -204,6 +204,11 @@ def epsilon_family(spec: ff.FieldSpec):
 
     Yields ((a, c) label, eps, multiplicity); for p = 3 the label's c is the
     Teichmueller index of the GR(9,e) family t^3 + 3*c*t.
+
+    eps_{a,c} is constant on the scaling orbits (a, c) -> (a*l^3, c*l), so
+    for q = 1 (mod 3) one sum is taken per orbit: (b, 1) for b != 0 and
+    (g^i, 0) for i = 0, 1, 2, with g = ``spec.exp[1]``.  Every position of
+    an orbit yields that orbit's CycInt object.
     """
     q = spec.q
     if spec.p == 3:
@@ -217,14 +222,25 @@ def epsilon_family(spec: ff.FieldSpec):
             eps = exp_sum_field([0, c, 0, 1], spec)
             yield (1, c), eps, q * (q - 1) ** 2
     else:
+        n = q - 1
+        cosets = [exp_sum_field([0, 0, 0, int(spec.exp[i])], spec) for i in range(3)]
+        orbits = [exp_sum_field([0, 1, 0, int(spec.exp[k])], spec) for k in range(n)]
+        log_c3 = 3 * spec.log[1:q]  # c = 1 .. q-1
         for a in range(1, q):
-            for c in range(q):
-                eps = exp_sum_field([0, c, 0, a], spec)
-                yield (a, c), eps, q * (q - 1)
+            log_a = int(spec.log[a])
+            yield (a, 0), cosets[log_a % 3], q * (q - 1)
+            # (a, c) lies on the orbit of (a * c^-3, 1)
+            for c, k in enumerate(((log_a - log_c3) % n).tolist(), start=1):
+                yield (a, c), orbits[k], q * (q - 1)
 
 
 def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
-    """Exact Gamma(4,q) spectrum for odd q via exponential sums."""
+    """Exact Gamma(4,q) spectrum for odd q via exponential sums.
+
+    Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
+    eps = +-eps': the family is merged on +-eps first, and each group, in
+    first-seen order with the eps it met first, is squared once.
+    """
     q = spec.q
     if q % 2 == 0:
         raise ValueError("spectrum_odd needs odd q")
@@ -234,8 +250,15 @@ def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
         (ExactValue.integer(0), 3 * q * (q - 1)),
         (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
     ]
+    groups: dict = {}  # max(eps, -eps) coefficients -> [first eps, multiplicity]
+    seen: dict = {}    # id(eps) -> (eps, group); holding eps keeps its id unique
     for _, eps, mult in epsilon_family(spec):
-        pairs.append((ExactValue.eps_shift(eps, q), mult))
+        hit = seen.get(id(eps))
+        if hit is None:
+            key = max(eps.coeffs, (-eps).coeffs)
+            hit = seen[id(eps)] = (eps, groups.setdefault(key, [eps, 0]))
+        hit[1][1] += mult
+    pairs += [(ExactValue.eps_shift(eps, q), mult) for eps, mult in groups.values()]
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
@@ -270,7 +293,7 @@ class RepresentativeSet:
         for i in range(3):
             if spec.pow(spec.mul(a, spec.pow(w, -i)), (p - 1) // 3) == 1:
                 return (spec.pow(w, i), 0)
-        raise AssertionError("cube coset classification failed")
+        raise RuntimeError("cube coset classification failed")
 
 
 def representatives(p: int) -> RepresentativeSet:

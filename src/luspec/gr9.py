@@ -31,6 +31,15 @@ def _matpow(mat: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _combine(rows: np.ndarray, weights) -> np.ndarray:
+    """rows @ weights in int64, one column at a time, so that no int64 copy
+    of the n x e matrix ``rows`` is made."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for col, w in zip(rows.T, weights):
+        out += col * np.int64(w)
+    return out
+
+
 class GR9Spec:
     """GR(9, e) as the vector of traces of its Teichmueller elements."""
 
@@ -58,18 +67,21 @@ class GR9Spec:
         mat = _matpow(sum(c * m for c, m in zip(b, powers)) % 9, q)  # beta
         if not np.array_equal(_matpow(mat, n), np.eye(e, dtype=np.int64)):
             raise RuntimeError("beta^(q-1) must be 1")
+        # Entries are < 9 and e <= 12, so every dot product is at most 768:
+        # the doubling runs in int16 and the rows are stored in int8.
+        mat = mat.astype(np.int16)
         rows = np.zeros((n, e), dtype=np.int8)  # rows[j]: coefficients of beta^j
         rows[0, 0] = 1
         m = 1
         while m < n:  # here mat is the matrix of beta^m
             k = min(m, n - m)
-            rows[m:m + k] = rows[:k] @ mat.T % 9
+            np.remainder(rows[:k] @ mat.T, 9, out=rows[m:m + k])
             mat = mat @ mat % 9
             m += k
-        if not np.array_equal(rows % 3 @ 3 ** np.arange(e), field.exp[:n]):
+        if not np.array_equal(_combine(rows % 3, 3 ** np.arange(e)), field.exp[:n]):
             raise RuntimeError("the Teichmueller set must map onto GF(q)")
         self.teich_trace = np.zeros(q, dtype=np.int64)
-        self.teich_trace[field.exp[:n]] = rows @ basis_trace % 9
+        self.teich_trace[field.exp[:n]] = _combine(rows, basis_trace) % 9
         if not np.array_equal(self.teich_trace % 3, field.trace):
             raise RuntimeError("Tr(T(a)) must reduce to the field trace of a")
 

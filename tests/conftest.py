@@ -92,3 +92,20 @@ def teichmueller():
 def gr_sum_reference():
     """gr_sum_reference(c, e): the GR(9, e) cubic sum by literal ring arithmetic."""
     return _reference_exp_sum_gr
+
+
+def _schoolbook_mul(x: CycInt, y: CycInt) -> CycInt:
+    """x * y in Z[zeta_n] by the definition: each coefficient product a_i*b_j
+    lands on zeta^(i+j), and the exponent histogram is reduced."""
+    n = x.spec.n
+    hist = [0] * n
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            hist[(i + j) % n] += a * b
+    return CycInt.from_histogram(x.spec, hist)
+
+
+@pytest.fixture(scope="session")
+def cyc_mul_reference():
+    """cyc_mul_reference(x, y): the product in Z[zeta_n], computed term by term."""
+    return _schoolbook_mul

@@ -121,6 +121,32 @@ def test_spectrum_q9_structure():
     assert s.largest.multiplicity == 1
 
 
+@pytest.mark.parametrize("q", [7, 13, 19, 25, 31, 49])
+def test_epsilon_family_is_the_literal_sum_at_every_position(q):
+    spec = ff.field_for(q)
+    fam = list(closedform.epsilon_family(spec))
+    want = [((a, c), cyclo.exp_sum_field([0, c, 0, a], spec), q * (q - 1))
+            for a in range(1, q) for c in range(q)]
+    assert fam == want
+    # one sum per scaling orbit: (b, 1) for b != 0 and three cube cosets
+    assert len({id(eps) for _, eps, _ in fam}) == q + 2
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 31])
+def test_spectrum_odd_matches_one_square_per_position(q):
+    # the +-eps merge must give what squaring every position's eps gives,
+    # down to the eps each entry prints
+    spec = ff.field_for(q)
+    pairs = [(ExactValue.integer(q * (q - 1)), 1),
+             (ExactValue.integer(q), q * (q - 1) ** 2),
+             (ExactValue.integer(0), 3 * q * (q - 1)),
+             (ExactValue.integer(-q), (q - 1) * (q * q - q + 1))]
+    pairs += [(ExactValue.eps_shift(eps, q), mult)
+              for _, eps, mult in closedform.epsilon_family(spec)]
+    want = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
+    assert spectrum_odd(spec).to_json_dict() == want.to_json_dict()
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_weil_envelope(q):
     # every non-trivial eigenvalue is eps^2 - q with |eps| <= 2 sqrt(q)

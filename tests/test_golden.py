@@ -3,9 +3,10 @@
 The digests were recorded before the field arithmetic was reduced to a
 single O(q) representation; the q = 3^e ``epsilons`` and the q = 243
 ``spectrum`` digests before GR(9,e) was reduced to a Teichmueller trace
-vector.  They must not be regenerated to make a changed program pass: a new
-digest means the output changed.  q = 127 is left out because its closed form
-takes about 15 s.
+vector; the q = 61, 127, 169 ``spectrum`` and q = 61 ``epsilons`` digests
+before the closed form took one exponential sum per scaling orbit.  They must
+not be regenerated to make a changed program pass: a new digest means the
+output changed.
 """
 
 import contextlib
@@ -59,6 +60,14 @@ GOLDEN = {
         "6de63c7f08f06c841a07a3d1876801e8adc84b815f4bdc7782163a2c8e4b3807",
     "spectrum --q 243 --no-timestamp":
         "86bf35e8c2f841ea9bd510bc5a123852699071389d87c5abb464ce49cd0bd88b",
+    "spectrum --q 61 --no-timestamp":
+        "9c63bf0f01eaa706ad1b27ebffc99b475b6643fefc7b15ee0715335b0c26ef57",
+    "spectrum --q 127 --no-timestamp":
+        "3395cec14631813bcd38ebb2f4d687f7e0a5d0dd1e54078da453c4f38ea21d89",
+    "spectrum --q 169 --no-timestamp":
+        "b86c1a66741c57b9202dc5771de215c3ff6d4d3fe8fd17a73610255ed7279100",
+    "epsilons --q 61 --no-timestamp":
+        "1b69c370226e9da9a61ce2ed2a1ad2c121566e3fca9124f9efaaba7fd286ac52",
 }
 
 

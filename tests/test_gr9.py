@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ def test_size_bound():
         gr9.gr9_make(13)
     with pytest.raises(ValueError):
         gr9.gr9_make(0)
+
+
+def test_largest_ring_builds_in_linear_space():
+    # the n x e coefficient rows are int8 and the doubling runs in int16, so
+    # the build needs no int64 copy of them (it peaked at 128 bytes per
+    # element with one)
+    ff.ff_make(3, 12)  # the field is cached and not counted
+    tracemalloc.start()
+    try:
+        R = gr9.GR9Spec(12)  # uncached
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert R.teich_trace.nbytes == 8 * R.q
+    assert peak <= 6 * 8 * R.q
 
 
 @pytest.mark.parametrize("corrupt, message", [

@@ -8,11 +8,26 @@ import luspec
 SRC = Path(luspec.__file__).resolve().parent
 
 
-def test_no_assert_statements_in_package():
-    # python -O strips assert statements; invariant checks must raise instead
-    found = []
+def _nodes():
+    """(file name, node) for every AST node of the package source."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+            yield path.name, node
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; invariant checks must raise instead
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_assertion_errors_raised_in_package():
+    # an AssertionError reads as a failed assert; invariant checks raise RuntimeError
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{name}:{node.lineno}")
     assert found == []
