@@ -167,8 +167,8 @@ def _verify_one(q: int, cfg: RunConfig, lines: list[str]) -> bool:
 
     if q % 2 == 1:
         # positions on one scaling orbit share their sum: one check per orbit
-        sums = {id(eps): eps for _, eps, _mult in closedform.epsilon_family(spec)}
-        bad = sum(not cyclo.weil_check(eps, q, 3).ok for eps in sums.values())
+        bad = sum(not cyclo.weil_check(eps, q, 3).ok
+                  for eps in closedform.epsilon_orbits(spec).sums)
         check("Weil bound over the cubic family", bad == 0)
 
     s = closedform.spectrum_closed(spec)
@@ -202,21 +202,24 @@ def _verify_one(q: int, cfg: RunConfig, lines: list[str]) -> bool:
 
 def cmd_verify(cfg: RunConfig) -> int:
     lines: list[str] = []
+
+    def report():
+        text = "".join(line + "\n" for line in lines)
+        if cfg.out:
+            with open(cfg.out, "w") as fp:
+                fp.write(text)
+        sys.stdout.write(text)
+
     all_ok = True
     try:
         for q in cfg.q_list:
             all_ok &= _verify_one(q, cfg, lines)
     except oracle.VerificationError:
         # report the checks that already ran before the failure propagates
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        report()
         raise
-    text = "\n".join(lines) + "\n"
-    summary = "all checks passed" if all_ok else "VERIFICATION FAILURES PRESENT"
-    text += summary + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fp:
-            fp.write(text)
-    sys.stdout.write(text)
+    lines.append("all checks passed" if all_ok else "VERIFICATION FAILURES PRESENT")
+    report()
     return 0 if all_ok else 1
 
 
@@ -233,16 +236,16 @@ def cmd_epsilons(cfg: RunConfig) -> int:
     if spec.e == 1 and spec.p >= 5:
         reps_set = closedform.representatives(spec.p)
     rows = []
-    per_sum: dict = {}  # id(eps) -> (eps, its columns); one entry per shared sum
+    columns: dict = {}  # eps -> its columns, shared by the positions of an orbit
     for (a, c), eps, _mult in closedform.epsilon_family(spec):
-        hit = per_sum.get(id(eps))
-        if hit is None:
-            hit = per_sum[id(eps)] = (eps, {
+        cols = columns.get(eps)
+        if cols is None:
+            cols = columns[eps] = {
                 "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
                 "eps_float": f"{cyclo.embed(eps).real:.10g}",
                 "eps_sq_minus_q": closedform.ExactValue.eps_shift(eps, q).serial(),
                 "weil_margin": f"{cyclo.weil_check(eps, q, 3).margin:.10g}",
-            })
+            }
         if spec.p == 3:
             family = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
             fiber = "-"
@@ -256,7 +259,7 @@ def cmd_epsilons(cfg: RunConfig) -> int:
             if spec.e == 1:
                 fiber = "|".join(str(x) for x in
                                  closedform.fiber_profile([0, c, 0, a], spec))
-        rows.append({"family": family, "a": a, "c": c, **hit[1],
+        rows.append({"family": family, "a": a, "c": c, **cols,
                      "fiber_profile": fiber})
     fmt = cfg.fmt or "csv"
     buf = io.StringIO()

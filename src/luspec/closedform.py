@@ -199,47 +199,98 @@ def spectrum_even(spec: ff.FieldSpec) -> SpectrumMultiset:
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
-def epsilon_family(spec: ff.FieldSpec):
-    """The (eps, multiplicity) classes carried by the odd-q spectrum.
+@dataclass(frozen=True, eq=False)
+class EpsilonOrbits:
+    """The odd-q cubic family, one exponential sum per scaling orbit.
 
-    Yields ((a, c) label, eps, multiplicity); for p = 3 the label's c is the
-    Teichmueller index of the GR(9,e) family t^3 + 3*c*t.
+    The family's positions are (rows[i], c) for c = 0 .. q-1, row by row;
+    ``orbit[i, c]`` numbers the orbit of that position.  Orbits are numbered
+    in the order the family first meets them; ``sums[k]`` is orbit k's sum
+    and ``mults[k]`` the multiplicity summed over its positions, each of
+    which carries ``position_mult``.
+    """
 
-    eps_{a,c} is constant on the scaling orbits (a, c) -> (a*l^3, c*l), so
-    for q = 1 (mod 3) one sum is taken per orbit: (b, 1) for b != 0 and
-    (g^i, 0) for i = 0, 1, 2, with g = ``spec.exp[1]``.  Every position of
-    an orbit yields that orbit's CycInt object.
+    rows: tuple
+    orbit: np.ndarray
+    sums: tuple
+    mults: tuple
+    position_mult: int
+
+
+def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
+    """One sum per scaling orbit of the odd-q family.
+
+    For p = 3 the family is t^3 + 3*c*t over GR(9,e), c the Teichmueller
+    index; for q = 2 (mod 3) it is t^3 + c*t.  Both have one row, a = 1, and
+    one orbit per c.  For q = 1 (mod 3) it is a*t^3 + c*t for a != 0, whose
+    sums are constant on the orbits (a, c) -> (a*l^3, c*l): (g^k, 1) for
+    k < q - 1 and (g^i, 0) for i = 0, 1, 2, with g = ``spec.exp[1]``.
     """
     q = spec.q
+    if q % 2 == 0:
+        raise ValueError("the cubic family exists for odd q only")
+    n = q - 1
     if spec.p == 3:
         R = gr9.gr9_make(spec.e)
         # Teichmueller order 0, 1, beta, beta^2, ...: T[k] reduces to g^(k-1)
-        for k in range(q):
-            eps = exp_sum_gr(int(spec.exp[k - 1]) if k else 0, R)
-            yield (1, k), eps, q * (q - 1) ** 2
+        rows, position_mult = (1,), q * (q - 1) ** 2
+        raw = np.arange(q)[None, :]
+
+        def raw_sum(k):
+            return exp_sum_gr(int(spec.exp[k - 1]) if k else 0, R)
     elif q % 3 == 2:
-        for c in range(q):
-            eps = exp_sum_field([0, c, 0, 1], spec)
-            yield (1, c), eps, q * (q - 1) ** 2
+        rows, position_mult = (1,), q * (q - 1) ** 2
+        raw = np.arange(q)[None, :]
+
+        def raw_sum(c):
+            return exp_sum_field([0, c, 0, 1], spec)
     else:
-        n = q - 1
-        cosets = [exp_sum_field([0, 0, 0, int(spec.exp[i])], spec) for i in range(3)]
-        orbits = [exp_sum_field([0, 1, 0, int(spec.exp[k])], spec) for k in range(n)]
-        log_c3 = 3 * spec.log[1:q]  # c = 1 .. q-1
-        for a in range(1, q):
-            log_a = int(spec.log[a])
-            yield (a, 0), cosets[log_a % 3], q * (q - 1)
-            # (a, c) lies on the orbit of (a * c^-3, 1)
-            for c, k in enumerate(((log_a - log_c3) % n).tolist(), start=1):
-                yield (a, c), orbits[k], q * (q - 1)
+        rows, position_mult = tuple(range(1, q)), q * (q - 1)
+        log_a = spec.log[1:q, None].astype(np.int64)
+        raw = np.empty((n, q), dtype=np.int64)
+        # raw ids: k for the orbit of (g^k, 1), n + i for that of (g^i, 0);
+        # (a, 0) lies on the orbit of (g^(log a mod 3), 0), and (a, c) on
+        # that of (a*c^-3, 1)
+        raw[:, :1] = n + log_a % 3
+        raw[:, 1:] = (log_a - 3 * spec.log[None, 1:q]) % n
+
+        def raw_sum(r):
+            if r < n:
+                return exp_sum_field([0, 1, 0, int(spec.exp[r])], spec)
+            return exp_sum_field([0, 0, 0, int(spec.exp[r - n])], spec)
+    ids, first = np.unique(raw, return_index=True)
+    order = ids[np.argsort(first)]  # raw orbit ids in first-seen order
+    rank = np.empty(raw.max() + 1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    counts = np.bincount(raw.ravel())[order]
+    return EpsilonOrbits(
+        rows=rows, orbit=rank[raw],
+        sums=tuple(raw_sum(int(r)) for r in order),
+        mults=tuple(int(m) * position_mult for m in counts),
+        position_mult=position_mult)
+
+
+def epsilon_family(spec: ff.FieldSpec):
+    """The (eps, multiplicity) classes carried by the odd-q spectrum.
+
+    Yields ((a, c) label, eps, multiplicity) for each position of
+    ``epsilon_orbits(spec)``; for p = 3 the label's c is the Teichmueller
+    index of the GR(9,e) family t^3 + 3*c*t.  Every position of an orbit
+    yields that orbit's CycInt object.
+    """
+    orbits = epsilon_orbits(spec)
+    sums, mult = orbits.sums, orbits.position_mult
+    for a, row in zip(orbits.rows, orbits.orbit):
+        for c, k in enumerate(row.tolist()):
+            yield (a, c), sums[k], mult
 
 
 def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
     """Exact Gamma(4,q) spectrum for odd q via exponential sums.
 
     Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
-    eps = +-eps': the family is merged on +-eps first, and each group, in
-    first-seen order with the eps it met first, is squared once.
+    eps = +-eps': the orbit sums are merged on +-eps first, and each group,
+    in first-seen family order with the eps it met first, is squared once.
     """
     q = spec.q
     if q % 2 == 0:
@@ -251,13 +302,9 @@ def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
         (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
     ]
     groups: dict = {}  # max(eps, -eps) coefficients -> [first eps, multiplicity]
-    seen: dict = {}    # id(eps) -> (eps, group); holding eps keeps its id unique
-    for _, eps, mult in epsilon_family(spec):
-        hit = seen.get(id(eps))
-        if hit is None:
-            key = max(eps.coeffs, (-eps).coeffs)
-            hit = seen[id(eps)] = (eps, groups.setdefault(key, [eps, 0]))
-        hit[1][1] += mult
+    orbits = epsilon_orbits(spec)
+    for eps, mult in zip(orbits.sums, orbits.mults):
+        groups.setdefault(max(eps.coeffs, (-eps).coeffs), [eps, 0])[1] += mult
     pairs += [(ExactValue.eps_shift(eps, q), mult) for eps, mult in groups.values()]
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 

@@ -59,13 +59,6 @@ def _reduce_histogram(spec: CycSpec, hist):
     return tuple(h[k] - top for k in range(n - 1))
 
 
-# Conductors n <= 9 (phi <= 8) multiply term by term, skipping zero
-# coefficients: there a numpy call costs more than the products, about twice
-# as much at n = 5 for the sparse q * zeta^k of the luspec.reps character
-# sums.  From n = 11 on, one int64 np.convolve is faster.
-_SCHOOLBOOK_MAX_PHI = 8
-
-
 class CycInt:
     """Exact element of Z[zeta_n] in reduced power-basis form."""
 
@@ -116,24 +109,16 @@ class CycInt:
             return CycInt(self.spec, [other * a for a in self.coeffs])
         o = self._other(other)
         spec, n = self.spec, self.spec.n
-        if spec.phi <= _SCHOOLBOOK_MAX_PHI:
-            hist = [0] * n
-            for i, ai in enumerate(self.coeffs):
-                if ai:
-                    for j, bj in enumerate(o.coeffs):
-                        if bj:
-                            hist[(i + j) % n] += ai * bj
-            return CycInt.from_histogram(spec, hist)
         # each product coefficient sums at most phi terms, and folding mod n
         # adds two of them, so this keeps the convolution inside int64
         bound = max(map(abs, self.coeffs)) * max(map(abs, o.coeffs)) * spec.phi
         if bound >= 1 << 62:
             raise OverflowError(f"coefficient products up to {bound} overflow int64")
-        prod = np.convolve(np.array(self.coeffs, dtype=np.int64),
-                           np.array(o.coeffs, dtype=np.int64))
-        hist = np.zeros(2 * n, dtype=np.int64)  # exponents 0 .. 2*phi - 2
-        hist[:len(prod)] = prod
-        return CycInt.from_histogram(spec, (hist[:n] + hist[n:]).tolist())
+        prod = np.convolve(self.coeffs, o.coeffs).tolist()  # exponents 0 .. 2*phi - 2
+        hist = prod[:n] + [0] * (n - len(prod))
+        for k, c in enumerate(prod[n:]):  # zeta^(n+k) = zeta^k
+            hist[k] += c
+        return CycInt.from_histogram(spec, hist)
 
     __rmul__ = __mul__
 

@@ -88,14 +88,16 @@ def test_verify_total_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1 and "total mismatch 81 vs 80" in err
 
 
-def test_verify_failure_keeps_earlier_pass_lines(capsys, monkeypatch):
+def test_verify_failure_keeps_earlier_pass_lines(capsys, monkeypatch, tmp_path):
     real = oracle.numeric_spectrum
 
     def short(adj, **kw):
         return oracle.NumericSpectrum(real(adj, **kw).values[1:])
 
     monkeypatch.setattr(oracle, "numeric_spectrum", short)
-    code, out, err = run(capsys, ["verify", "--q", "2,3", "--no-timestamp"])
+    report = tmp_path / "report.txt"
+    code, out, err = run(capsys, ["verify", "--q", "2,3", "--no-timestamp",
+                                  "--out", str(report)])
     assert code == 1 and "total mismatch 16 vs 15" in err
     assert out.splitlines() == [
         "[PASS] q=2 quadratic root-count profile",
@@ -104,6 +106,7 @@ def test_verify_failure_keeps_earlier_pass_lines(capsys, monkeypatch):
         "[PASS] q=2 Cayley graph matches collinearity graph",
         "[PASS] q=2 component count equals top multiplicity",
     ]
+    assert report.read_text() == out
 
 
 def test_verify_moment_failure_exits_1(capsys, monkeypatch):

@@ -129,7 +129,19 @@ def test_epsilon_family_is_the_literal_sum_at_every_position(q):
             for a in range(1, q) for c in range(q)]
     assert fam == want
     # one sum per scaling orbit: (b, 1) for b != 0 and three cube cosets
-    assert len({id(eps) for _, eps, _ in fam}) == q + 2
+    assert len(closedform.epsilon_orbits(spec).sums) == q + 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27, 31])
+def test_epsilon_orbits_in_first_seen_order(q):
+    orbits = closedform.epsilon_orbits(ff.field_for(q))
+    flat = orbits.orbit.ravel().tolist()
+    k = len(orbits.sums)
+    assert list(dict.fromkeys(flat)) == list(range(k))
+    assert list(orbits.mults) == [flat.count(i) * orbits.position_mult
+                                  for i in range(k)]
+    # the eps classes fill what the four integer eigenvalues leave of q^4
+    assert sum(orbits.mults) == q ** 2 * (q - 1) ** 2
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 31])
