@@ -132,7 +132,7 @@ class SpectrumMultiset:
         self.total = sum(e.multiplicity for e in self.entries)
 
     @classmethod
-    def assemble(cls, graph: str, q: int, pairs, expected_total=None):
+    def assemble(cls, graph: str, q: int, pairs, expected_total: int):
         """Merge (ExactValue, multiplicity) pairs by exact equality."""
         merged: dict = {}
         order: list = []
@@ -147,7 +147,7 @@ class SpectrumMultiset:
                 order.append(value.key)
         entries = [SpectrumEntry(*merged[k]) for k in order]
         out = cls(graph, q, entries)
-        if expected_total is not None and out.total != expected_total:
+        if out.total != expected_total:
             raise ValueError(f"multiset totals {out.total}, expected {expected_total}")
         return out
 

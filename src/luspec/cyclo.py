@@ -206,11 +206,11 @@ class WeilCheck:
     margin: float
 
 
-def weil_check(eps: CycInt, q: int, d: int = 3, slack: float = 1e-9) -> WeilCheck:
-    """|eps| <= (d-1)*sqrt(q) with numerical slack; returns the margin."""
+def weil_check(eps: CycInt, q: int, d: int) -> WeilCheck:
+    """|eps| <= (d-1)*sqrt(q) up to 1e-9 of float error; returns the margin."""
     if d < 2:
         raise ValueError("the bound (d-1)*sqrt(q) needs weighted degree d >= 2")
     bound = (d - 1) * float(q) ** 0.5
     val = abs(embed(eps))
-    return WeilCheck(ok=val <= bound + slack, bound=bound,
+    return WeilCheck(ok=val <= bound + 1e-9, bound=bound,
                      abs_value=val, margin=bound - val)

@@ -38,7 +38,7 @@ DEFAULT_MAX_Q = 1 << 20
 
 
 class SizeBudgetError(ValueError):
-    """Raised when a construction exceeds its configured size bound."""
+    """Raised when a construction exceeds its size bound."""
 
 
 def is_prime(n: int) -> bool:
@@ -248,14 +248,14 @@ class FieldSpec:
     __slots__ = ("p", "e", "q", "modulus", "key", "exp", "log", "trace",
                  "_weights")
 
-    def __init__(self, p: int, e: int, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
         q = p ** e
-        if q > max_q:
-            raise SizeBudgetError(f"q={q} exceeds the size bound {max_q}")
+        if q > DEFAULT_MAX_Q:
+            raise SizeBudgetError(f"q={q} exceeds the size bound {DEFAULT_MAX_Q}")
         self.p, self.e, self.q = p, e, q
         self.modulus = smallest_irreducible(p, e)
         self.key = (p, e, self.modulus)
@@ -438,25 +438,23 @@ class FieldSpec:
 _SPEC_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
-def ff_make(p: int, e: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
+def ff_make(p: int, e: int) -> FieldSpec:
     """Deterministic field constructor; instances are cached per (p, e)."""
-    q = p ** e if e >= 1 else 0
-    if q > max_q:
-        raise SizeBudgetError(f"q={q} exceeds the size bound {max_q}")
     key = (p, e)
     spec = _SPEC_CACHE.get(key)
     if spec is None:
-        spec = FieldSpec(p, e, max_q=max_q)
+        spec = FieldSpec(p, e)
         _SPEC_CACHE[key] = spec
     return spec
 
 
-def field_for(q: int, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
+def field_for(q: int) -> FieldSpec:
     """Field of order q; rejects non prime powers."""
     pe = prime_power(q)
     if pe is None:
-        raise ValueError(f"q={q} is not a prime power; GF(q) does not exist")
-    return ff_make(*pe, max_q=max_q)
+        raise ValueError(f"q={q} is not a prime power; the graphs are defined "
+                         "over the finite field GF(q)")
+    return ff_make(*pe)
 
 
 def trace(a: FieldElem) -> int:

@@ -161,7 +161,6 @@ class AdjacencyStructure:
     n: int
     neighbors: np.ndarray
     bipartite: bool
-    indexing: str = "base-q"
 
     @property
     def degree(self) -> int:
@@ -179,8 +178,8 @@ class AdjacencyStructure:
         mask = u < v
         return np.column_stack([u[mask], v[mask]])
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
+    def to_dense(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n), dtype=np.float64)
         rows = np.repeat(np.arange(self.n), self.degree)
         a[rows, self.neighbors.reshape(-1)] = 1
         return a
@@ -210,15 +209,15 @@ def _coord_cols(q: int):
     return idx % q, (idx // q) % q, (idx // q ** 2) % q, (idx // q ** 3) % q
 
 
-def _check_size(spec: FieldSpec, max_q: int):
-    if spec.q > max_q:
+def _check_size(spec: FieldSpec):
+    if spec.q > DEFAULT_MAX_GRAPH_Q:
         raise SizeBudgetError(
-            f"q={spec.q} exceeds the graph construction bound {max_q}")
+            f"q={spec.q} exceeds the graph construction bound {DEFAULT_MAX_GRAPH_Q}")
 
 
-def build_gamma(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyStructure:
+def build_gamma(spec: FieldSpec) -> AdjacencyStructure:
     """Point collinearity graph: q^4 vertices, q*(q-1)-regular."""
-    _check_size(spec, max_q)
+    _check_size(spec)
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
     P1, P2, P3, P4 = _coord_cols(q)
@@ -239,9 +238,9 @@ def build_gamma(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyS
     return AdjacencyStructure("GAMMA4", q, n, nb, bipartite=False)
 
 
-def build_d4(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyStructure:
+def build_d4(spec: FieldSpec) -> AdjacencyStructure:
     """Bipartite point-line incidence graph: 2*q^4 vertices, q-regular."""
-    _check_size(spec, max_q)
+    _check_size(spec)
     q = spec.q
     sub, mul = spec.sub, spec.mul
     C1, C2, C3, C4 = _coord_cols(q)
@@ -264,9 +263,9 @@ def build_d4(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyStru
     return AdjacencyStructure("D4", q, 2 * n4, nb, bipartite=True)
 
 
-def build_cayley(spec: FieldSpec, max_q: int = DEFAULT_MAX_GRAPH_Q) -> AdjacencyStructure:
+def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     """Cay(G, S): vertex g(t,u,v,w) at index enc(t,u,v,w); g ~ g' iff g'*g^-1 in S."""
-    _check_size(spec, max_q)
+    _check_size(spec)
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
     T, U, V, W = _coord_cols(q)
@@ -398,7 +397,7 @@ def girth_at_least(adj: AdjacencyStructure, g: int = 8) -> bool:
 def write_edge_list(adj: AdjacencyStructure, fp, timestamp: str | None = None):
     """Header '# graph=.. q=.. vertices=.. edges=.. indexing=base-q', then 'u v' rows."""
     fp.write(f"# graph={adj.name} q={adj.q} vertices={adj.n} "
-             f"edges={adj.num_edges} indexing={adj.indexing}\n")
+             f"edges={adj.num_edges} indexing=base-q\n")
     if timestamp:
         fp.write(f"# generated={timestamp}\n")
     for u, v in adj.edge_array():
@@ -418,7 +417,7 @@ def coordinate_dict(adj: AdjacencyStructure) -> dict:
 
 def write_coordinate_dict(adj: AdjacencyStructure, fp, timestamp: str | None = None):
     doc = {"graph": adj.name, "q": adj.q, "vertices": adj.n,
-           "indexing": adj.indexing, "coords": coordinate_dict(adj)}
+           "indexing": "base-q", "coords": coordinate_dict(adj)}
     if timestamp:
         doc["generated"] = timestamp
     json.dump(doc, fp, indent=None, separators=(",", ":"))

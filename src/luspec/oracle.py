@@ -36,7 +36,6 @@ class NumericSpectrum:
     """Ascending eigenvalues of a symmetric adjacency operator."""
 
     values: np.ndarray
-    clustering_tol: float = 1e-6
 
     @property
     def n(self) -> int:
@@ -59,23 +58,23 @@ def numeric_spectrum(adj: AdjacencyStructure,
         raise ff.SizeBudgetError(
             f"{adj.n} vertices exceed the dense budget {max_dense_n}; "
             "use the closed-form path (or lambda2_sparse)")
-    a = adj.to_dense(np.float64)
+    a = adj.to_dense()
     w = scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False)
     spec = NumericSpectrum(np.sort(w))
     spec.check_moments(adj.num_edges)
     return spec
 
 
-def lambda2_sparse(adj: AdjacencyStructure, k: int = 4) -> float:
-    """Second-largest eigenvalue via sparse Lanczos (large graphs)."""
+def lambda2_sparse(adj: AdjacencyStructure) -> float:
+    """Second-largest eigenvalue from the 4 largest by sparse Lanczos (large graphs)."""
     from scipy.sparse.linalg import eigsh
     a = adj.to_sparse().astype(np.float64)
-    w = eigsh(a, k=k, which="LA", return_eigenvectors=False)
+    w = eigsh(a, k=4, which="LA", return_eigenvectors=False)
     w = np.sort(w)[::-1]
     top = adj.degree
     below = w[w < top - 1e-6]
     if not len(below):
-        raise ValueError("increase k: all Lanczos values sit at the top eigenvalue")
+        raise ValueError("all 4 Lanczos values sit at the top eigenvalue")
     return float(below[0])
 
 

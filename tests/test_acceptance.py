@@ -91,7 +91,7 @@ def test_criterion_5_exponent_arbitration_q5(numeric):
     for c in range(1, q):
         eps = cyclo.exp_sum_field([0, c, 0, 1], spec)
         pairs.append((ExactValue.eps_shift(eps, q), q * (q - 1)))
-    displayed = SpectrumMultiset.assemble("GAMMA4", q, pairs)
+    displayed = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=385)
     assert displayed.total == 385
     with pytest.raises(oracle.TotalMismatchError, match="385 vs 625"):
         oracle.compare_spectra(displayed, numeric("gamma", 5))

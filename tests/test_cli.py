@@ -187,3 +187,51 @@ def test_max_dense_env_var(monkeypatch, capsys):
     monkeypatch.setenv("LUSPEC_MAX_DENSE_N", "10")
     code, _, err = run(capsys, ["spectrum", "--q", "2", "--source", "numeric"])
     assert code == 2 and "budget" in err
+
+
+def test_bad_max_dense_env_var_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("LUSPEC_MAX_DENSE_N", "abc")
+    code, _, err = run(capsys, ["spectrum", "--q", "2", "--no-timestamp"])
+    assert code == 2 and "--max-dense-n: invalid int value: 'abc'" in err
+    # epsilons does not read the budget, so the bad value does not reach it
+    code, out, _ = run(capsys, ["epsilons", "--q", "5", "--no-timestamp"])
+    assert code == 0 and out.startswith("family,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "3", "--tol", "1e-3"],
+    ["epsilons", "--q", "5", "--max-dense-n", "100"],
+    ["build", "--q", "2", "--tol", "1e-3"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    code, out, err = run(capsys, argv + ["--no-timestamp"])
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "5"],
+    ["spectrum", "--q", "3", "--source", "numeric", "--format", "csv"],
+    ["epsilons", "--q", "7"],
+])
+def test_out_writes_only_the_file(argv, tmp_path, capsys):
+    code, stdout, _ = run(capsys, argv + ["--no-timestamp"])
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, argv + ["--no-timestamp", "--out", str(path)])
+    assert code == 0 and out == ""
+    assert path.read_bytes() == stdout.encode()  # csv rows end in \r\n
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "2,3"],
+    ["ramanujan", "--q", "5,7"],
+    ["ramanujan", "--q", "5", "--format", "json"],
+])
+def test_out_writes_the_file_and_prints_it(argv, tmp_path, capsys):
+    code, stdout, _ = run(capsys, argv + ["--no-timestamp"])
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, argv + ["--no-timestamp", "--out", str(path)])
+    assert code == 0 and out == stdout
+    assert path.read_bytes() == stdout.encode()

@@ -366,7 +366,7 @@ def test_lift_rejects():
     with pytest.raises(ValueError):
         lift_to_bipartite(lifted, 3)  # cannot lift twice
     corrupted = SpectrumMultiset.assemble(
-        "GAMMA4", 3, [(ExactValue.integer(-4), 81)])
+        "GAMMA4", 3, [(ExactValue.integer(-4), 81)], expected_total=81)
     with pytest.raises(ValueError):
         lift_to_bipartite(corrupted, 3)  # eigenvalue below -q
 
@@ -382,7 +382,7 @@ def test_exponent_variant_fails_degree_count():
     for c in range(1, q):
         eps = cyclo.exp_sum_field([0, c, 0, 1], spec)
         pairs.append((ExactValue.eps_shift(eps, q), q * (q - 1)))
-    bad = SpectrumMultiset.assemble("GAMMA4", q, pairs)
+    bad = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=385)
     assert bad.total == 385
     with pytest.raises(ValueError):
         SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=625)

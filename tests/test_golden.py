@@ -4,7 +4,9 @@ The digests were recorded before the field arithmetic was reduced to a
 single O(q) representation; the q = 3^e ``epsilons`` and the q = 243
 ``spectrum`` digests before GR(9,e) was reduced to a Teichmueller trace
 vector; the q = 61, 127, 169 ``spectrum`` and q = 61 ``epsilons`` digests
-before the closed form took one exponential sum per scaling orbit.  They must
+before the closed form took one exponential sum per scaling orbit; the csv
+and table formats, ``ramanujan``, ``build`` and the two files of ``build
+--out`` before the CLI dropped its copied run configuration.  They must
 not be regenerated to make a changed program pass: a new digest means the
 output changed.
 """
@@ -68,6 +70,26 @@ GOLDEN = {
         "b86c1a66741c57b9202dc5771de215c3ff6d4d3fe8fd17a73610255ed7279100",
     "epsilons --q 61 --no-timestamp":
         "1b69c370226e9da9a61ce2ed2a1ad2c121566e3fca9124f9efaaba7fd286ac52",
+    "spectrum --q 13 --format csv --no-timestamp":
+        "430036020f0f479ae0e9d83924e47d90436f5c702a69b7bc8bf797b22d09df6a",
+    "spectrum --graph d4 --q 7 --format table --no-timestamp":
+        "5b21cf5273f6a132f24d0c305de36268a617233717bd903e980ab98a29df3a18",
+    "epsilons --q 13 --format table --no-timestamp":
+        "ca6efbe035e6bba379edd42904ec2abd4f3572196fc902b4b02e31eec698270f",
+    "ramanujan --q 5,7,13 --no-timestamp":
+        "70f0927a04721dc4c0bf31005ef68c648eb9989b0c405f9424d9e59bc7da2eb1",
+    "ramanujan --q 5,7,13 --format json --no-timestamp":
+        "1ff14300e6981a93003a0105df74f3d293d05badcb45aedc570d3211a4b4ac60",
+    "build --q 3 --no-timestamp":
+        "fbf19e0c706625c71ae5a960776bbf647be315453dd70ad2a964423a1efbc477",
+}
+
+# build --q 2 --graph d4 --out F writes the edge list to F and the vertex
+# coordinates to F.coords.json
+GOLDEN_BUILD_FILES = {
+    "": "8035d1e94fe46fcaf53d813fab5e5205f49e0aa4cfa142ec254865914e624423",
+    ".coords.json":
+        "3633f654d16e0296ed77027c3a4cbaafe930b970a5c20a27edf65d047dba7500",
 }
 
 
@@ -77,3 +99,14 @@ def test_cli_output_digest(argv):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_build_out_file_digests(tmp_path, capsys):
+    edges = tmp_path / "d4.edges"
+    assert cli.main(["build", "--q", "2", "--graph", "d4", "--out", str(edges),
+                     "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == \
+        f"wrote 32 edges to {edges} (+ coordinate dictionary)\n"
+    for suffix, digest in GOLDEN_BUILD_FILES.items():
+        data = (tmp_path / f"d4.edges{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest

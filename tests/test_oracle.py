@@ -35,7 +35,7 @@ def test_compare_identical_passes(numeric):
 
 def test_compare_total_mismatch_hard_fails(numeric):
     pairs = [(ExactValue.integer(0), 384), (ExactValue.integer(20), 1)]
-    runt = SpectrumMultiset.assemble("GAMMA4", 5, pairs)
+    runt = SpectrumMultiset.assemble("GAMMA4", 5, pairs, expected_total=385)
     with pytest.raises(oracle.TotalMismatchError, match="385 vs 625"):
         oracle.compare_spectra(runt, numeric("gamma", 5))
 
@@ -52,7 +52,7 @@ def test_compare_detects_wrong_multiplicity(numeric):
             moved.append((v, m + 1))
         else:
             moved.append((v, m))
-    bad = SpectrumMultiset.assemble("GAMMA4", 3, moved)
+    bad = SpectrumMultiset.assemble("GAMMA4", 3, moved, expected_total=81)
     rep = oracle.compare_spectra(bad, numeric("gamma", 3))
     assert not rep.passed
     assert any(m.expected != m.observed for m in rep.mismatches)
