@@ -35,6 +35,7 @@ from . import ff
 from .ff import FieldElem, FieldSpec, SizeBudgetError
 
 DEFAULT_MAX_GRAPH_Q = 13
+_CHUNK = 1 << 16  # neighbour entries gathered at once by the BFS scans below
 
 
 class PointCoords(NamedTuple):
@@ -335,62 +336,56 @@ def group_elem_from_index(spec: FieldSpec, i: int) -> GroupElem:
 
 def connected_components(adj: AdjacencyStructure):
     """(component count, sizes in decreasing order) by BFS."""
-    comp = np.full(adj.n, -1, dtype=np.int64)
+    n, nb = adj.n, adj.neighbors
+    seen = np.zeros(n, dtype=bool)
+    step = max(1, _CHUNK // adj.degree)
     sizes = []
-    for start in range(adj.n):
-        if comp[start] >= 0:
-            continue
-        c = len(sizes)
-        comp[start] = c
-        frontier = np.asarray([start])
-        size = 1
+    while not seen.all():
+        frontier = np.asarray([np.argmin(seen)])  # the first unseen vertex
+        seen[frontier] = True
         while frontier.size:
-            nxt = np.unique(adj.neighbors[frontier].reshape(-1))
-            nxt = nxt[comp[nxt] < 0]
-            comp[nxt] = c
-            size += nxt.size
-            frontier = nxt
-        sizes.append(size)
+            mark = np.zeros(n, dtype=bool)
+            for lo in range(0, frontier.size, step):
+                mark[nb[frontier[lo:lo + step]]] = True
+            frontier = np.flatnonzero(mark & ~seen)
+            seen[frontier] = True
+        sizes.append(int(np.count_nonzero(seen)) - sum(sizes))
     return len(sizes), sorted(sizes, reverse=True)
 
 
 def girth_at_least(adj: AdjacencyStructure, g: int = 8) -> bool:
-    """True iff the graph has no cycle shorter than g (BFS to depth (g-1)//2)."""
-    depth = (g - 1) // 2
-    nb = adj.neighbors
-    dist = np.full(adj.n, -1, dtype=np.int32)
-    parent = np.full(adj.n, -1, dtype=np.int64)
-    for root in range(adj.n):
-        seen = [root]
-        dist[root] = 0
-        parent[root] = -1
-        frontier = [root]
-        ok = True
-        for level in range(depth + 1):
-            nxt = []
-            for x in frontier:
-                for y in nb[x]:
-                    y = int(y)
-                    if y == parent[x]:
-                        continue
-                    if dist[y] >= 0:
-                        # non-tree edge closes a cycle of length <= sum + 1
-                        if dist[y] + level + 1 < g:
-                            ok = False
-                            break
-                    elif level < depth:
-                        dist[y] = level + 1
-                        parent[y] = x
-                        seen.append(y)
-                        nxt.append(y)
-                if not ok:
-                    break
-            if not ok:
-                break
-            frontier = nxt
-        dist[seen] = -1
-        if not ok:
+    """True iff the graph has no cycle shorter than g.
+
+    From every root at once, the non-backtracking walks of length 0..R,
+    R = (g-1)//2, must end at pairwise distinct vertices (else two of them
+    close a cycle of length <= 2R); for even g the walks of length R+1 must
+    also end away from all of those (else a cycle of length <= 2R+1)."""
+    n, k, nb = adj.n, adj.degree, adj.neighbors
+    R, last = (g - 1) // 2, g // 2  # last = R + 1 for even g
+    walks = 1 + sum(k * (k - 1) ** (level - 1) for level in range(1, last + 1))
+    step = max(1, _CHUNK // walks)
+    for lo in range(0, n, step):
+        roots = np.arange(lo, min(lo + step, n), dtype=nb.dtype)
+        ends = roots[:, None]
+        levels = [ends]
+        for level in range(1, last + 1):
+            cand = nb[ends]
+            if level > 1:  # drop the step back to each walk's predecessor
+                cand = cand[cand != prev[..., None]]
+            prev = np.repeat(ends, k if level == 1 else k - 1, axis=1)
+            ends = cand.reshape(len(roots), -1)
+            levels.append(ends)
+        near = np.sort(np.concatenate(levels[:R + 1], axis=1), axis=1)
+        if np.any(near[:, 1:] == near[:, :-1]):
             return False
+        if last > R:
+            key = np.int32 if len(roots) * n < 2 ** 31 else np.int64
+            offset = (np.arange(len(roots), dtype=key) * n)[:, None]
+            near = (near + offset).reshape(-1)
+            far = (np.sort(ends, axis=1) + offset).reshape(-1)  # sorted probes search faster
+            at = np.minimum(np.searchsorted(near, far), near.size - 1)
+            if np.any(near[at] == far):
+                return False
     return True
 
 

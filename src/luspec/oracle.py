@@ -165,12 +165,11 @@ def _lambda2_from_values(values, q: int) -> float:
     return max(below)
 
 
-def expansion_report(q, source: str = "closed",
+def expansion_report(q: int, source: str = "closed",
                      max_dense_n: int = DEFAULT_MAX_DENSE_N) -> ExpansionReport:
     """Spectral expansion data for D(4,q); lambda2 is the largest eigenvalue
-    below the degree q.  Accepts q or a FieldSpec."""
-    spec = q if isinstance(q, ff.FieldSpec) else ff.field_for(q)
-    q = spec.q
+    below the degree q."""
+    spec = ff.field_for(q)
     if source == "closed":
         gam = closedform.spectrum_closed(spec)
         lifted = closedform.lift_to_bipartite(gam, q)

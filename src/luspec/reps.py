@@ -223,29 +223,31 @@ def psi_value(alpha: FieldElem, beta: FieldElem, g: graphs.GroupElem) -> CycInt:
     return spec.q * _zeta_pow(spec, ff.trace(alpha * g.v + beta * g.w))
 
 
+def _psi_exponents(spec: FieldSpec):
+    """Labels (a, b) with a != 0 and K[label, v + q*w] = tr(a*v + b*w):
+    psi[a,b] is q*zeta^K on the elements g(0,0,v,w) and zero elsewhere."""
+    W, V = np.divmod(np.arange(spec.q ** 2), spec.q)
+    labels = [(a, b) for a in range(1, spec.q) for b in range(spec.q)]
+    K = np.array([spec.tr(spec.add(spec.mul(a, V), spec.mul(b, W))) for a, b in labels])
+    return labels, K
+
+
 def psi_orthogonality(spec: FieldSpec) -> bool:
     """First orthogonality over all pairs of degree-q characters (full group sum)."""
-    q = spec.q
-    if q % 2 == 0 or q > 7:
-        raise ValueError("orthogonality sweep is an odd-q, q <= 7 check")
-    cspec, _ = _char_spec(spec)
-    labels = [(FieldElem(spec, a), FieldElem(spec, b))
-              for a in range(1, q) for b in range(q)]
-    elems = [graphs.group_elem_from_index(spec, i) for i in range(q ** 4)]
-    values = {}
-    for a, b in labels:
-        values[(a.i, b.i)] = [psi_value(a, b, g) for g in elems]
-    zero = CycInt.integer(cspec, 0)
-    for a, b in labels:
-        va = values[(a.i, b.i)]
-        for a2, b2 in labels:
-            vb = values[(a2.i, b2.i)]
-            acc = zero
-            for x, y in zip(va, vb):
-                if x != zero and y != zero:
-                    acc = acc + x * y.conj()
-            want = q ** 4 if (a.i, b.i) == (a2.i, b2.i) else 0
-            if not (acc.is_rational and acc.as_int == want):
+    q, p = spec.q, spec.p
+    if q % 2 == 0 or q > graphs.DEFAULT_MAX_GRAPH_Q:
+        raise ValueError("orthogonality sweep is an odd-q, "
+                         f"q <= {graphs.DEFAULT_MAX_GRAPH_Q} check")
+    cspec, scale = _char_spec(spec)
+    labels, K = _psi_exponents(spec)
+    L = len(labels)
+    for i in range(L):
+        # hist[j, k]: elements (0,0,v,w) where psi_i * conj(psi_j) = q^2 * zeta^k
+        diff = np.arange(L)[:, None] * cspec.n + scale * ((K[i] - K) % p)
+        hist = np.bincount(diff.reshape(-1), minlength=L * cspec.n).reshape(L, -1)
+        for j, h in enumerate(hist.tolist()):
+            acc = q * q * CycInt.from_histogram(cspec, h)
+            if not (acc.is_rational and acc.as_int == (q ** 4 if i == j else 0)):
                 return False
     return True
 

@@ -109,3 +109,73 @@ def _schoolbook_mul(x: CycInt, y: CycInt) -> CycInt:
 def cyc_mul_reference():
     """cyc_mul_reference(x, y): the product in Z[zeta_n], computed term by term."""
     return _schoolbook_mul
+
+
+def _girth_reference(adj: graphs.AdjacencyStructure, g: int = 8) -> bool:
+    """True iff the graph has no cycle shorter than g (BFS to depth (g-1)//2)."""
+    depth = (g - 1) // 2
+    nb = adj.neighbors
+    dist = np.full(adj.n, -1, dtype=np.int32)
+    parent = np.full(adj.n, -1, dtype=np.int64)
+    for root in range(adj.n):
+        seen = [root]
+        dist[root] = 0
+        parent[root] = -1
+        frontier = [root]
+        ok = True
+        for level in range(depth + 1):
+            nxt = []
+            for x in frontier:
+                for y in nb[x]:
+                    y = int(y)
+                    if y == parent[x]:
+                        continue
+                    if dist[y] >= 0:
+                        # non-tree edge closes a cycle of length <= sum + 1
+                        if dist[y] + level + 1 < g:
+                            ok = False
+                            break
+                    elif level < depth:
+                        dist[y] = level + 1
+                        parent[y] = x
+                        seen.append(y)
+                        nxt.append(y)
+                if not ok:
+                    break
+            if not ok:
+                break
+            frontier = nxt
+        dist[seen] = -1
+        if not ok:
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def girth_reference():
+    """girth_reference(adj, g): the girth test by a scalar BFS from every vertex."""
+    return _girth_reference
+
+
+def _components_reference(adj: graphs.AdjacencyStructure):
+    """(component count, sizes in decreasing order) by a scalar BFS."""
+    comp = [-1] * adj.n
+    sizes = []
+    for start in range(adj.n):
+        if comp[start] >= 0:
+            continue
+        comp[start] = len(sizes)
+        queue = [start]
+        for x in queue:
+            for y in adj.neighbors[x].tolist():
+                if comp[y] < 0:
+                    comp[y] = len(sizes)
+                    queue.append(y)
+        sizes.append(len(queue))
+    return len(sizes), sorted(sizes, reverse=True)
+
+
+@pytest.fixture(scope="session")
+def components_reference():
+    """components_reference(adj): connected components by a scalar BFS."""
+    return _components_reference

@@ -251,6 +251,77 @@ def test_girth_detects_squares():
     assert not graphs.girth_at_least(c4, 5)
 
 
+def _from_rows(name, rows):
+    nb = np.sort(np.array(rows, dtype=np.int32), axis=1)
+    return graphs.AdjacencyStructure(name, 0, len(rows), nb, bipartite=False)
+
+
+def _cycle(n):
+    return _from_rows(f"C{n}", [[(i - 1) % n, (i + 1) % n] for i in range(n)])
+
+
+def _petersen():
+    rows = [[(i - 1) % 5, (i + 1) % 5, i + 5] for i in range(5)]
+    rows += [[i, 5 + (i + 2) % 5, 5 + (i - 2) % 5] for i in range(5)]
+    return _from_rows("PETERSEN", rows)
+
+
+def _girth_cases():
+    yield from (_cycle(n) for n in range(3, 10))
+    yield _petersen()
+    yield graphs.build_gamma(ff.field_for(3))
+    yield from (graphs.build_d4(ff.field_for(q)) for q in (2, 3, 4))
+
+
+@pytest.mark.parametrize("g", range(3, 11))
+def test_girth_matches_scalar_bfs(g, girth_reference):
+    for adj in _girth_cases():
+        assert graphs.girth_at_least(adj, g) == girth_reference(adj, g), adj.name
+
+
+def test_girth_one_root_per_chunk(monkeypatch, girth_reference):
+    monkeypatch.setattr(graphs, "_CHUNK", 1)
+    for adj in (_petersen(), graphs.build_d4(ff.field_for(3))):
+        for g in range(3, 11):
+            assert graphs.girth_at_least(adj, g) == girth_reference(adj, g)
+
+
+def test_d4_q7_girth_is_eight(graph):
+    assert graphs.girth_at_least(graph("d4", 7), 8)
+    assert not graphs.girth_at_least(graph("d4", 7), 9)
+
+
+def _cycles_and_paths():
+    """Cycles and paths of assorted lengths, vertices shuffled; a path's end
+    vertices repeat their one neighbour to fill the row of two."""
+    rows, lo = [], 0
+    for n in (3, 4, 50, 200, 500):
+        rows += [[lo + (i - 1) % n, lo + (i + 1) % n] for i in range(n)]
+        lo += n
+    for n in (2, 7, 300):
+        rows += [[lo + (i - 1 if i else 1), lo + (i + 1 if i < n - 1 else n - 2)]
+                 for i in range(n)]
+        lo += n
+    perm = np.random.default_rng(6).permutation(lo)
+    shuffled = [None] * lo
+    for v, row in enumerate(rows):
+        shuffled[perm[v]] = [perm[w] for w in row]
+    return _from_rows("CYCLES+PATHS", shuffled)
+
+
+def test_components_match_scalar_bfs(components_reference):
+    cases = [_cycles_and_paths()] + [graphs.build_gamma(ff.field_for(q))
+                                     for q in (2, 3, 4, 5)]
+    for adj in cases:
+        assert graphs.connected_components(adj) == components_reference(adj)
+
+
+def test_components_one_vertex_per_slice(monkeypatch, components_reference):
+    monkeypatch.setattr(graphs, "_CHUNK", 1)
+    for adj in (_cycles_and_paths(), graphs.build_gamma(ff.field_for(3))):
+        assert graphs.connected_components(adj) == components_reference(adj)
+
+
 def test_edge_list_export(graph):
     gam = graph("gamma", 3)
     buf = io.StringIO()

@@ -160,9 +160,44 @@ def test_psi_examples():
     assert reps.psi_value(F3.one, F3.zero, g) == 0
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_psi_orthogonality(q):
     assert reps.psi_orthogonality(F(q))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_psi_exponent_table_matches_psi_value(q):
+    spec = F(q)
+    labels, K = reps._psi_exponents(spec)
+    elems = [graphs.group_elem_from_index(spec, i) for i in range(q ** 4)]
+    for (a, b), row in zip(labels, K.tolist()):
+        alpha, beta = spec.element(a), spec.element(b)
+        for g in elems:
+            if g.t.i or g.u.i:
+                assert reps.psi_value(alpha, beta, g) == 0
+            else:
+                want = q * reps._zeta_pow(spec, row[g.v.i + q * g.w.i])
+                assert reps.psi_value(alpha, beta, g) == want
+
+
+def test_psi_orthogonality_detects_a_wrong_exponent(monkeypatch):
+    exponents = reps._psi_exponents
+
+    def corrupted(spec):
+        labels, K = exponents(spec)
+        K[len(labels) // 2, 3] = (K[len(labels) // 2, 3] + 1) % spec.p
+        return labels, K
+
+    monkeypatch.setattr(reps, "_psi_exponents", corrupted)
+    assert not reps.psi_orthogonality(F(5))
+
+
+def test_psi_orthogonality_size_cap(monkeypatch):
+    with pytest.raises(ValueError):
+        reps.psi_orthogonality(F(4))
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_GRAPH_Q", 5)
+    with pytest.raises(ValueError):
+        reps.psi_orthogonality(F(7))
 
 
 @pytest.mark.parametrize("q", [3, 5])

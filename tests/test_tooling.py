@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import luspec
@@ -31,3 +32,15 @@ def test_no_assertion_errors_raised_in_package():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer wraps these attributes by name; a rename must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr, *_ in tracer.luspec_targets()
+               if attr not in owner.__dict__]
+    assert missing == []
