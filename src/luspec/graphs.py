@@ -21,6 +21,10 @@ Gamma is also realized as a Cayley graph of the group G of upper unitriangular
 
 is derived once from the matrix form (and unit-tested against literal 5x5
 multiplication).  The connection set is S = {g(t, r*t, -r*t^2, r^2*t): t != 0}.
+
+The builders evaluate each neighbour coordinate once, over broadcast axes of
+a (c4, c3, c2, c1, column) grid: a formula spans only the axes it depends on,
+and the encoded indices of every column land in one int32 neighbour matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ff
 from .ff import FieldElem, FieldSpec, SizeBudgetError
 
 DEFAULT_MAX_GRAPH_Q = 13
@@ -139,15 +142,11 @@ def connection_set(spec: FieldSpec) -> list[GroupElem]:
     return out
 
 
-def _connection_index_tuples(spec: FieldSpec):
-    out = []
-    for ti in range(1, spec.q):
-        for ri in range(spec.q):
-            u = spec.mul(ri, ti)
-            v = spec.neg(spec.mul(u, ti))
-            w = spec.mul(spec.mul(ri, ri), ti)
-            out.append((ti, u, v, w))
-    return out
+def _connection_indices(spec: FieldSpec):
+    """S's index columns (t, u, v, w), in connection_set's (t, r) scan order."""
+    t, r = np.divmod(np.arange(spec.q, spec.q * spec.q), spec.q)
+    u = spec.mul(r, t)
+    return t, u, spec.neg(spec.mul(u, t)), spec.mul(spec.mul(r, r), t)
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +204,25 @@ class AdjacencyStructure:
         return True
 
 
-def _coord_cols(q: int):
-    idx = np.arange(q ** 4, dtype=np.int64)
-    return idx % q, (idx // q) % q, (idx // q ** 2) % q, (idx // q ** 3) % q
+def _coord_axes(q: int):
+    """(c1, c2, c3, c4) as arange(q) axes of a (c4, c3, c2, c1, column) grid.
+
+    The grid is in C order, so it flattens to the base-q vertex index, and a
+    formula evaluated on these axes spans only the axes it depends on."""
+    c = np.arange(q)
+    return tuple(c.reshape((1,) * (3 - k) + (q,) + (1,) * (k + 1)) for k in range(4))
+
+
+def _encode(q: int, c1, c2, c3, c4) -> np.ndarray:
+    """c1 + q*c2 + q^2*c3 + q^3*c4 over the (c4, c3, c2, c1, column) grid, as
+    an int32 (q^4, columns) matrix.
+
+    No caller's c1..c3 spans the c4 axis, so the low digits sum on a grid
+    q times smaller and one ufunc pass writes the full int32 grid."""
+    low, high = c1 + q * c2 + q * q * c3, q ** 3 * c4
+    out = np.empty(np.broadcast_shapes(low.shape, high.shape), dtype=np.int32)
+    np.add(low, high, out=out)
+    return out.reshape(q ** 4, -1)
 
 
 def _check_size(spec: FieldSpec):
@@ -221,22 +236,16 @@ def build_gamma(spec: FieldSpec) -> AdjacencyStructure:
     _check_size(spec)
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
-    P1, P2, P3, P4 = _coord_cols(q)
-    n = q ** 4
-    nb = np.empty((n, q * (q - 1)), dtype=np.int32)
-    col = 0
-    for d in range(1, q):  # d = p1' - p1 != 0
-        ivd = spec.inv(d)
-        Q1 = add(P1, d)
-        P2Q1 = mul(P2, Q1)
-        for b in range(q):  # b = p2'
-            e2 = sub(P2, b)
-            Q4 = add(P4, mul(ivd, mul(e2, e2)))
-            Q3 = sub(P3, sub(P2Q1, mul(P1, b)))
-            nb[:, col] = Q1 + q * b + q * q * Q3 + q ** 3 * Q4
-            col += 1
+    P1, P2, P3, P4 = _coord_axes(q)
+    # one column per (d, b): d = p1' - p1 != 0, b = p2'
+    d, b = np.divmod(np.arange(q, q * q), q)
+    Q1 = add(P1, d)
+    Q3 = sub(P3, sub(mul(P2, Q1), mul(P1, b)))
+    e2 = sub(P2, b)
+    Q4 = add(P4, mul(spec.inv(d), mul(e2, e2)))
+    nb = _encode(q, Q1, b, Q3, Q4)
     nb.sort(axis=1)
-    return AdjacencyStructure("GAMMA4", q, n, nb, bipartite=False)
+    return AdjacencyStructure("GAMMA4", q, q ** 4, nb, bipartite=False)
 
 
 def build_d4(spec: FieldSpec) -> AdjacencyStructure:
@@ -244,21 +253,14 @@ def build_d4(spec: FieldSpec) -> AdjacencyStructure:
     _check_size(spec)
     q = spec.q
     sub, mul = spec.sub, spec.mul
-    C1, C2, C3, C4 = _coord_cols(q)
+    C1, C2, C3, C4 = _coord_axes(q)
+    a = np.arange(q)
     n4 = q ** 4
-    nb_pts = np.empty((n4, q), dtype=np.int32)
-    nb_lns = np.empty((n4, q), dtype=np.int32)
-    for a in range(q):
-        # lines through each point, parameterized by l1 = a
-        L2 = sub(mul(C1, a), C2)
-        L3 = sub(mul(C1, L2), C3)
-        L4 = sub(mul(C2, a), C4)
-        nb_pts[:, a] = n4 + (a + q * L2 + q * q * L3 + q ** 3 * L4)
-        # points on each line, parameterized by p1 = a
-        P2 = sub(mul(C1, a), C2)
-        P3 = sub(mul(C2, a), C3)
-        P4 = sub(mul(P2, C1), C4)
-        nb_lns[:, a] = a + q * P2 + q * q * P3 + q ** 3 * P4
+    # c1*a - c2 is l2 of the line through a point with l1 = a, and p2 of the
+    # point on a line with p1 = a
+    X2 = sub(mul(C1, a), C2)
+    nb_pts = _encode(q, n4 + a, X2, sub(mul(C1, X2), C3), sub(mul(C2, a), C4))
+    nb_lns = _encode(q, a, X2, sub(mul(C2, a), C3), sub(mul(X2, C1), C4))
     nb = np.vstack([nb_pts, nb_lns])
     nb.sort(axis=1)
     return AdjacencyStructure("D4", q, 2 * n4, nb, bipartite=True)
@@ -269,32 +271,23 @@ def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     _check_size(spec)
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
-    T, U, V, W = _coord_cols(q)
-    n = q ** 4
-    two = 2 % spec.p
-    nb = np.empty((n, q * (q - 1)), dtype=np.int32)
-    for col, (ts, us, vs, ws) in enumerate(_connection_index_tuples(spec)):
-        # left multiplication: s*g = (ts+t, us+u, vs+v-2*ts*u, ws+w)
-        T2 = add(T, ts)
-        U2 = add(U, us)
-        V2 = sub(add(V, vs), mul(two, mul(ts, U)))
-        W2 = add(W, ws)
-        nb[:, col] = T2 + q * U2 + q * q * V2 + q ** 3 * W2
+    T, U, V, W = _coord_axes(q)
+    ts, us, vs, ws = _connection_indices(spec)
+    # left multiplication: s*g = (ts+t, us+u, vs+v-2*ts*u, ws+w)
+    V2 = sub(add(V, vs), mul(2 % spec.p, mul(ts, U)))
+    nb = _encode(q, add(T, ts), add(U, us), V2, add(W, ws))
     nb.sort(axis=1)
-    return AdjacencyStructure("CAYLEY4", q, n, nb, bipartite=False)
+    return AdjacencyStructure("CAYLEY4", q, q ** 4, nb, bipartite=False)
 
 
 def action_permutation(spec: FieldSpec, g: GroupElem) -> np.ndarray:
     """The permutation P -> P*g of point indices, vectorized over all points."""
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
-    P1, P2, P3, P4 = _coord_cols(q)
+    P1, P2, P3, P4 = _coord_axes(q)
     t, u, v, w = g.t.i, g.u.i, g.v.i, g.w.i
-    Q1 = add(P1, t)
-    Q2 = add(P2, u)
     Q3 = add(P3, sub(add(add(v, mul(t, u)), mul(P2, t)), mul(P1, u)))
-    Q4 = add(P4, w)
-    return (Q1 + q * Q2 + q * q * Q3 + q ** 3 * Q4).astype(np.int64)
+    return _encode(q, add(P1, t), add(P2, u), Q3, add(P4, w)).ravel()
 
 
 def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
@@ -304,9 +297,8 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     bijection carrying Cay(G, S) onto the collinearity graph.
     """
     q = spec.q
-    T, U, V, W = _coord_cols(q)
-    VP = spec.add(V, spec.mul(T, U))
-    return (T + q * U + q * q * VP + q ** 3 * W).astype(np.int64)
+    T, U, V, W = _coord_axes(q)
+    return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
 
 
 def point_index(P: PointCoords) -> int:

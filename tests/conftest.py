@@ -1,4 +1,5 @@
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -179,3 +180,102 @@ def _components_reference(adj: graphs.AdjacencyStructure):
 def components_reference():
     """components_reference(adj): connected components by a scalar BFS."""
     return _components_reference
+
+
+# The graph builders as column loops: one pass of field arithmetic over all
+# q^4 vertices per neighbour column.
+
+def _coord_cols(q: int):
+    idx = np.arange(q ** 4, dtype=np.int64)
+    return idx % q, (idx // q) % q, (idx // q ** 2) % q, (idx // q ** 3) % q
+
+
+def _connection_index_tuples(spec: ff.FieldSpec):
+    out = []
+    for ti in range(1, spec.q):
+        for ri in range(spec.q):
+            u = spec.mul(ri, ti)
+            v = spec.neg(spec.mul(u, ti))
+            w = spec.mul(spec.mul(ri, ri), ti)
+            out.append((ti, u, v, w))
+    return out
+
+
+def _build_gamma_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
+    q = spec.q
+    add, sub, mul = spec.add, spec.sub, spec.mul
+    P1, P2, P3, P4 = _coord_cols(q)
+    n = q ** 4
+    nb = np.empty((n, q * (q - 1)), dtype=np.int32)
+    col = 0
+    for d in range(1, q):  # d = p1' - p1 != 0
+        ivd = spec.inv(d)
+        Q1 = add(P1, d)
+        P2Q1 = mul(P2, Q1)
+        for b in range(q):  # b = p2'
+            e2 = sub(P2, b)
+            Q4 = add(P4, mul(ivd, mul(e2, e2)))
+            Q3 = sub(P3, sub(P2Q1, mul(P1, b)))
+            nb[:, col] = Q1 + q * b + q * q * Q3 + q ** 3 * Q4
+            col += 1
+    nb.sort(axis=1)
+    return graphs.AdjacencyStructure("GAMMA4", q, n, nb, bipartite=False)
+
+
+def _build_d4_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
+    q = spec.q
+    sub, mul = spec.sub, spec.mul
+    C1, C2, C3, C4 = _coord_cols(q)
+    n4 = q ** 4
+    nb_pts = np.empty((n4, q), dtype=np.int32)
+    nb_lns = np.empty((n4, q), dtype=np.int32)
+    for a in range(q):
+        # lines through each point, parameterized by l1 = a
+        L2 = sub(mul(C1, a), C2)
+        L3 = sub(mul(C1, L2), C3)
+        L4 = sub(mul(C2, a), C4)
+        nb_pts[:, a] = n4 + (a + q * L2 + q * q * L3 + q ** 3 * L4)
+        # points on each line, parameterized by p1 = a
+        P2 = sub(mul(C1, a), C2)
+        P3 = sub(mul(C2, a), C3)
+        P4 = sub(mul(P2, C1), C4)
+        nb_lns[:, a] = a + q * P2 + q * q * P3 + q ** 3 * P4
+    nb = np.vstack([nb_pts, nb_lns])
+    nb.sort(axis=1)
+    return graphs.AdjacencyStructure("D4", q, 2 * n4, nb, bipartite=True)
+
+
+def _build_cayley_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
+    q = spec.q
+    add, sub, mul = spec.add, spec.sub, spec.mul
+    T, U, V, W = _coord_cols(q)
+    n = q ** 4
+    two = 2 % spec.p
+    nb = np.empty((n, q * (q - 1)), dtype=np.int32)
+    for col, (ts, us, vs, ws) in enumerate(_connection_index_tuples(spec)):
+        # left multiplication: s*g = (ts+t, us+u, vs+v-2*ts*u, ws+w)
+        T2 = add(T, ts)
+        U2 = add(U, us)
+        V2 = sub(add(V, vs), mul(two, mul(ts, U)))
+        W2 = add(W, ws)
+        nb[:, col] = T2 + q * U2 + q * q * V2 + q ** 3 * W2
+    nb.sort(axis=1)
+    return graphs.AdjacencyStructure("CAYLEY4", q, n, nb, bipartite=False)
+
+
+def _cayley_vertex_map_reference(spec: ff.FieldSpec) -> np.ndarray:
+    q = spec.q
+    T, U, V, W = _coord_cols(q)
+    VP = spec.add(V, spec.mul(T, U))
+    return (T + q * U + q * q * VP + q ** 3 * W).astype(np.int64)
+
+
+@pytest.fixture(scope="session")
+def builders_reference():
+    """The graph builders, Cayley vertex map and connection-set index tuples
+    as column loops over full-length coordinate columns."""
+    return types.SimpleNamespace(
+        build_gamma=_build_gamma_reference, build_d4=_build_d4_reference,
+        build_cayley=_build_cayley_reference,
+        cayley_vertex_map=_cayley_vertex_map_reference,
+        connection_index_tuples=_connection_index_tuples)

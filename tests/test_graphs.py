@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_collinear_symmetric_q3():
             assert collinear(a, b) == collinear(b, a)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_collinear_iff_common_line(q, graph):
     # adjacency in Gamma == sharing an incident line in D (for distinct points)
     d4 = graph("d4", q)
@@ -79,6 +80,34 @@ def test_gamma_counts(q, n, deg, graph):
     gam = graph("gamma", q)
     assert (gam.n, gam.degree) == (n, deg)
     gam.validate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_builders_match_column_loops(q, builders_reference):
+    spec = ff.field_for(q)
+    for name in ("build_gamma", "build_d4", "build_cayley"):
+        got = getattr(graphs, name)(spec)
+        want = getattr(builders_reference, name)(spec)
+        assert (got.name, got.q, got.n, got.bipartite) == \
+            (want.name, want.q, want.n, want.bipartite)
+        assert got.neighbors.dtype == want.neighbors.dtype == np.int32, name
+        assert np.array_equal(got.neighbors, want.neighbors), name
+    # int32, the dtype of the neighbour matrices it indexes (the loop gave int64)
+    sigma = graphs.cayley_vertex_map(spec)
+    assert sigma.dtype == np.int32
+    assert np.array_equal(sigma, builders_reference.cayley_vertex_map(spec))
+
+
+def test_build_gamma_peak_memory():
+    # no temporary spans the full (q^4, degree) grid in int64
+    spec = ff.field_for(13)
+    tracemalloc.start()
+    try:
+        nb = graphs.build_gamma(spec).neighbors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * nb.nbytes
 
 
 def test_size_budget():
@@ -162,6 +191,15 @@ def test_connection_set_properties(q):
         assert group_inv(s) in sset
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_connection_indices_follow_connection_set(q, builders_reference):
+    spec = ff.field_for(q)
+    cols = graphs._connection_indices(spec)
+    got = list(zip(*(c.tolist() for c in cols)))
+    assert got == [tuple(x.i for x in s) for s in connection_set(spec)]
+    assert got == builders_reference.connection_index_tuples(spec)
+
+
 def test_connection_set_contains_example():
     F3 = ff.ff_make(3, 1)
     assert G(F3, 1, 1, -1, 1) in connection_set(F3)
@@ -175,7 +213,7 @@ def test_connection_set_is_origin_neighborhood():
         assert collinear(origin, act_point(origin, s))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_cayley_isomorphic_to_gamma(q, graph):
     spec = ff.field_for(q)
     cay = graph("cayley", q)
@@ -219,6 +257,7 @@ def test_action_matches_act_point():
     for _ in range(20):
         g = graphs.group_elem_from_index(F5, rng.randrange(625))
         pi = graphs.action_permutation(F5, g)
+        assert pi.dtype == np.int32
         i = rng.randrange(625)
         pt = graphs.point_from_index(F5, i)
         assert graphs.point_index(act_point(pt, g)) == pi[i]
