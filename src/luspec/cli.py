@@ -204,6 +204,10 @@ def cmd_epsilons(args) -> int:
         cols = columns.get(eps)
         if cols is None:
             cols = columns[eps] = {
+                # the representatives' sums are pairwise distinct, so eps
+                # fixes the class
+                "family": "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
+                if reps_set is not None else "a*t^3+c*t",
                 "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
                 "eps_float": f"{cyclo.embed(eps).real:.10g}",
                 "eps_sq_minus_q": closedform.ExactValue.eps_shift(eps, q).serial(),
@@ -214,14 +218,10 @@ def cmd_epsilons(args) -> int:
                     str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
                 if prime_field else "-",
             }
+        row = {"a": a, "c": c, **cols}
         if spec.p == 3:
-            family = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
-        elif reps_set is not None:
-            ra, rc = reps_set.representative_of(a, c)
-            family = f"class of {ra}*t^3+{rc}*t"
-        else:
-            family = "a*t^3+c*t"
-        rows.append({"family": family, "a": a, "c": c, **cols})
+            row["family"] = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
+        rows.append(row)
     buf = io.StringIO()
     if args.format == "csv":
         writer = csv.DictWriter(buf, fieldnames=EPSILON_COLUMNS)
@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-dense-n", type=int,
                        default=os.environ.get("LUSPEC_MAX_DENSE_N",
                                               oracle.DEFAULT_MAX_DENSE_N),
-                       help="dense eigensolver vertex budget (default: "
+                       help="numeric eigensolver vertex budget (default: "
                             "$LUSPEC_MAX_DENSE_N or %d)" % oracle.DEFAULT_MAX_DENSE_N)
 
     p = command("build", cmd_build, "construct a graph and export the edge list")

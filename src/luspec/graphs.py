@@ -178,12 +178,6 @@ class AdjacencyStructure:
         mask = u < v
         return np.column_stack([u[mask], v[mask]])
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        rows = np.repeat(np.arange(self.n), self.degree)
-        a[rows, self.neighbors.reshape(-1)] = 1
-        return a
-
     def to_sparse(self):
         from scipy.sparse import csr_matrix
         d = self.degree
@@ -299,6 +293,20 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     q = spec.q
     T, U, V, W = _coord_axes(q)
     return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
+
+
+def translation_orbits(adj: AdjacencyStructure, spec: FieldSpec):
+    """(orbit, h) of every vertex under the translations tau_h, h = (x, y) in F_q^2.
+
+    tau_h adds h to (c3, c4) of points, Gamma and Cay(G, S) vertices (there:
+    right multiplication by g(0, 0, x, y)) and subtracts it from those of
+    D(4,q) lines.  v is tau_h of its orbit's vertex with c3 = c4 = 0; orbits
+    are numbered c1 + q*c2, lines after points, and h is encoded x + q*y."""
+    q = spec.q
+    side, j = np.divmod(np.arange(adj.n), q ** 4)
+    c4, c3 = np.divmod(j // (q * q), q)
+    x, y = (np.where(side == 1, spec.neg(c), c) for c in (c3, c4))
+    return side * q * q + j % (q * q), x + q * y
 
 
 def point_index(P: PointCoords) -> int:

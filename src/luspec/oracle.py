@@ -1,10 +1,10 @@
 """Brute-force spectral verification and expansion reporting.
 
-Numeric spectra come from a dense symmetric eigendecomposition of the
-constructed adjacency matrix (full multiset comparison needs every
-multiplicity, so dense beats sparse at desk scale).  A sparse Lanczos path
-is provided for extreme-eigenvalue-only queries on graphs too large for the
-dense budget.
+Numeric spectra are full eigenvalue lists (multiset comparison needs every
+multiplicity), solved as q^2 Hermitian blocks of order n/q^2, one per additive
+character of the (c3, c4) translations, after an exact integer check that
+those translations are graph automorphisms.  A sparse Lanczos path serves
+extreme-eigenvalue-only queries on graphs too large for the dense budget.
 """
 
 from __future__ import annotations
@@ -53,16 +53,46 @@ class NumericSpectrum:
 
 def numeric_spectrum(adj: AdjacencyStructure,
                      max_dense_n: int = DEFAULT_MAX_DENSE_N) -> NumericSpectrum:
-    """Full eigenvalue list by dense symmetric decomposition."""
+    """Full eigenvalue list, solved in q^2 Hermitian translation blocks.
+
+    First checked in integers, else VerificationError: each vertex's row is
+    tau_h of its orbit representative's (``graphs.translation_orbits``), and
+    R[r, c, k] = A[r, tau_k c] over representatives r, c has R[c, r, -k] =
+    R[r, c, k].  Each additive character chi(x, y) = zeta_p^tr(alpha*x +
+    beta*y) then gives the block B_chi[r, c] = sum_k R[r, c, k] chi(k)."""
     if adj.n > max_dense_n:
         raise ff.SizeBudgetError(
             f"{adj.n} vertices exceed the dense budget {max_dense_n}; "
             "use the closed-form path (or lambda2_sparse)")
-    a = adj.to_dense()
-    w = scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False)
-    spec = NumericSpectrum(np.sort(w))
-    spec.check_moments(adj.num_edges)
-    return spec
+    spec = ff.field_for(adj.q)
+    q, q2, nb = spec.q, spec.q ** 2, adj.neighbors
+    orbit, h = graphs.translation_orbits(adj, spec)
+    m = adj.n // q2
+    vertex = np.empty(adj.n, dtype=np.int64)
+    vertex[orbit * q2 + h] = np.arange(adj.n)
+    rows = nb[vertex[::q2]]  # the representatives' rows, by orbit
+    # row v must be tau_h(v) of its representative's row
+    hx, hy, moved = h % q, h // q, rows[orbit]
+    moved = vertex[orbit[moved] * q2 + spec.add(hx[moved], hx[:, None])
+                   + q * spec.add(hy[moved], hy[:, None])]
+    moved.sort(axis=1)
+    counts = np.bincount(
+        ((np.arange(m)[:, None] * m + orbit[rows]) * q2 + h[rows]).ravel(),
+        minlength=m * m * q2).reshape(m, m, q, q)  # [r, c, y, x]
+    neg = spec.neg(np.arange(q))
+    if not (np.array_equal(moved, nb) and np.array_equal(
+            counts, counts.transpose(1, 0, 2, 3)[:, :, neg[:, None], neg])):
+        raise VerificationError(
+            f"{adj.name} q={q}: the translations of (c3, c4) are not automorphisms")
+    a = np.arange(q)
+    chi = np.exp(2j * np.pi / spec.p * spec.tr(spec.mul(a[:, None], a)))
+    if spec.p == 2:
+        chi = chi.real  # exactly +-1
+    blocks = (chi @ (counts @ chi.T)).transpose(2, 3, 0, 1).reshape(q2, m, m)
+    w = scipy.linalg.eigvalsh(blocks, overwrite_a=True, check_finite=False)
+    ns = NumericSpectrum(np.sort(w, axis=None))
+    ns.check_moments(adj.num_edges)
+    return ns
 
 
 def lambda2_sparse(adj: AdjacencyStructure) -> float:

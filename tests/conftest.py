@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from luspec import ff, graphs, oracle
 from luspec.cyclo import CycInt, cyc_spec
@@ -36,8 +37,21 @@ def graph():
 
 @pytest.fixture(scope="session")
 def numeric():
-    """numeric('gamma'|'d4', q): cached dense eigendecomposition."""
+    """numeric('gamma'|'d4'|'cayley', q): cached oracle.numeric_spectrum."""
     return _numeric
+
+
+def _dense_reference(adj: graphs.AdjacencyStructure) -> np.ndarray:
+    """Ascending eigenvalues of the full n x n adjacency matrix, one dense solve."""
+    a = np.zeros((adj.n, adj.n), dtype=np.float64)
+    a[np.repeat(np.arange(adj.n), adj.degree), adj.neighbors.reshape(-1)] = 1
+    return np.sort(scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False))
+
+
+@pytest.fixture(scope="session")
+def dense_reference():
+    """dense_reference(adj): the spectrum without the translation blocks."""
+    return _dense_reference
 
 
 @pytest.fixture(scope="session")
@@ -180,6 +194,38 @@ def _components_reference(adj: graphs.AdjacencyStructure):
 def components_reference():
     """components_reference(adj): connected components by a scalar BFS."""
     return _components_reference
+
+
+def _two_switch(adj: graphs.AdjacencyStructure) -> graphs.AdjacencyStructure:
+    """adj with edges a-b, c-d replaced by a-c, b-d: still regular and
+    symmetric, but no longer invariant under the translations.  No orbit
+    representative (c3 = c4 = 0) is touched, so the representatives' rows,
+    from which the translation blocks are built, stay as they were."""
+    nb, q = adj.neighbors, adj.q
+
+    def free(v):
+        return v % q ** 4 >= q * q
+
+    a = adj.n - 1
+    b = next(b for b in nb[a].tolist() if free(b))
+    c, d = next((c, d) for c in range(adj.n) for d in nb[c].tolist()
+                if len({a, b, c, d}) == 4 and free(c) and free(d)
+                and c not in nb[a] and d not in nb[b])
+    rows = [set(r) for r in nb.tolist()]
+    for u, old, new in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
+        rows[u].remove(old)
+        rows[u].add(new)
+    out = graphs.AdjacencyStructure(adj.name, adj.q, adj.n,
+                                    np.array([sorted(r) for r in rows], dtype=np.int32),
+                                    adj.bipartite)
+    assert out.validate()
+    return out
+
+
+@pytest.fixture(scope="session")
+def two_switch():
+    """two_switch(adj): adj with one 2-switch that breaks translation invariance."""
+    return _two_switch
 
 
 # The graph builders as column loops: one pass of field arithmetic over all

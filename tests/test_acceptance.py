@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed PASS line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The two extended runs (dense q=11 arbitration, sparse q=13 cross-check) are
-marked slow and deselected by default; enable with `pytest -m slow`.
+The extended numeric runs at Gamma(4,11) and D(4,9) run by default; the
+sparse q=13 cross-check is marked slow and deselected; enable it with
+`pytest -m slow`.
 """
 
 import math
@@ -212,14 +213,22 @@ def test_criterion_10_structure_suite(graph):
     _report(10, "structure suite (Cayley iso, regular action, characters, girth)", t0)
 
 
-@pytest.mark.slow
 def test_extended_exponent_arbitration_q11():
-    # full dense run at q=11: 14641 vertices
+    # full numeric spectrum at q=11: 14641 vertices, 121 blocks of order 121
     spec = ff.field_for(11)
     s = closedform.spectrum_odd(spec)
     assert s.total == 11 ** 4
     gam = graphs.build_gamma(spec)
     rep = oracle.compare_spectra(s, oracle.numeric_spectrum(gam), tol=1e-6)
+    assert rep.passed and not rep.mismatches
+
+
+def test_extended_bipartite_lift_q9():
+    # D(4,9): 13122 vertices, 81 blocks of order 162, GR(9,2) closed form
+    spec = ff.field_for(9)
+    lifted = closedform.lift_to_bipartite(closedform.spectrum_closed(spec), 9)
+    rep = oracle.compare_spectra(lifted, oracle.numeric_spectrum(graphs.build_d4(spec)),
+                                 tol=1e-6)
     assert rep.passed and not rep.mismatches
 
 

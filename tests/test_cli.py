@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from luspec import cli, oracle
+from luspec import cli, graphs, oracle
 
 
 def run(capsys, args):
@@ -115,6 +115,13 @@ def test_verify_moment_failure_exits_1(capsys, monkeypatch):
                         lambda a, **kw: real(a, **kw) + 1.0)
     code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
     assert code == 1 and "deviates from 0" in err
+
+
+def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
+    real = graphs.build_gamma
+    monkeypatch.setattr(graphs, "build_gamma", lambda spec: two_switch(real(spec)))
+    code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
+    assert code == 1 and "not automorphisms" in err
 
 
 def test_epsilons_q5_shows_merge(capsys):

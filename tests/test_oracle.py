@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,53 @@ def test_numeric_moments(numeric, graph):
     ns.check_moments(graph("gamma", 3).num_edges)
     with pytest.raises(ValueError):
         ns.check_moments(999)
+
+
+@pytest.mark.parametrize("kind, q", [("gamma", q) for q in (2, 3, 4, 5, 7)]
+                         + [("d4", q) for q in (2, 3, 4, 5)]
+                         + [("cayley", 3), ("cayley", 4)])
+def test_blocks_match_dense_reference(kind, q, graph, numeric, dense_reference):
+    # p = 2 (real characters), e > 1 (digit-wise addition) and both sides of D4
+    want = dense_reference(graph(kind, q))
+    assert np.abs(numeric(kind, q).values - want).max() <= 1e-10
+
+
+def test_untranslatable_graph_is_refused(graph, two_switch):
+    with pytest.raises(oracle.VerificationError, match="not automorphisms"):
+        oracle.numeric_spectrum(two_switch(graph("gamma", 3)))
+
+
+def test_untranslatable_graph_is_refused_under_O(graph, two_switch, tmp_path):
+    path = tmp_path / "switched.npy"
+    np.save(path, two_switch(graph("gamma", 3)).neighbors)
+    code = ("import numpy as np\n"
+            "from luspec import graphs, oracle\n"
+            f"nb = np.load({str(path)!r})\n"
+            "oracle.numeric_spectrum(graphs.AdjacencyStructure('GAMMA4', 3, 81, nb, False))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "VerificationError" in proc.stderr and "not automorphisms" in proc.stderr
+
+
+def test_asymmetric_translation_invariant_graph_is_refused():
+    # v -> tau_(1,0) v: every row is the translate of its representative's,
+    # but the counts are not symmetric
+    v = np.arange(81)
+    nb = (v % 9 + 9 * ((v // 9 + 1) % 3) + 27 * (v // 27)).astype(np.int32)
+    adj = graphs.AdjacencyStructure("GAMMA4", 3, 81, nb[:, None], False)
+    with pytest.raises(oracle.VerificationError, match="not automorphisms"):
+        oracle.numeric_spectrum(adj)
+
+
+def test_translation_orbits_are_a_bijection(graph, field):
+    for kind, q in (("gamma", 4), ("d4", 3), ("cayley", 5)):
+        adj, q2 = graph(kind, q), q * q
+        orbit, h = graphs.translation_orbits(adj, field(q))
+        assert sorted(orbit * q2 + h) == list(range(adj.n))
+        # h = 0 exactly on the orbit representatives, c3 = c4 = 0
+        assert np.array_equal(h == 0, np.arange(adj.n) % q ** 4 < q2)
 
 
 def test_budget_exceeded(graph):
