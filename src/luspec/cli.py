@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+import types
 from datetime import datetime, timezone
 
 import numpy as np
@@ -150,9 +150,11 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
         gam = graphs.build_gamma(spec)
         cay = graphs.build_cayley(spec)
         sigma = graphs.cayley_vertex_map(spec)
-        mapped = np.sort(sigma[cay.neighbors], axis=1)
-        check("Cayley graph matches collinearity graph",
-              bool(np.array_equal(mapped, gam.neighbors[sigma])))
+        # row blocks: no full-size gathered copy; the first mismatch ends the scan
+        check("Cayley graph matches collinearity graph", all(
+            np.array_equal(np.sort(sigma[cay.neighbors[i:i + 4096]], axis=1),
+                           gam.neighbors[sigma[i:i + 4096]])
+            for i in range(0, cay.n, 4096)))
         ncomp, _ = graphs.connected_components(gam)
         check("component count equals top multiplicity",
               ncomp == s.largest.multiplicity)
@@ -198,43 +200,51 @@ def cmd_epsilons(args) -> int:
         raise UsageError(f"q={q}: the cubic-sum tables exist for odd q only")
     prime_field = spec.e == 1 and spec.p >= 5
     reps_set = closedform.representatives(spec.p) if prime_field else None
-    rows = []
-    columns: dict = {}  # eps -> its columns, shared by the positions of an orbit
+    # eps -> cells, once per distinct sum (by id first: one eps object per orbit);
+    # row i is positions[i], row_cells[i], since (a, c, list) tuples stay GC-tracked
+    orbits, by_id, positions, row_cells = {}, {}, [], []
     for (a, c), eps, _mult in closedform.epsilon_family(spec):
-        cols = columns.get(eps)
-        if cols is None:
-            cols = columns[eps] = {
+        cells = by_id.get(id(eps))
+        if cells is None:
+            cells = by_id[id(eps)] = orbits.get(eps) or orbits.setdefault(eps, [
                 # the representatives' sums are pairwise distinct, so eps
                 # fixes the class
-                "family": "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
+                "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
                 if reps_set is not None else "a*t^3+c*t",
-                "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
-                "eps_float": f"{cyclo.embed(eps).real:.10g}",
-                "eps_sq_minus_q": closedform.ExactValue.eps_shift(eps, q).serial(),
-                "weil_margin": f"{cyclo.weil_check(eps, q, 3).margin:.10g}",
+                f"{list(eps.coeffs)}@{eps.spec.n}",
+                f"{cyclo.embed(eps).real:.10g}",
+                closedform.ExactValue.eps_shift(eps, q).serial(),
+                f"{cyclo.weil_check(eps, q, 3).margin:.10g}",
                 # over F_p, eps = sum_s |f^-1(s)| zeta^s and the counts sum to
                 # p, so eps fixes the fiber profile
-                "fiber_profile": "|".join(
-                    str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
-                if prime_field else "-",
-            }
-        row = {"a": a, "c": c, **cols}
-        if spec.p == 3:
-            row["family"] = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
-        rows.append(row)
-    buf = io.StringIO()
+                "|".join(str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
+                if prime_field else "-"])
+        positions.append((a, c))
+        row_cells.append(cells)
+    if spec.p == 3:  # the family names c, so each row (one per c) gets its own cells
+        row_cells = [["t^3+3*c*t over GR(9,e), c = teich[%d]" % c, *cells[1:]]
+                     for (a, c), cells in zip(positions, row_cells)]
+        orbits = {id(cells): cells for cells in row_cells}
+    # each orbit's cells become two strings, the family cell and the five after c
     if args.format == "csv":
-        writer = csv.DictWriter(buf, fieldnames=EPSILON_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        line = csv.writer(types.SimpleNamespace(write=str)).writerow  # returns the line
+        for cells in orbits.values():
+            cells[:] = line(cells[:1])[:-2], line(cells[1:])
+        rows = [line(EPSILON_COLUMNS)]
+        rows += [f"{family},{a},{c},{tail}"
+                 for (a, c), (family, tail) in zip(positions, row_cells)]
     else:
-        widths = {k: max(len(k), *(len(str(r[k])) for r in rows))
-                  for k in EPSILON_COLUMNS}
-        buf.write("  ".join(k.ljust(widths[k]) for k in EPSILON_COLUMNS) + "\n")
-        for r in rows:
-            buf.write("  ".join(str(r[k]).ljust(widths[k])
-                                for k in EPSILON_COLUMNS) + "\n")
-    text = buf.getvalue()
+        widths = [max(map(len, col)) for col in
+                  zip(EPSILON_COLUMNS[:1] + EPSILON_COLUMNS[3:], *orbits.values())]
+        wa, wc = (len(str(max(p[i] for p in positions))) for i in (0, 1))
+        for cells in orbits.values():
+            cells[:] = cells[0].ljust(widths[0]), "  ".join(
+                x.ljust(w) for x, w in zip(cells[1:], widths[1:]))
+        rows = ["  ".join(k.ljust(w) for k, w in
+                          zip(EPSILON_COLUMNS, [widths[0], wa, wc, *widths[1:]])) + "\n"]
+        rows += [f"{family}  {a:<{wa}}  {c:<{wc}}  {tail}\n"
+                 for (a, c), (family, tail) in zip(positions, row_cells)]
+    text = "".join(rows)
     stamp = _stamp(args)
     if stamp and args.format == "csv":
         text = f"# generated={stamp}\n" + text

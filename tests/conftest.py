@@ -1,11 +1,13 @@
+import csv
 import functools
+import io
 import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from luspec import ff, graphs, oracle
+from luspec import cli, closedform, cyclo, ff, graphs, oracle
 from luspec.cyclo import CycInt, cyc_spec
 
 _GRAPHS: dict = {}
@@ -325,3 +327,53 @@ def builders_reference():
         build_cayley=_build_cayley_reference,
         cayley_vertex_map=_cayley_vertex_map_reference,
         connection_index_tuples=_connection_index_tuples)
+
+
+# The epsilons table as one dict per row, written by csv.DictWriter: every
+# cell of every row formatted and CSV-quoted at that row.
+
+def _epsilons_reference(q: int, fmt: str) -> str:
+    """``epsilons --q q --format fmt --no-timestamp`` output, row by row."""
+    spec = ff.field_for(q)
+    prime_field = spec.e == 1 and spec.p >= 5
+    reps_set = closedform.representatives(spec.p) if prime_field else None
+    rows = []
+    columns: dict = {}  # eps -> its columns, shared by the positions of an orbit
+    for (a, c), eps, _mult in closedform.epsilon_family(spec):
+        cols = columns.get(eps)
+        if cols is None:
+            cols = columns[eps] = {
+                "family": "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
+                if reps_set is not None else "a*t^3+c*t",
+                "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
+                "eps_float": f"{cyclo.embed(eps).real:.10g}",
+                "eps_sq_minus_q": closedform.ExactValue.eps_shift(eps, q).serial(),
+                "weil_margin": f"{cyclo.weil_check(eps, q, 3).margin:.10g}",
+                "fiber_profile": "|".join(
+                    str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
+                if prime_field else "-",
+            }
+        row = {"a": a, "c": c, **cols}
+        if spec.p == 3:
+            row["family"] = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
+        rows.append(row)
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.DictWriter(buf, fieldnames=cli.EPSILON_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        widths = {k: max(len(k), *(len(str(r[k])) for r in rows))
+                  for k in cli.EPSILON_COLUMNS}
+        buf.write("  ".join(k.ljust(widths[k]) for k in cli.EPSILON_COLUMNS) + "\n")
+        for r in rows:
+            buf.write("  ".join(str(r[k]).ljust(widths[k])
+                                for k in cli.EPSILON_COLUMNS) + "\n")
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="session")
+def epsilons_reference():
+    """epsilons_reference(q, 'csv'|'table'): the epsilons output built one
+    row dict at a time and written by csv.DictWriter."""
+    return _epsilons_reference

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
+import tracemalloc
 
 import pytest
 
-from luspec import cli, graphs, oracle
+from luspec import cli, closedform, ff, graphs, oracle
 
 
 def run(capsys, args):
@@ -124,6 +127,23 @@ def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
     assert code == 1 and "not automorphisms" in err
 
 
+def test_verify_cayley_mismatch_past_the_first_block_fails(capsys, monkeypatch):
+    # q = 9 has 6561 vertices, so the last one lies in the second row block
+    real = graphs.build_cayley
+
+    def corrupted(spec):
+        cay = real(spec)
+        nb = cay.neighbors.copy()
+        nb[-1, 0] = cay.n - 1  # a loop: Gamma(4,q) has none
+        return graphs.AdjacencyStructure(cay.name, cay.q, cay.n, nb, cay.bipartite)
+
+    monkeypatch.setattr(graphs, "build_cayley", corrupted)
+    code, out, _ = run(capsys, ["verify", "--q", "9", "--no-timestamp"])
+    assert code == 1
+    assert "[FAIL] q=9 Cayley graph matches collinearity graph\n" in out
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
 def test_epsilons_q5_shows_merge(capsys):
     import csv
     import io
@@ -146,6 +166,65 @@ def test_epsilons_q13_contains_extreme_sum(capsys):
     rows = [r for r in csv.DictReader(io.StringIO(out))
             if r["a"] == "4" and r["c"] == "0"]
     assert rows and rows[0]["eps_float"] == "-6.953280227"
+
+
+ODD_PRIME_POWERS_TO_31 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_TO_31 + [61, 81])
+def test_epsilons_match_row_loop(q, fmt, capsys, epsilons_reference):
+    code, out, _ = run(capsys, ["epsilons", "--q", str(q), "--format", fmt,
+                                "--no-timestamp"])
+    assert code == 0 and out == epsilons_reference(q, fmt)
+
+
+def test_epsilons_out_file_with_timestamp(tmp_path, capsys):
+    _, stdout, _ = run(capsys, ["epsilons", "--q", "13", "--no-timestamp"])
+    path = tmp_path / "eps.csv"
+    code, out, _ = run(capsys, ["epsilons", "--q", "13", "--out", str(path)])
+    assert code == 0 and out == ""
+    stamp, rest = path.read_bytes().split(b"\n", 1)
+    assert stamp.startswith(b"# generated=") and rest == stdout.encode()
+
+
+def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
+    spec = ff.field_for(61)
+    orbits = len(closedform.epsilon_orbits(spec).sums)
+    calls = {"representative_of": 0, "fiber_profile": 0, "eps_shift": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(closedform.RepresentativeSet, "representative_of",
+                        counted(closedform.RepresentativeSet.representative_of))
+    monkeypatch.setattr(closedform, "fiber_profile", counted(closedform.fiber_profile))
+    monkeypatch.setattr(closedform.ExactValue, "eps_shift",
+                        staticmethod(counted(closedform.ExactValue.eps_shift)))
+    code, out, _ = run(capsys, ["epsilons", "--q", "61", "--no-timestamp"])
+    assert code == 0
+    assert orbits == 61 + 2 and calls == dict.fromkeys(calls, orbits)
+    assert out.count("\r\n") == 1 + 60 * 61
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 3.5), ("table", 4.0)])
+def test_epsilons_peak_memory_is_a_small_multiple_of_the_output(fmt, bound):
+    # the field and the cyclotomic spec are cached per q: build them first, so
+    # that the peak is the command's own
+    closedform.epsilon_orbits(ff.field_for(169))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["epsilons", "--q", "169", "--format", fmt,
+                             "--no-timestamp"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * len(out.getvalue())
 
 
 def test_epsilons_rejects_even_q(capsys):

@@ -6,7 +6,9 @@ single O(q) representation; the q = 3^e ``epsilons`` and the q = 243
 vector; the q = 61, 127, 169 ``spectrum`` and q = 61 ``epsilons`` digests
 before the closed form took one exponential sum per scaling orbit; the csv
 and table formats, ``ramanujan``, ``build`` and the two files of ``build
---out`` before the CLI dropped its copied run configuration.  They must
+--out`` before the CLI dropped its copied run configuration; the q = 125
+and 169 ``epsilons`` csv and the q = 9, 25, 61 ``epsilons`` table digests
+before ``epsilons`` formatted its cells once per scaling orbit.  They must
 not be regenerated to make a changed program pass: a new digest means the
 output changed.
 """
@@ -82,6 +84,16 @@ GOLDEN = {
         "1ff14300e6981a93003a0105df74f3d293d05badcb45aedc570d3211a4b4ac60",
     "build --q 3 --no-timestamp":
         "fbf19e0c706625c71ae5a960776bbf647be315453dd70ad2a964423a1efbc477",
+    "epsilons --q 125 --no-timestamp":
+        "add7ea63a770188f2f20dac0465b183e8f6b440ded0ba259ea9f0125230e240c",
+    "epsilons --q 169 --no-timestamp":
+        "95d487bdc32985a603593b0b0d765ac8ec9da5dbb99e0a363dad2eea67c9efd4",
+    "epsilons --q 9 --format table --no-timestamp":
+        "2bce8d75d249a74044d5daa8b9fe13dbde1b5ace1518f8dbb9f938e6bd6ca92d",
+    "epsilons --q 25 --format table --no-timestamp":
+        "d61870be6ea35fda401244fa645158d0e817c9e2fa206ed3334a5d97dbdb9aaf",
+    "epsilons --q 61 --format table --no-timestamp":
+        "c54e361cf8228255f0b7745a3129008027d5dd319a7d7d283a3bf0fa5e226035",
 }
 
 # build --q 2 --graph d4 --out F writes the edge list to F and the vertex
