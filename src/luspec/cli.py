@@ -137,13 +137,14 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
               all(prof3.count(k) == v for k, v in want3.items())
               and prof3.count(2) == 0 and prof3.total == q ** 3 - 1)
 
+    orbits = None
     if q % 2 == 1:
         # positions on one scaling orbit share their sum: one check per orbit
-        bad = sum(not cyclo.weil_check(eps, q, 3).ok
-                  for eps in closedform.epsilon_orbits(spec).sums)
+        orbits = closedform.epsilon_orbits(spec)
+        bad = sum(not cyclo.weil_check(eps, q, 3).ok for eps in orbits.sums)
         check("Weil bound over the cubic family", bad == 0)
 
-    s = closedform.spectrum_closed(spec)
+    s = closedform.spectrum_closed(spec, orbits)
     check("closed-form degree conservation", s.total == q ** 4)
 
     if q <= graphs.DEFAULT_MAX_GRAPH_Q:

@@ -285,12 +285,14 @@ def epsilon_family(spec: ff.FieldSpec):
             yield (a, c), sums[k], mult
 
 
-def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
+def spectrum_odd(spec: ff.FieldSpec,
+                 orbits: EpsilonOrbits | None = None) -> SpectrumMultiset:
     """Exact Gamma(4,q) spectrum for odd q via exponential sums.
 
     Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
     eps = +-eps': the orbit sums are merged on +-eps first, and each group,
     in first-seen family order with the eps it met first, is squared once.
+    ``orbits`` is ``epsilon_orbits(spec)`` when the caller already has it.
     """
     q = spec.q
     if q % 2 == 0:
@@ -302,15 +304,18 @@ def spectrum_odd(spec: ff.FieldSpec) -> SpectrumMultiset:
         (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
     ]
     groups: dict = {}  # max(eps, -eps) coefficients -> [first eps, multiplicity]
-    orbits = epsilon_orbits(spec)
+    if orbits is None:
+        orbits = epsilon_orbits(spec)
     for eps, mult in zip(orbits.sums, orbits.mults):
         groups.setdefault(max(eps.coeffs, (-eps).coeffs), [eps, 0])[1] += mult
     pairs += [(ExactValue.eps_shift(eps, q), mult) for eps, mult in groups.values()]
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
-def spectrum_closed(spec: ff.FieldSpec) -> SpectrumMultiset:
-    return spectrum_even(spec) if spec.q % 2 == 0 else spectrum_odd(spec)
+def spectrum_closed(spec: ff.FieldSpec,
+                    orbits: EpsilonOrbits | None = None) -> SpectrumMultiset:
+    """spectrum_even or spectrum_odd; ``orbits`` is passed on to the latter."""
+    return spectrum_even(spec) if spec.q % 2 == 0 else spectrum_odd(spec, orbits)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Numeric spectra are full eigenvalue lists (multiset comparison needs every
 multiplicity), solved as q^2 Hermitian blocks of order n/q^2, one per additive
 character of the (c3, c4) translations, after an exact integer check that
-those translations are graph automorphisms.  A sparse Lanczos path serves
-extreme-eigenvalue-only queries on graphs too large for the dense budget.
+those translations are graph automorphisms.  The blocks go to one stacked
+``numpy.linalg.eigvalsh``, so importing this module loads no SciPy.  SciPy is
+imported only by the sparse Lanczos path (``lambda2_sparse``, through
+``AdjacencyStructure.to_sparse``), which serves extreme-eigenvalue-only
+queries on graphs too large for the dense budget.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import closedform, ff, graphs
 from .closedform import SpectrumMultiset
@@ -84,12 +86,25 @@ def numeric_spectrum(adj: AdjacencyStructure,
             counts, counts.transpose(1, 0, 2, 3)[:, :, neg[:, None], neg])):
         raise VerificationError(
             f"{adj.name} q={q}: the translations of (c3, c4) are not automorphisms")
+    del moved
+    # one float copy in [y, x, r, c] order; the int64 counts go before the stack
+    counts = np.ascontiguousarray(counts.transpose(2, 3, 0, 1), dtype=np.float64)
     a = np.arange(q)
     chi = np.exp(2j * np.pi / spec.p * spec.tr(spec.mul(a[:, None], a)))
     if spec.p == 2:
         chi = chi.real  # exactly +-1
-    blocks = (chi @ (counts @ chi.T)).transpose(2, 3, 0, 1).reshape(q2, m, m)
-    w = scipy.linalg.eigvalsh(blocks, overwrite_a=True, check_finite=False)
+    # blocks[k, l, r, c] = sum_y chi[k, y] sum_x chi[l, x] counts[y, x, r, c],
+    # filled one row k at a time: (q^2, m, m) is a reshape, not a copy.  The
+    # real and imaginary parts of chi[k] go apart, since complex @ float
+    # would cast all of counts to complex
+    flat = counts.reshape(q, q * m * m)
+    blocks = np.empty((q, q, m * m), dtype=chi.dtype)
+    for k in range(q):
+        row = chi[k].real @ flat
+        if spec.p != 2:
+            row = row + 1j * (chi[k].imag @ flat)
+        np.matmul(chi, row.reshape(q, m * m), out=blocks[k])
+    w = np.linalg.eigvalsh(blocks.reshape(q2, m, m))
     ns = NumericSpectrum(np.sort(w, axis=None))
     ns.check_moments(adj.num_edges)
     return ns

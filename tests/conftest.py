@@ -44,7 +44,10 @@ def numeric():
 
 
 def _dense_reference(adj: graphs.AdjacencyStructure) -> np.ndarray:
-    """Ascending eigenvalues of the full n x n adjacency matrix, one dense solve."""
+    """Ascending eigenvalues of the full n x n adjacency matrix, one dense solve.
+
+    Solved with scipy.linalg on purpose: the library's oracle uses
+    numpy.linalg, so the reference does not share its solver."""
     a = np.zeros((adj.n, adj.n), dtype=np.float64)
     a[np.repeat(np.arange(adj.n), adj.degree), adj.neighbors.reshape(-1)] = 1
     return np.sort(scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False))

@@ -113,11 +113,22 @@ def test_verify_failure_keeps_earlier_pass_lines(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_moment_failure_exits_1(capsys, monkeypatch):
-    real = oracle.scipy.linalg.eigvalsh
-    monkeypatch.setattr(oracle.scipy.linalg, "eigvalsh",
+    real = oracle.np.linalg.eigvalsh
+    monkeypatch.setattr(oracle.np.linalg, "eigvalsh",
                         lambda a, **kw: real(a, **kw) + 1.0)
     code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
     assert code == 1 and "deviates from 0" in err
+
+
+def test_verify_sums_each_odd_q_once(capsys, monkeypatch):
+    # the Weil check and the closed form share one orbit table per odd q
+    calls = []
+    real = closedform.epsilon_orbits
+    monkeypatch.setattr(closedform, "epsilon_orbits",
+                        lambda spec: calls.append(spec.q) or real(spec))
+    code, out, _ = run(capsys, ["verify", "--q", "3,5,7", "--no-timestamp"])
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert calls == [3, 5, 7]
 
 
 def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):

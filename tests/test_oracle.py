@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,20 @@ def test_blocks_match_dense_reference(kind, q, graph, numeric, dense_reference):
     # p = 2 (real characters), e > 1 (digit-wise addition) and both sides of D4
     want = dense_reference(graph(kind, q))
     assert np.abs(numeric(kind, q).values - want).max() <= 1e-10
+
+
+def test_block_stack_peak_memory(graph, field):
+    # the (q^2, m, m) complex stack is 16 n^2 / q^2 bytes; the float counts
+    # and the row-translation check must not add more than a fraction of it
+    adj = graph("gamma", 11)
+    field(11)
+    tracemalloc.start()
+    try:
+        oracle.numeric_spectrum(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * adj.n ** 2 / 11 ** 2
 
 
 def test_untranslatable_graph_is_refused(graph, two_switch):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import luspec
@@ -44,3 +47,25 @@ def test_traced_functions_exist():
                for owner, attr, *_ in tracer.luspec_targets()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+_COMMANDS = [["spectrum", "--q", "7"], ["epsilons", "--q", "7"],
+             ["ramanujan", "--q", "5"],
+             ["verify", "--q", "2,3,4,5", "--max-dense-n", "2401"]]
+
+
+def test_commands_import_no_scipy():
+    # scipy serves only the sparse Lanczos path; start-up and the CLI are numpy
+    code = f"""
+import contextlib, io, sys
+from luspec.cli import main
+for argv in {_COMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--no-timestamp"]) == 0, argv
+print([k for k in sys.modules if k == "scipy" or k.startswith("scipy.")])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
