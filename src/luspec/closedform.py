@@ -17,6 +17,15 @@ that conservation laws and the numeric oracle rule out:
   * q = 2 mod 3, p >= 5: each class eps_{t^3+ct} carries exponent q(q-1)^2,
     not q(q-1) (total degree must be q^4: 385 != 625 at q = 5 otherwise).
 
+For p >= 5, sigma_j: zeta_p -> zeta_p^j in Gal(Q(zeta_p)/Q) = F_p^* sends
+eps_{a,c} to eps_{ja,jc} and eps^2 to its square, permuting histograms over the
+exponents of zeta_p: h'[j*s mod p] = h[s] (Washington, *Introduction to
+Cyclotomic Fields*, ch. 2).  So ``epsilon_orbits`` makes one sum and one exact
+square per Galois orbit (3 for prime q; for p = 3 one per orbit), permuted into
+each orbit's row.  Its guards raise RuntimeError, so they hold under python -O:
+one (base, j) per orbit, j = 1 at a base; eps rows sum to q, eps^2 rows to q^2;
+one permuted row per base equals its directly computed histogram.
+
 Values are merged by exact equality of canonical cyclotomic forms, never by
 float proximity.  The bipartite lift sends an eigenvalue m of Gamma to the
 pair +-sqrt(q+m) of D(4,q), with -q mapping to 0 at doubled multiplicity.
@@ -26,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import ff, gr9
+from . import cyclo, ff, gr9
 from .cyclo import CycInt, embed, exp_sum_field, exp_sum_gr
 
 
@@ -41,7 +51,8 @@ class ExactValue:
     simply the canonical payload.
     """
 
-    __slots__ = ("kind", "ival", "eps", "q", "sign", "radicand", "key", "approx")
+    __slots__ = ("kind", "ival", "eps", "q", "sign", "radicand", "key", "approx",
+                 "eps_real")  # embed(eps).real of an eps^2 - q value, for the lift
 
     def __init__(self, kind, key, approx, ival=0, eps=None, q=0, sign=1, radicand=0):
         self.kind = kind
@@ -52,6 +63,7 @@ class ExactValue:
         self.q = q
         self.sign = sign
         self.radicand = radicand
+        self.eps_real = None
 
     @staticmethod
     def integer(n: int) -> "ExactValue":
@@ -70,12 +82,16 @@ class ExactValue:
     @staticmethod
     def signed_abs_eps(eps: CycInt, sign: int) -> "ExactValue":
         """The value sign * |eps| for a real cyclotomic eps."""
-        x = embed(eps).real
+        return ExactValue._abs_eps(eps, embed(eps).real, (sign,))[0]
+
+    @staticmethod
+    def _abs_eps(eps: CycInt, x: float, signs) -> list:
+        """sign * |eps| for each sign, given x = embed(eps).real."""
         canon = eps if x >= 0 else -eps
         if canon.is_rational:
-            return ExactValue.integer(sign * abs(canon.as_int))
-        return ExactValue("eps", ("eps", sign, canon.spec.n, canon.coeffs),
-                          sign * abs(x), eps=canon, sign=sign)
+            return [ExactValue.integer(s * abs(canon.as_int)) for s in signs]
+        return [ExactValue("eps", ("eps", s, canon.spec.n, canon.coeffs),
+                           s * abs(x), eps=canon, sign=s) for s in signs]
 
     @staticmethod
     def sqrt(sign: int, radicand: int) -> "ExactValue":
@@ -201,24 +217,39 @@ def spectrum_even(spec: ff.FieldSpec) -> SpectrumMultiset:
 
 @dataclass(frozen=True, eq=False)
 class EpsilonOrbits:
-    """The odd-q cubic family, one exponential sum per scaling orbit.
+    """The odd-q cubic family as a table with one row per scaling orbit.
 
     The family's positions are (rows[i], c) for c = 0 .. q-1, row by row;
     ``orbit[i, c]`` numbers the orbit of that position.  Orbits are numbered
-    in the order the family first meets them; ``sums[k]`` is orbit k's sum
-    and ``mults[k]`` the multiplicity summed over its positions, each of
-    which carries ``position_mult``.
+    in the order the family first meets them.  Rows k of ``eps`` and ``eps_sq``:
+    histograms over the exponents of zeta of orbit k's sum and square, totals q
+    and q^2; ``mults[k]``: its multiplicity, ``position_mult`` per position;
+    ``sums[k]``: its sum as a CycInt.
     """
 
     rows: tuple
     orbit: np.ndarray
-    sums: tuple
+    eps: np.ndarray
+    eps_sq: np.ndarray
     mults: tuple
     position_mult: int
 
+    @cached_property
+    def sums(self) -> tuple:
+        cs = cyclo.cyc_spec(self.eps.shape[1])
+        return tuple(CycInt(cs, c) for c in cyclo.reduce_rows(cs, self.eps).tolist())
+
+
+def _histograms(spec: cyclo.CycSpec, coeffs, q: int) -> np.ndarray:
+    """Rows plus t * 0 (0 = 1 + ... + zeta^(n-1) or 1 + zeta^3 + zeta^6): sums q, q^2."""
+    zero = np.arange(spec.n) % (3 if spec.n == 9 else 1) == 0
+    hist = np.zeros(np.shape(coeffs)[:-1] + (spec.n,), dtype=np.int64)
+    hist[..., :spec.phi] = coeffs
+    return hist + ([q, q * q] - hist.sum(axis=-1))[..., None] // int(zero.sum()) * zero
+
 
 def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
-    """One sum per scaling orbit of the odd-q family.
+    """One table row per scaling orbit of the odd-q family (see the module doc).
 
     For p = 3 the family is t^3 + 3*c*t over GR(9,e), c the Teichmueller
     index; for q = 2 (mod 3) it is t^3 + c*t.  Both have one row, a = 1, and
@@ -230,42 +261,50 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     if q % 2 == 0:
         raise ValueError("the cubic family exists for odd q only")
     n = q - 1
-    if spec.p == 3:
-        R = gr9.gr9_make(spec.e)
-        # Teichmueller order 0, 1, beta, beta^2, ...: T[k] reduces to g^(k-1)
-        rows, position_mult = (1,), q * (q - 1) ** 2
-        raw = np.arange(q)[None, :]
-
-        def raw_sum(k):
-            return exp_sum_gr(int(spec.exp[k - 1]) if k else 0, R)
-    elif q % 3 == 2:
-        rows, position_mult = (1,), q * (q - 1) ** 2
-        raw = np.arange(q)[None, :]
-
-        def raw_sum(c):
-            return exp_sum_field([0, c, 0, 1], spec)
-    else:
+    if q % 3 == 1:
         rows, position_mult = tuple(range(1, q)), q * (q - 1)
-        log_a = spec.log[1:q, None].astype(np.int64)
-        raw = np.empty((n, q), dtype=np.int64)
-        # raw ids: k for the orbit of (g^k, 1), n + i for that of (g^i, 0);
-        # (a, 0) lies on the orbit of (g^(log a mod 3), 0), and (a, c) on
-        # that of (a*c^-3, 1)
-        raw[:, :1] = n + log_a % 3
-        raw[:, 1:] = (log_a - 3 * spec.log[None, 1:q]) % n
 
-        def raw_sum(r):
-            if r < n:
-                return exp_sum_field([0, 1, 0, int(spec.exp[r])], spec)
-            return exp_sum_field([0, 0, 0, int(spec.exp[r - n])], spec)
+        def raw_id(a, c):  # k for the orbit of (a*c^-3, 1) = (g^k, 1), n + i for (g^i, 0)
+            la = spec.log[a]
+            return np.where(c == 0, n + la % 3, (la - 3 * spec.log[c]) % n)
+    else:
+        rows, position_mult = (1,), q * (q - 1) ** 2
+        third = pow(3, -1, n)  # (a, c) lies on the orbit of (1, c*a^(-1/3))
+
+        def raw_id(a, c):  # c for the orbit of (1, c)
+            return np.where(c == 0, 0, spec.exp[(spec.log[c] - third * spec.log[a]) % n])
+    raw = raw_id(np.array(rows)[:, None], np.arange(q)[None, :])
     ids, first = np.unique(raw, return_index=True)
     order = ids[np.argsort(first)]  # raw orbit ids in first-seen order
+    a, c = np.divmod(np.sort(first) + q, q)  # each orbit's first position (a, c)
     rank = np.empty(raw.max() + 1, dtype=np.int64)
     rank[order] = np.arange(len(order))
     counts = np.bincount(raw.ravel())[order]
+    base = list(range(len(order))) if spec.p == 3 else [-1] * len(order)
+    j, js = [1] * len(order), np.arange(1, spec.p)  # p = 3: j = 1
+    for k in range(len(order)):
+        if base[k] < 0:  # orbit k is the base of a new Galois orbit
+            img = rank[raw_id(spec.mul(js, int(a[k])), spec.mul(js, int(c[k])))].tolist()
+            for jk, r in enumerate(img, 1):  # sigma_jk(eps_k) is orbit r's sum
+                if base[r] < 0 and (jk > 1 or r == k):  # sigma_1 fixes orbit k
+                    base[r], j[r] = k, jk
+                elif base[r] != k:
+                    raise RuntimeError(f"q={q}: orbit {r} gets a second (base, j)")
+    bases, slot = np.unique(base, return_inverse=True)
+    R = gr9.gr9_make(spec.e) if spec.p == 3 else None  # Teichmueller T[c] -> g^(c-1)
+    sums = [exp_sum_gr(int(spec.exp[c[k] - 1]) if c[k] else 0, R) if spec.p == 3
+            else exp_sum_field([0, int(c[k]), 0, int(a[k])], spec) for k in bases]
+    hist = _histograms(sums[0].spec, [[e.coeffs, (e * e).coeffs] for e in sums], q)
+    perm = np.arange(hist.shape[2]) * spec.inv(np.array(j))[:, None, None] % hist.shape[2]
+    table = hist[slot[:, None, None], [[0], [1]], perm]  # row s is the base's j^-1 * s
+    if (table.sum(axis=2) != [q, q * q]).any():
+        raise RuntimeError(f"q={q}: an orbit histogram does not sum to q or q^2")
+    for b in range(0 if spec.p == 3 else len(bases)):  # one permuted row per base
+        k = np.flatnonzero(slot == b)[-1]
+        if (table[k, 0] != cyclo.trace_histogram([0, c[k], 0, a[k]], spec)).any():
+            raise RuntimeError(f"q={q}: orbit {k}'s permuted row is not its direct sum")
     return EpsilonOrbits(
-        rows=rows, orbit=rank[raw],
-        sums=tuple(raw_sum(int(r)) for r in order),
+        rows=rows, orbit=rank[raw], eps=table[:, 0], eps_sq=table[:, 1],
         mults=tuple(int(m) * position_mult for m in counts),
         position_mult=position_mult)
 
@@ -290,8 +329,8 @@ def spectrum_odd(spec: ff.FieldSpec,
     """Exact Gamma(4,q) spectrum for odd q via exponential sums.
 
     Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
-    eps = +-eps': the orbit sums are merged on +-eps first, and each group,
-    in first-seen family order with the eps it met first, is squared once.
+    eps = +-eps': the orbit rows are merged on +-eps first, and each group, in
+    first-seen order with its first eps, takes the table's square (embedded by rows).
     ``orbits`` is ``epsilon_orbits(spec)`` when the caller already has it.
     """
     q = spec.q
@@ -303,12 +342,29 @@ def spectrum_odd(spec: ff.FieldSpec,
         (ExactValue.integer(0), 3 * q * (q - 1)),
         (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
     ]
-    groups: dict = {}  # max(eps, -eps) coefficients -> [first eps, multiplicity]
     if orbits is None:
         orbits = epsilon_orbits(spec)
-    for eps, mult in zip(orbits.sums, orbits.mults):
-        groups.setdefault(max(eps.coeffs, (-eps).coeffs), [eps, 0])[1] += mult
-    pairs += [(ExactValue.eps_shift(eps, q), mult) for eps, mult in groups.values()]
+    cspec = cyclo.cyc_spec(orbits.eps.shape[1])
+    eps = cyclo.reduce_rows(cspec, orbits.eps)
+    sign = np.where(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)] < 0, -1, 1)
+    eps *= sign[:, None]  # eps and -eps meet: the first nonzero coefficient is > 0
+    groups: dict = {}  # that row's bytes -> [first orbit, multiplicity]
+    for k, (key, mult) in enumerate(zip(map(bytes, eps), orbits.mults)):
+        groups.setdefault(key, [k, 0])[1] += mult
+    firsts, mults = map(list, zip(*groups.values()))
+    del groups  # its keys copy every row
+    eps = eps[firsts] * sign[firsts, None]  # the eps each group met first
+    xs = cyclo.embed_rows(cspec, eps).tolist()
+    sq = cyclo.reduce_rows(cspec, orbits.eps_sq[firsts])
+    del orbits  # the table, if this call built it
+    for m, e, e2, x, y in zip(mults, eps, sq, xs, cyclo.embed_rows(cspec, sq).tolist()):
+        if e2[1:].any():
+            value = ExactValue("eps2q", ("eps2q", cspec.n, tuple(e2.tolist()), q), y - q,
+                               eps=CycInt(cspec, e.tolist()), q=q)
+            value.eps_real = x
+        else:  # eps^2 is rational
+            value = ExactValue.integer(int(e2[0]) - q)
+        pairs.append((value, m))
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
@@ -371,16 +427,6 @@ def fiber_profile(f, spec: ff.FieldSpec):
     return tuple(np.bincount(values, minlength=spec.p).tolist())
 
 
-def scale_invariance_check(f, lam: ff.FieldElem) -> bool:
-    """eps_{f(lambda t)} == eps_f exactly, for lambda != 0."""
-    spec = lam.spec
-    if lam.i == 0:
-        raise ValueError("lambda must be nonzero")
-    coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
-    scaled = [spec.mul(c, spec.pow(lam.i, k)) for k, c in enumerate(coeffs)]
-    return exp_sum_field(coeffs, spec) == exp_sum_field(scaled, spec)
-
-
 def epsilon_square_coincidences(p: int):
     """Representative pairs whose sums are negatives (hence merge under eps^2)."""
     reps = representatives(p)
@@ -415,8 +461,8 @@ def lift_to_bipartite(s: SpectrumMultiset, q: int) -> SpectrumMultiset:
                 pairs.append((ExactValue.sqrt(+1, rad), m))
                 pairs.append((ExactValue.sqrt(-1, rad), m))
         elif v.kind == "eps2q":
-            pairs.append((ExactValue.signed_abs_eps(v.eps, +1), m))
-            pairs.append((ExactValue.signed_abs_eps(v.eps, -1), m))
+            x = embed(v.eps).real if v.eps_real is None else v.eps_real
+            pairs += [(w, m) for w in ExactValue._abs_eps(v.eps, x, (+1, -1))]
         else:
             raise ValueError(f"cannot lift a value of kind {v.kind!r}")
     return SpectrumMultiset.assemble("D4", q, pairs, expected_total=2 * q ** 4)

@@ -43,20 +43,12 @@ def cyc_spec(n: int) -> CycSpec:
     return CycSpec(n)
 
 
-def _reduce_histogram(spec: CycSpec, hist):
-    """Exponent histogram of length n -> canonical power-basis coefficients."""
-    n = spec.n
-    h = list(hist)
-    if len(h) != n:
-        raise RuntimeError(f"histogram of length {len(h)}, expected {n}")
-    if n == 9:
-        c = h[:6]
-        for k in range(3):
-            c[k] -= h[6 + k]
-            c[3 + k] -= h[6 + k]
-        return tuple(c)
-    top = h[n - 1]
-    return tuple(h[k] - top for k in range(n - 1))
+def reduce_rows(spec: CycSpec, hist: np.ndarray) -> np.ndarray:
+    """Exponent histograms (length n, last axis) -> canonical power-basis coefficients."""
+    if hist.shape[-1] != spec.n:
+        raise RuntimeError(f"histogram of length {hist.shape[-1]}, expected {spec.n}")
+    top = hist[..., spec.phi:]  # the exponents >= phi fold onto the lower ones
+    return hist[..., :spec.phi] - (np.concatenate((top, top), -1) if spec.n == 9 else top)
 
 
 class CycInt:
@@ -66,14 +58,18 @@ class CycInt:
 
     def __init__(self, spec: CycSpec, coeffs):
         self.spec = spec
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != spec.phi:
             raise RuntimeError(f"{len(coeffs)} coefficients, expected phi = {spec.phi}")
         self.coeffs = coeffs
 
     @classmethod
     def from_histogram(cls, spec: CycSpec, hist) -> "CycInt":
-        return cls(spec, _reduce_histogram(spec, hist))
+        h = list(hist)  # the exponents >= phi fold onto the lower ones, as in reduce_rows
+        if len(h) != spec.n:
+            raise RuntimeError(f"histogram of length {len(h)}, expected {spec.n}")
+        top = h[spec.phi:] * (spec.phi // (spec.n - spec.phi))
+        return cls(spec, [a - b for a, b in zip(h, top)])
 
     @classmethod
     def integer(cls, spec: CycSpec, n: int) -> "CycInt":
@@ -167,12 +163,14 @@ def embed(a: CycInt) -> complex:
     return sum(c * roots[k % a.spec.n] for k, c in enumerate(a.coeffs) if c)
 
 
-def exp_sum_field(f, spec: ff.FieldSpec) -> CycInt:
-    """sum over a in GF(q) of zeta_p^trace(f(a)), exact in Z[zeta_p].
+def embed_rows(spec: CycSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Bit for bit ``embed(CycInt(spec, row)).real`` of each row: summed left to right."""
+    return np.cumsum(coeffs * np.real(spec.roots[:spec.phi]), axis=-1)[..., -1]
 
-    ``f`` is a polynomial given as a coefficient sequence (constant term
-    first) of FieldElems or element indices.
-    """
+
+def trace_histogram(f, spec: ff.FieldSpec) -> np.ndarray:
+    """|{a in GF(q) : trace(f(a)) = s}| for s < p; ``f`` is a coefficient
+    sequence (constant term first) of FieldElems or element indices."""
     coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
     n = spec.q - 1
     j = np.arange(n)  # a = g**j runs over the nonzero elements
@@ -181,8 +179,12 @@ def exp_sum_field(f, spec: ff.FieldSpec) -> CycInt:
         if c:
             # c * a**k = g**(log c + k*j); the trace is additive over the terms
             tr[1:] += spec.tr(spec.exp[spec.log[c] + k * j % n])
-    hist = np.bincount(tr % spec.p, minlength=spec.p)
-    return CycInt.from_histogram(cyc_spec(spec.p), hist.tolist())
+    return np.bincount(tr % spec.p, minlength=spec.p)
+
+
+def exp_sum_field(f, spec: ff.FieldSpec) -> CycInt:
+    """sum over a in GF(q) of zeta_p^trace(f(a)), exact in Z[zeta_p]."""
+    return CycInt.from_histogram(cyc_spec(spec.p), trace_histogram(f, spec).tolist())
 
 
 def exp_sum_gr(c: int, spec: gr9.GR9Spec) -> CycInt:

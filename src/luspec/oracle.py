@@ -73,20 +73,22 @@ def numeric_spectrum(adj: AdjacencyStructure,
     vertex = np.empty(adj.n, dtype=np.int64)
     vertex[orbit * q2 + h] = np.arange(adj.n)
     rows = nb[vertex[::q2]]  # the representatives' rows, by orbit
-    # row v must be tau_h(v) of its representative's row
-    hx, hy, moved = h % q, h // q, rows[orbit]
-    moved = vertex[orbit[moved] * q2 + spec.add(hx[moved], hx[:, None])
-                   + q * spec.add(hy[moved], hy[:, None])]
-    moved.sort(axis=1)
+    # row v must be tau_h(v) of its representative's row: 4096 rows at a time
+    hx, hy, translated = h % q, h // q, True
+    for v in (slice(i, i + 4096) for i in range(0, adj.n, 4096)):
+        moved = rows[orbit[v]]
+        moved = vertex[orbit[moved] * q2 + spec.add(hx[moved], hx[v, None])
+                       + q * spec.add(hy[moved], hy[v, None])]
+        translated = translated and np.array_equal(np.sort(moved, axis=1), nb[v])
+    del moved
     counts = np.bincount(
         ((np.arange(m)[:, None] * m + orbit[rows]) * q2 + h[rows]).ravel(),
         minlength=m * m * q2).reshape(m, m, q, q)  # [r, c, y, x]
     neg = spec.neg(np.arange(q))
-    if not (np.array_equal(moved, nb) and np.array_equal(
+    if not (translated and np.array_equal(
             counts, counts.transpose(1, 0, 2, 3)[:, :, neg[:, None], neg])):
         raise VerificationError(
             f"{adj.name} q={q}: the translations of (c3, c4) are not automorphisms")
-    del moved
     # one float copy in [y, x, r, c] order; the int64 counts go before the stack
     counts = np.ascontiguousarray(counts.transpose(2, 3, 0, 1), dtype=np.float64)
     a = np.arange(q)

@@ -236,6 +236,95 @@ def test_exact_moments(q):
     assert moments == [q ** 4, 0, q ** 5 * (q - 1), 6 * q ** 4 * math.comb(q, 3)]
 
 
+def _odd_prime_powers(limit):
+    return [q for q in range(3, limit + 1, 2) if ff.prime_power(q)]
+
+
+def _check_orbit_table(q):
+    """Each orbit's eps and eps^2 rows against its own sum, taken directly at
+    the first position the family meets it, and that sum's CycInt square."""
+    spec = ff.field_for(q)
+    orbits = closedform.epsilon_orbits(spec)
+    flat = orbits.orbit.ravel()
+    _, first = np.unique(flat, return_index=True)  # orbit k first meets (a, c)
+    a, c = np.divmod(first + q, q)
+    if spec.p == 3:
+        R = gr9.gr9_make(spec.e)
+        want = [cyclo.exp_sum_gr(int(spec.exp[ck - 1]) if ck else 0, R) for ck in c]
+    else:
+        want = [cyclo.exp_sum_field([0, int(ck), 0, int(ak)], spec)
+                for ak, ck in zip(a, c)]
+    cspec = want[0].spec
+    got = cyclo.reduce_rows(cspec, orbits.eps).tolist()
+    got_sq = cyclo.reduce_rows(cspec, orbits.eps_sq).tolist()
+    assert [tuple(r) for r in got] == [w.coeffs for w in want]
+    assert [tuple(r) for r in got_sq] == [(w * w).coeffs for w in want]
+    assert (orbits.eps.sum(axis=1) == q).all()
+    assert (orbits.eps_sq.sum(axis=1) == q * q).all()
+    if spec.p != 3:  # over GF(q) the eps rows are the literal trace counts
+        assert all(np.array_equal(orbits.eps[k], cyclo.trace_histogram(
+            [0, int(c[k]), 0, int(a[k])], spec)) for k in range(len(want)))
+
+
+@pytest.mark.parametrize("q", _odd_prime_powers(343))
+def test_orbit_table_matches_direct_sums(q):
+    _check_orbit_table(q)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [q for q in _odd_prime_powers(1000) if q > 343])
+def test_orbit_table_matches_direct_sums_to_1000(q):
+    _check_orbit_table(q)
+
+
+@pytest.mark.parametrize("q", [13, 81, 125, 257, 967])
+def test_row_embeddings_are_embed_bit_for_bit(q):
+    orbits = closedform.epsilon_orbits(ff.field_for(q))
+    cspec = cyclo.cyc_spec(orbits.eps.shape[1])
+    for hist in (orbits.eps, orbits.eps_sq):
+        coeffs = cyclo.reduce_rows(cspec, hist)
+        want = [cyclo.embed(cyclo.CycInt(cspec, row)).real for row in coeffs.tolist()]
+        assert cyclo.embed_rows(cspec, coeffs).tolist() == want
+
+
+@pytest.mark.parametrize("q", [61, 257, 967])
+def test_prime_q_makes_one_sum_and_one_square_per_galois_orbit(q, monkeypatch):
+    # the q + 2 (q = 1 mod 3) or q (q = 2 mod 3) scaling orbits of a prime
+    # fall into three Galois orbits
+    calls = {"sum": 0, "mul": 0}
+    real_sum, real_mul = closedform.exp_sum_field, cyclo.CycInt.__mul__
+
+    def counted_sum(*args):
+        calls["sum"] += 1
+        return real_sum(*args)
+
+    def counted_mul(*args):
+        calls["mul"] += 1
+        return real_mul(*args)
+
+    monkeypatch.setattr(closedform, "exp_sum_field", counted_sum)
+    monkeypatch.setattr(cyclo.CycInt, "__mul__", counted_mul)
+    orbits = closedform.epsilon_orbits(ff.field_for(q))
+    assert len(orbits.mults) == (q + 2 if q % 3 == 1 else q)
+    assert calls == {"sum": 3, "mul": 3}
+
+
+def test_orbit_table_guards_raise(monkeypatch):
+    spec = ff.field_for(13)
+    real = cyclo.trace_histogram
+    monkeypatch.setattr(cyclo, "trace_histogram", lambda f, s: np.roll(real(f, s), 1))
+    with pytest.raises(RuntimeError, match="direct sum"):
+        closedform.epsilon_orbits(spec)
+    monkeypatch.setattr(cyclo, "trace_histogram", real)
+    # one more copy of 1 + zeta + ... + zeta^12 = 0 in every row: the same sums,
+    # wrong totals
+    real_hist = closedform._histograms
+    monkeypatch.setattr(closedform, "_histograms",
+                        lambda spec, coeffs, q: real_hist(spec, coeffs, q) + 1)
+    with pytest.raises(RuntimeError, match="does not sum"):
+        closedform.epsilon_orbits(spec)
+
+
 # ---- representatives / coincidences / fibers ----
 
 def test_representatives_sizes():
@@ -318,13 +407,16 @@ def test_bounded_fiber_cubics_p7():
 
 
 def test_scale_invariance():
-    F5 = ff.ff_make(5, 1)
-    assert closedform.scale_invariance_check([0, 1, 0, 1], F5.element(2))
-    assert closedform.scale_invariance_check([0, 1, 0, 1], F5.one)
-    F7 = ff.ff_make(7, 1)
-    assert closedform.scale_invariance_check([0, 0, 0, 1], F7.element(3))
-    with pytest.raises(ValueError):
-        closedform.scale_invariance_check([0, 1], F5.zero)
+    # eps_{f(lambda t)} == eps_f: every position (a, c) of the family and its
+    # scalings (a*l^3, c*l) have the trace histogram of their orbit's row
+    for q in (5, 7, 13, 25):
+        spec = ff.field_for(q)
+        orbits = closedform.epsilon_orbits(spec)
+        for a, row in zip(orbits.rows, orbits.orbit):
+            for c, k in enumerate(row.tolist()):
+                for lam in (1, 2, q - 1):
+                    f = [0, spec.mul(c, lam), 0, spec.mul(a, spec.pow(lam, 3))]
+                    assert np.array_equal(cyclo.trace_histogram(f, spec), orbits.eps[k])
 
 
 # ---- bipartite lift ----

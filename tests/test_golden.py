@@ -8,9 +8,10 @@ before the closed form took one exponential sum per scaling orbit; the csv
 and table formats, ``ramanujan``, ``build`` and the two files of ``build
 --out`` before the CLI dropped its copied run configuration; the q = 125
 and 169 ``epsilons`` csv and the q = 9, 25, 61 ``epsilons`` table digests
-before ``epsilons`` formatted its cells once per scaling orbit.  They must
-not be regenerated to make a changed program pass: a new digest means the
-output changed.
+before ``epsilons`` formatted its cells once per scaling orbit; the q = 61,
+343 and 991 ``spectrum --graph d4`` digests before the closed form took one
+sum and one square per Galois orbit.  They must not be regenerated to make a
+changed program pass: a new digest means the output changed.
 """
 
 import contextlib
@@ -94,6 +95,12 @@ GOLDEN = {
         "d61870be6ea35fda401244fa645158d0e817c9e2fa206ed3334a5d97dbdb9aaf",
     "epsilons --q 61 --format table --no-timestamp":
         "c54e361cf8228255f0b7745a3129008027d5dd319a7d7d283a3bf0fa5e226035",
+    "spectrum --graph d4 --q 61 --no-timestamp":
+        "1d8be225ded77d0a2493c11d18d578bc8d9bf243f740d8fd18fd97efc06f2cda",
+    "spectrum --graph d4 --q 343 --no-timestamp":
+        "a7687b50f55e98e5b78aa9daf41b5853d4ef7840886cbdeed72a3bf804175c7a",
+    "spectrum --graph d4 --q 991 --no-timestamp":
+        "f1b42bea9124f7a33f2ae106d908b069fa1681e85f611f0426a89c9475169f5a",
 }
 
 # build --q 2 --graph d4 --out F writes the edge list to F and the vertex

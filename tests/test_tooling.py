@@ -1,13 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import luspec
+from luspec import cli, closedform, cyclo
 
 SRC = Path(luspec.__file__).resolve().parent
 
@@ -69,3 +72,29 @@ print([k for k in sys.modules if k == "scipy" or k.startswith("scipy.")])
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_hooked_layers_are_reached(monkeypatch):
+    # the benchmark's traced pass needs every hooked layer on its small jobs;
+    # a layer that the closed form bypasses must fail here, not only there
+    calls = {}
+
+    def count(owner, attr, wrap=lambda f: f, unwrap=lambda f: f):
+        original = unwrap(owner.__dict__[attr])
+        calls[attr] = 0
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrap(counted))
+
+    count(closedform, "exp_sum_field")
+    count(cyclo.CycInt, "__mul__")
+    count(closedform, "epsilon_family")
+    count(closedform.SpectrumMultiset, "assemble", classmethod, lambda f: f.__func__)
+    count(closedform, "lift_to_bipartite")
+    for argv in (["spectrum", "--graph", "d4", "--q", "5"], ["epsilons", "--q", "7"],
+                 ["verify", "--q", "2,3"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--no-timestamp"]) == 0, argv
+    assert all(calls.values()), calls
