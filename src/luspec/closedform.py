@@ -17,14 +17,10 @@ that conservation laws and the numeric oracle rule out:
   * q = 2 mod 3, p >= 5: each class eps_{t^3+ct} carries exponent q(q-1)^2,
     not q(q-1) (total degree must be q^4: 385 != 625 at q = 5 otherwise).
 
-For p >= 5, sigma_j: zeta_p -> zeta_p^j in Gal(Q(zeta_p)/Q) = F_p^* sends
-eps_{a,c} to eps_{ja,jc} and eps^2 to its square, permuting histograms over the
-exponents of zeta_p: h'[j*s mod p] = h[s] (Washington, *Introduction to
-Cyclotomic Fields*, ch. 2).  So ``epsilon_orbits`` makes one sum and one exact
-square per Galois orbit (3 for prime q; for p = 3 one per orbit), permuted into
-each orbit's row.  Its guards raise RuntimeError, so they hold under python -O:
-one (base, j) per orbit, j = 1 at a base; eps rows sum to q, eps^2 rows to q^2;
-one permuted row per base equals its directly computed histogram.
+For p >= 5, Gal(Q(zeta_p)/Q) = F_p^* acts by sigma_j(eps_{a,c}) = eps_{ja,jc}, i.e.
+h'[j*s mod p] = h[s] on histograms (Washington, *Introduction to Cyclotomic Fields*,
+ch. 2), so one sum and one exact square serve each Galois orbit.  RuntimeError guards
+(kept under -O): one (base, j) per orbit; totals q, q^2; one row per base rechecked.
 
 Values are merged by exact equality of canonical cyclotomic forms, never by
 float proximity.  The bipartite lift sends an eigenvalue m of Gamma to the
@@ -40,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cyclo, ff, gr9
-from .cyclo import CycInt, embed, exp_sum_field, exp_sum_gr
+from .cyclo import CycInt, embed, exp_sum_field, exp_sum_gr, trace_histogram
 
 
 class ExactValue:
@@ -51,8 +47,7 @@ class ExactValue:
     simply the canonical payload.
     """
 
-    __slots__ = ("kind", "ival", "eps", "q", "sign", "radicand", "key", "approx",
-                 "eps_real")  # embed(eps).real of an eps^2 - q value, for the lift
+    __slots__ = ("kind", "ival", "eps", "q", "sign", "radicand", "key", "approx")
 
     def __init__(self, kind, key, approx, ival=0, eps=None, q=0, sign=1, radicand=0):
         self.kind = kind
@@ -63,7 +58,6 @@ class ExactValue:
         self.q = q
         self.sign = sign
         self.radicand = radicand
-        self.eps_real = None
 
     @staticmethod
     def integer(n: int) -> "ExactValue":
@@ -72,26 +66,19 @@ class ExactValue:
     @staticmethod
     def eps_shift(eps: CycInt, q: int) -> "ExactValue":
         """The value eps^2 - q; collapses to an integer when eps^2 is rational."""
-        e2 = eps * eps
-        if e2.is_rational:
-            return ExactValue.integer(e2.as_int - q)
-        approx = embed(e2).real - q
-        return ExactValue("eps2q", ("eps2q", e2.spec.n, e2.coeffs, q), approx,
-                          eps=eps, q=q)
+        return ExactValue.eps2q(eps, (e2 := eps * eps).coeffs, embed(e2).real, q)
+
+    @staticmethod
+    def eps2q(eps: CycInt, sq, x: float, q: int) -> "ExactValue":
+        """eps^2 - q, given the coefficients ``sq`` of eps^2 and x = embed(eps^2).real."""
+        if not any(sq[1:]):  # eps^2 is rational
+            return ExactValue.integer(sq[0] - q)
+        return ExactValue("eps2q", ("eps2q", eps.spec.n, tuple(sq), q), x - q, eps=eps, q=q)
 
     @staticmethod
     def signed_abs_eps(eps: CycInt, sign: int) -> "ExactValue":
         """The value sign * |eps| for a real cyclotomic eps."""
-        return ExactValue._abs_eps(eps, embed(eps).real, (sign,))[0]
-
-    @staticmethod
-    def _abs_eps(eps: CycInt, x: float, signs) -> list:
-        """sign * |eps| for each sign, given x = embed(eps).real."""
-        canon = eps if x >= 0 else -eps
-        if canon.is_rational:
-            return [ExactValue.integer(s * abs(canon.as_int)) for s in signs]
-        return [ExactValue("eps", ("eps", s, canon.spec.n, canon.coeffs),
-                           s * abs(x), eps=canon, sign=s) for s in signs]
+        return next(_abs_eps_pairs([eps]))[sign < 0]
 
     @staticmethod
     def sqrt(sign: int, radicand: int) -> "ExactValue":
@@ -217,39 +204,35 @@ def spectrum_even(spec: ff.FieldSpec) -> SpectrumMultiset:
 
 @dataclass(frozen=True, eq=False)
 class EpsilonOrbits:
-    """The odd-q cubic family as a table with one row per scaling orbit.
+    """The odd-q cubic family's scaling orbits, grouped into Galois orbits.
 
-    The family's positions are (rows[i], c) for c = 0 .. q-1, row by row;
-    ``orbit[i, c]`` numbers the orbit of that position.  Orbits are numbered
-    in the order the family first meets them.  Rows k of ``eps`` and ``eps_sq``:
-    histograms over the exponents of zeta of orbit k's sum and square, totals q
-    and q^2; ``mults[k]``: its multiplicity, ``position_mult`` per position;
-    ``sums[k]``: its sum as a CycInt.
-    """
+    Positions (rows[i], c), c = 0 .. q-1, lie on orbit ``orbit[i, c]`` (first-seen
+    order).  Orbit k has multiplicity ``mults[k]`` (``position_mult`` per position)
+    and sum ``sums[k]`` = sigma_j(``bases[slot[k]]``), j^-1 = ``jinv[k]``; the base
+    sums' histograms are the rows of ``base_hist``."""
 
     rows: tuple
     orbit: np.ndarray
-    eps: np.ndarray
-    eps_sq: np.ndarray
+    bases: tuple
+    base_hist: np.ndarray
+    slot: np.ndarray
+    jinv: np.ndarray
     mults: tuple
     position_mult: int
 
+    def permute(self, base_hist, ks=slice(None)) -> np.ndarray:
+        """Rows ks from one histogram h per base: sigma_j(h)[s] = h[j^-1 * s]."""
+        n = base_hist.shape[1]
+        return base_hist[self.slot[ks, None], np.arange(n) * self.jinv[ks, None] % n]
+
     @cached_property
     def sums(self) -> tuple:
-        cs = cyclo.cyc_spec(self.eps.shape[1])
-        return tuple(CycInt(cs, c) for c in cyclo.reduce_rows(cs, self.eps).tolist())
-
-
-def _histograms(spec: cyclo.CycSpec, coeffs, q: int) -> np.ndarray:
-    """Rows plus t * 0 (0 = 1 + ... + zeta^(n-1) or 1 + zeta^3 + zeta^6): sums q, q^2."""
-    zero = np.arange(spec.n) % (3 if spec.n == 9 else 1) == 0
-    hist = np.zeros(np.shape(coeffs)[:-1] + (spec.n,), dtype=np.int64)
-    hist[..., :spec.phi] = coeffs
-    return hist + ([q, q * q] - hist.sum(axis=-1))[..., None] // int(zero.sum()) * zero
+        rows = cyclo.reduce_rows(self.bases[0].spec, self.permute(self.base_hist)).tolist()
+        return tuple(CycInt(self.bases[0].spec, c) for c in rows)
 
 
 def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
-    """One table row per scaling orbit of the odd-q family (see the module doc).
+    """The scaling and Galois orbits of the odd-q family (see the module doc).
 
     For p = 3 the family is t^3 + 3*c*t over GR(9,e), c the Teichmueller
     index; for q = 2 (mod 3) it is t^3 + c*t.  Both have one row, a = 1, and
@@ -285,28 +268,23 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     for k in range(len(order)):
         if base[k] < 0:  # orbit k is the base of a new Galois orbit
             img = rank[raw_id(spec.mul(js, int(a[k])), spec.mul(js, int(c[k])))].tolist()
-            for jk, r in enumerate(img, 1):  # sigma_jk(eps_k) is orbit r's sum
-                if base[r] < 0 and (jk > 1 or r == k):  # sigma_1 fixes orbit k
-                    base[r], j[r] = k, jk
-                elif base[r] != k:
-                    raise RuntimeError(f"q={q}: orbit {r} gets a second (base, j)")
-    bases, slot = np.unique(base, return_inverse=True)
+            if img[0] != k or any(base[r] >= 0 for r in img):  # sigma_1 fixes orbit k
+                raise RuntimeError(f"q={q}: an orbit gets a second (base, j)")
+            for jk, r in reversed(list(enumerate(img, 1))):  # sigma_jk(eps_k) = eps_r
+                base[r], j[r] = k, jk  # the least such jk is set last
+    bases = sorted(set(base))  # each Galois orbit's first orbit
     R = gr9.gr9_make(spec.e) if spec.p == 3 else None  # Teichmueller T[c] -> g^(c-1)
-    sums = [exp_sum_gr(int(spec.exp[c[k] - 1]) if c[k] else 0, R) if spec.p == 3
-            else exp_sum_field([0, int(c[k]), 0, int(a[k])], spec) for k in bases]
-    hist = _histograms(sums[0].spec, [[e.coeffs, (e * e).coeffs] for e in sums], q)
-    perm = np.arange(hist.shape[2]) * spec.inv(np.array(j))[:, None, None] % hist.shape[2]
-    table = hist[slot[:, None, None], [[0], [1]], perm]  # row s is the base's j^-1 * s
-    if (table.sum(axis=2) != [q, q * q]).any():
-        raise RuntimeError(f"q={q}: an orbit histogram does not sum to q or q^2")
+    sums = tuple(exp_sum_gr(int(spec.exp[c[k] - 1]) if c[k] else 0, R) if spec.p == 3
+                 else exp_sum_field([0, int(c[k]), 0, int(a[k])], spec) for k in bases)
+    hist = cyclo.histogram_rows(sums[0].spec, [e.coeffs for e in sums], q)
+    orbits = EpsilonOrbits(rows, rank[raw], sums, hist, np.searchsorted(bases, base),
+                           spec.inv(np.array(j)), tuple((position_mult * counts).tolist()),
+                           position_mult)
     for b in range(0 if spec.p == 3 else len(bases)):  # one permuted row per base
-        k = np.flatnonzero(slot == b)[-1]
-        if (table[k, 0] != cyclo.trace_histogram([0, c[k], 0, a[k]], spec)).any():
+        k = np.flatnonzero(orbits.slot == b)[-1]
+        if (orbits.permute(hist, [k]) != trace_histogram([0, c[k], 0, a[k]], spec)).any():
             raise RuntimeError(f"q={q}: orbit {k}'s permuted row is not its direct sum")
-    return EpsilonOrbits(
-        rows=rows, orbit=rank[raw], eps=table[:, 0], eps_sq=table[:, 1],
-        mults=tuple(int(m) * position_mult for m in counts),
-        position_mult=position_mult)
+    return orbits
 
 
 def epsilon_family(spec: ff.FieldSpec):
@@ -330,7 +308,7 @@ def spectrum_odd(spec: ff.FieldSpec,
 
     Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
     eps = +-eps': the orbit rows are merged on +-eps first, and each group, in
-    first-seen order with its first eps, takes the table's square (embedded by rows).
+    first-seen order with its first eps, takes its row of the bases' squares.
     ``orbits`` is ``epsilon_orbits(spec)`` when the caller already has it.
     """
     q = spec.q
@@ -344,27 +322,21 @@ def spectrum_odd(spec: ff.FieldSpec,
     ]
     if orbits is None:
         orbits = epsilon_orbits(spec)
-    cspec = cyclo.cyc_spec(orbits.eps.shape[1])
-    eps = cyclo.reduce_rows(cspec, orbits.eps)
-    sign = np.where(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)] < 0, -1, 1)
-    eps *= sign[:, None]  # eps and -eps meet: the first nonzero coefficient is > 0
-    groups: dict = {}  # that row's bytes -> [first orbit, multiplicity]
+    cspec = orbits.bases[0].spec
+    eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist))
+    eps *= np.sign(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)])[:, None]
+    groups = {}  # +-eps, first nonzero coefficient > 0, as bytes -> [orbit, mult]
     for k, (key, mult) in enumerate(zip(map(bytes, eps), orbits.mults)):
         groups.setdefault(key, [k, 0])[1] += mult
     firsts, mults = map(list, zip(*groups.values()))
-    del groups  # its keys copy every row
-    eps = eps[firsts] * sign[firsts, None]  # the eps each group met first
-    xs = cyclo.embed_rows(cspec, eps).tolist()
-    sq = cyclo.reduce_rows(cspec, orbits.eps_sq[firsts])
-    del orbits  # the table, if this call built it
-    for m, e, e2, x, y in zip(mults, eps, sq, xs, cyclo.embed_rows(cspec, sq).tolist()):
-        if e2[1:].any():
-            value = ExactValue("eps2q", ("eps2q", cspec.n, tuple(e2.tolist()), q), y - q,
-                               eps=CycInt(cspec, e.tolist()), q=q)
-            value.eps_real = x
-        else:  # eps^2 is rational
-            value = ExactValue.integer(int(e2[0]) - q)
-        pairs.append((value, m))
+    del eps, groups  # every orbit's row and the groups' byte copies
+    squares = cyclo.histogram_rows(cspec, [(e * e).coeffs for e in orbits.bases], q * q)
+    for lo in range(0, len(firsts), 64):  # 64 groups' rows at a time
+        ks = firsts[lo:lo + 64]
+        eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist, ks)).tolist()
+        sq = cyclo.reduce_rows(cspec, orbits.permute(squares, ks))
+        for m, e, s, x in zip(mults[lo:], eps, sq, cyclo.embed_rows(cspec, sq).tolist()):
+            pairs.append((ExactValue.eps2q(CycInt(cspec, e), s.tolist(), x, q), m))
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
@@ -427,6 +399,16 @@ def fiber_profile(f, spec: ff.FieldSpec):
     return tuple(np.bincount(values, minlength=spec.p).tolist())
 
 
+def scale_invariance_check(f, lam: ff.FieldElem) -> bool:
+    """eps_{f(lambda t)} == eps_f exactly, for lambda != 0."""
+    spec = lam.spec
+    if lam.i == 0:
+        raise ValueError("lambda must be nonzero")
+    coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
+    scaled = [spec.mul(c, spec.pow(lam.i, k)) for k, c in enumerate(coeffs)]
+    return exp_sum_field(coeffs, spec) == exp_sum_field(scaled, spec)
+
+
 def epsilon_square_coincidences(p: int):
     """Representative pairs whose sums are negatives (hence merge under eps^2)."""
     reps = representatives(p)
@@ -443,12 +425,24 @@ def epsilon_square_coincidences(p: int):
 # ----------------------------------------------------------------------
 # bipartite lift
 
+def _abs_eps_pairs(sums):
+    """(+|eps|, -|eps|) for each real eps of ``sums``, embedded 64 rows at a time."""
+    for block in (sums[lo:lo + 64] for lo in range(0, len(sums), 64)):
+        xs = cyclo.embed_rows(block[0].spec, np.array([e.coeffs for e in block]))
+        for eps, x in zip(block, xs.tolist()):
+            canon = eps if x >= 0 else -eps
+            yield [ExactValue.integer(s * abs(canon.as_int)) if canon.is_rational else
+                   ExactValue("eps", ("eps", s, canon.spec.n, canon.coeffs), s * abs(x),
+                              eps=canon, sign=s) for s in (1, -1)]
+
+
 def lift_to_bipartite(s: SpectrumMultiset, q: int) -> SpectrumMultiset:
     """Spectrum of D(4,q) from the Gamma spectrum: m -> +-sqrt(q+m), with
     -q -> 0 at doubled multiplicity."""
     if s.total != q ** 4:
         raise ValueError(f"expected a Gamma multiset of total {q**4}, got {s.total}")
     pairs = []
+    lifted = _abs_eps_pairs([e.value.eps for e in s.entries if e.value.kind == "eps2q"])
     for e in s.entries:
         v, m = e.value, e.multiplicity
         if v.kind == "int":
@@ -461,8 +455,7 @@ def lift_to_bipartite(s: SpectrumMultiset, q: int) -> SpectrumMultiset:
                 pairs.append((ExactValue.sqrt(+1, rad), m))
                 pairs.append((ExactValue.sqrt(-1, rad), m))
         elif v.kind == "eps2q":
-            x = embed(v.eps).real if v.eps_real is None else v.eps_real
-            pairs += [(w, m) for w in ExactValue._abs_eps(v.eps, x, (+1, -1))]
+            pairs += [(w, m) for w in next(lifted)]
         else:
             raise ValueError(f"cannot lift a value of kind {v.kind!r}")
     return SpectrumMultiset.assemble("D4", q, pairs, expected_total=2 * q ** 4)

@@ -45,10 +45,18 @@ def cyc_spec(n: int) -> CycSpec:
 
 def reduce_rows(spec: CycSpec, hist: np.ndarray) -> np.ndarray:
     """Exponent histograms (length n, last axis) -> canonical power-basis coefficients."""
-    if hist.shape[-1] != spec.n:
-        raise RuntimeError(f"histogram of length {hist.shape[-1]}, expected {spec.n}")
     top = hist[..., spec.phi:]  # the exponents >= phi fold onto the lower ones
     return hist[..., :spec.phi] - (np.concatenate((top, top), -1) if spec.n == 9 else top)
+
+
+def histogram_rows(spec: CycSpec, coeffs, total: int) -> np.ndarray:
+    """Coefficient rows -> histograms of total ``total``, adding t * (sum of roots)."""
+    hist = np.pad(np.array(coeffs, dtype=np.int64), ((0, 0), (0, spec.n - spec.phi)))
+    step = 3 if spec.n == 9 else 1
+    hist[:, ::step] += (total - hist.sum(axis=1))[:, None] // (spec.n // step)
+    if (hist.sum(axis=1) != total).any():
+        raise RuntimeError(f"a histogram does not sum to {total}")
+    return hist
 
 
 class CycInt:
@@ -169,8 +177,7 @@ def embed_rows(spec: CycSpec, coeffs: np.ndarray) -> np.ndarray:
 
 
 def trace_histogram(f, spec: ff.FieldSpec) -> np.ndarray:
-    """|{a in GF(q) : trace(f(a)) = s}| for s < p; ``f`` is a coefficient
-    sequence (constant term first) of FieldElems or element indices."""
+    """|{a in GF(q) : trace(f(a)) = s}| for s < p; ``f``: coefficients, constant first."""
     coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
     n = spec.q - 1
     j = np.arange(n)  # a = g**j runs over the nonzero elements

@@ -240,9 +240,17 @@ def _odd_prime_powers(limit):
     return [q for q in range(3, limit + 1, 2) if ff.prime_power(q)]
 
 
+def _base_squares(orbits):
+    """One histogram per base of its sum's exact CycInt square (totals q^2)."""
+    q = int(orbits.base_hist[0].sum())
+    return cyclo.histogram_rows(orbits.bases[0].spec,
+                                [(e * e).coeffs for e in orbits.bases], q * q)
+
+
 def _check_orbit_table(q):
-    """Each orbit's eps and eps^2 rows against its own sum, taken directly at
-    the first position the family meets it, and that sum's CycInt square."""
+    """Each orbit's permuted eps and eps^2 rows against its own sum, taken
+    directly at the first position the family meets it, and that sum's CycInt
+    square."""
     spec = ff.field_for(q)
     orbits = closedform.epsilon_orbits(spec)
     flat = orbits.orbit.ravel()
@@ -255,14 +263,17 @@ def _check_orbit_table(q):
         want = [cyclo.exp_sum_field([0, int(ck), 0, int(ak)], spec)
                 for ak, ck in zip(a, c)]
     cspec = want[0].spec
-    got = cyclo.reduce_rows(cspec, orbits.eps).tolist()
-    got_sq = cyclo.reduce_rows(cspec, orbits.eps_sq).tolist()
+    eps = orbits.permute(orbits.base_hist)
+    eps_sq = orbits.permute(_base_squares(orbits))
+    got = cyclo.reduce_rows(cspec, eps).tolist()
+    got_sq = cyclo.reduce_rows(cspec, eps_sq).tolist()
     assert [tuple(r) for r in got] == [w.coeffs for w in want]
     assert [tuple(r) for r in got_sq] == [(w * w).coeffs for w in want]
-    assert (orbits.eps.sum(axis=1) == q).all()
-    assert (orbits.eps_sq.sum(axis=1) == q * q).all()
+    assert orbits.sums == tuple(want)
+    assert (eps.sum(axis=1) == q).all()
+    assert (eps_sq.sum(axis=1) == q * q).all()
     if spec.p != 3:  # over GF(q) the eps rows are the literal trace counts
-        assert all(np.array_equal(orbits.eps[k], cyclo.trace_histogram(
+        assert all(np.array_equal(eps[k], cyclo.trace_histogram(
             [0, int(c[k]), 0, int(a[k])], spec)) for k in range(len(want)))
 
 
@@ -280,9 +291,9 @@ def test_orbit_table_matches_direct_sums_to_1000(q):
 @pytest.mark.parametrize("q", [13, 81, 125, 257, 967])
 def test_row_embeddings_are_embed_bit_for_bit(q):
     orbits = closedform.epsilon_orbits(ff.field_for(q))
-    cspec = cyclo.cyc_spec(orbits.eps.shape[1])
-    for hist in (orbits.eps, orbits.eps_sq):
-        coeffs = cyclo.reduce_rows(cspec, hist)
+    cspec = cyclo.cyc_spec(orbits.base_hist.shape[1])
+    for hist in (orbits.base_hist, _base_squares(orbits)):
+        coeffs = cyclo.reduce_rows(cspec, orbits.permute(hist))
         want = [cyclo.embed(cyclo.CycInt(cspec, row)).real for row in coeffs.tolist()]
         assert cyclo.embed_rows(cspec, coeffs).tolist() == want
 
@@ -290,7 +301,8 @@ def test_row_embeddings_are_embed_bit_for_bit(q):
 @pytest.mark.parametrize("q", [61, 257, 967])
 def test_prime_q_makes_one_sum_and_one_square_per_galois_orbit(q, monkeypatch):
     # the q + 2 (q = 1 mod 3) or q (q = 2 mod 3) scaling orbits of a prime
-    # fall into three Galois orbits
+    # fall into three Galois orbits; the whole closed form, lift included,
+    # makes one sum and one square for each
     calls = {"sum": 0, "mul": 0}
     real_sum, real_mul = closedform.exp_sum_field, cyclo.CycInt.__mul__
 
@@ -304,24 +316,41 @@ def test_prime_q_makes_one_sum_and_one_square_per_galois_orbit(q, monkeypatch):
 
     monkeypatch.setattr(closedform, "exp_sum_field", counted_sum)
     monkeypatch.setattr(cyclo.CycInt, "__mul__", counted_mul)
-    orbits = closedform.epsilon_orbits(ff.field_for(q))
+    spec = ff.field_for(q)
+    orbits = closedform.epsilon_orbits(spec)
     assert len(orbits.mults) == (q + 2 if q % 3 == 1 else q)
+    assert len(orbits.base_hist) == 3
+    lift_to_bipartite(spectrum_odd(spec, orbits), q)
     assert calls == {"sum": 3, "mul": 3}
 
 
 def test_orbit_table_guards_raise(monkeypatch):
     spec = ff.field_for(13)
-    real = cyclo.trace_histogram
-    monkeypatch.setattr(cyclo, "trace_histogram", lambda f, s: np.roll(real(f, s), 1))
+    real = closedform.trace_histogram
+    monkeypatch.setattr(closedform, "trace_histogram", lambda f, s: np.roll(real(f, s), 1))
     with pytest.raises(RuntimeError, match="direct sum"):
         closedform.epsilon_orbits(spec)
-    monkeypatch.setattr(cyclo, "trace_histogram", real)
-    # one more copy of 1 + zeta + ... + zeta^12 = 0 in every row: the same sums,
-    # wrong totals
-    real_hist = closedform._histograms
-    monkeypatch.setattr(closedform, "_histograms",
-                        lambda spec, coeffs, q: real_hist(spec, coeffs, q) + 1)
-    with pytest.raises(RuntimeError, match="does not sum"):
+    monkeypatch.setattr(closedform, "trace_histogram", real)
+    # eps + 1 and eps^2 + 1: no multiple of 1 + zeta + ... + zeta^12 = 0 brings
+    # their coefficient sums to q or q^2
+    real_sum, real_mul = closedform.exp_sum_field, cyclo.CycInt.__mul__
+    monkeypatch.setattr(closedform, "exp_sum_field", lambda f, s: real_sum(f, s) + 1)
+    with pytest.raises(RuntimeError, match="does not sum to 13"):
+        closedform.epsilon_orbits(spec)
+    monkeypatch.setattr(closedform, "exp_sum_field", real_sum)
+    orbits = closedform.epsilon_orbits(spec)
+    monkeypatch.setattr(cyclo.CycInt, "__mul__", lambda x, y: real_mul(x, y) + 1)
+    with pytest.raises(RuntimeError, match="does not sum to 169"):
+        spectrum_odd(spec, orbits)
+
+
+def test_orbit_table_guards_the_galois_assignment(monkeypatch):
+    # an orbit met again under another base must raise, not be reassigned
+    spec = ff.field_for(13)
+    real_mul = ff.FieldSpec.mul  # then sigma_j(a, c) = (j, j), whatever the orbit
+    monkeypatch.setattr(ff.FieldSpec, "mul",
+                        lambda self, x, y: real_mul(self, x, np.ones_like(y)))
+    with pytest.raises(RuntimeError, match=r"second \(base, j\)"):
         closedform.epsilon_orbits(spec)
 
 
@@ -407,16 +436,27 @@ def test_bounded_fiber_cubics_p7():
 
 
 def test_scale_invariance():
+    F5 = ff.ff_make(5, 1)
+    assert closedform.scale_invariance_check([0, 1, 0, 1], F5.element(2))
+    assert closedform.scale_invariance_check([0, 1, 0, 1], F5.one)
+    F7 = ff.ff_make(7, 1)
+    assert closedform.scale_invariance_check([0, 0, 0, 1], F7.element(3))
+    with pytest.raises(ValueError):
+        closedform.scale_invariance_check([0, 1], F5.zero)
+
+
+def test_orbit_rows_are_scale_invariant():
     # eps_{f(lambda t)} == eps_f: every position (a, c) of the family and its
     # scalings (a*l^3, c*l) have the trace histogram of their orbit's row
     for q in (5, 7, 13, 25):
         spec = ff.field_for(q)
         orbits = closedform.epsilon_orbits(spec)
+        eps = orbits.permute(orbits.base_hist)
         for a, row in zip(orbits.rows, orbits.orbit):
             for c, k in enumerate(row.tolist()):
                 for lam in (1, 2, q - 1):
                     f = [0, spec.mul(c, lam), 0, spec.mul(a, spec.pow(lam, 3))]
-                    assert np.array_equal(cyclo.trace_histogram(f, spec), orbits.eps[k])
+                    assert np.array_equal(cyclo.trace_histogram(f, spec), eps[k])
 
 
 # ---- bipartite lift ----

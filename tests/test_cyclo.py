@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,27 @@ def test_product_overflow_guard(cyc_mul_reference):
     with pytest.raises(OverflowError):
         huge * huge
     assert huge * 2 == huge + huge  # scalar multiples stay in Python integers
+
+
+@pytest.mark.parametrize("q", [7, 13, 25, 27, 81])
+def test_histogram_rows_invert_reduce_rows(q):
+    # a trace histogram is the one histogram of its sum with total q
+    spec = ff.field_for(q)
+    if spec.p == 3:
+        R = gr9.gr9_make(spec.e)
+        sums = [exp_sum_gr(c, R) for c in range(q)]
+        hists = np.array([np.bincount((R.teich_trace + 3 * spec.tr(spec.mul(c, np.arange(q))))
+                                      % 9, minlength=9) for c in range(q)])
+    else:
+        hists = np.array([cyclo.trace_histogram([0, c, 0, 1], spec) for c in range(q)])
+        sums = [exp_sum_field([0, c, 0, 1], spec) for c in range(q)]
+    cspec = sums[0].spec
+    coeffs = [e.coeffs for e in sums]
+    assert cyclo.reduce_rows(cspec, hists).tolist() == [list(c) for c in coeffs]
+    if spec.p != 3:  # over GF(q) the histogram with total q is unique
+        assert np.array_equal(cyclo.histogram_rows(cspec, coeffs, q), hists)
+    rows = cyclo.histogram_rows(cspec, coeffs, q)
+    assert (rows.sum(axis=1) == q).all()
+    assert cyclo.reduce_rows(cspec, rows).tolist() == [list(c) for c in coeffs]
+    with pytest.raises(RuntimeError, match="does not sum"):
+        cyclo.histogram_rows(cspec, coeffs, q + 1)
