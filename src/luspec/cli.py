@@ -6,7 +6,6 @@ flags only to the commands that read them.  Outputs are deterministic: build,
 spectrum json and epsilons csv carry a timestamp unless --no-timestamp is
 given.  With --out, spectrum and epsilons write only the file, verify and
 ramanujan also print it, and build writes the edge list and F.coords.json.
---max-dense-n defaults to the LUSPEC_MAX_DENSE_N environment variable.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import types
 from datetime import datetime, timezone
@@ -287,13 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def max_dense_n(p):
-        # a string default is parsed by type=int, so a bad environment value
-        # is a usage error of the commands that read it
-        p.add_argument("--max-dense-n", type=int,
-                       default=os.environ.get("LUSPEC_MAX_DENSE_N",
-                                              oracle.DEFAULT_MAX_DENSE_N),
-                       help="numeric eigensolver vertex budget (default: "
-                            "$LUSPEC_MAX_DENSE_N or %d)" % oracle.DEFAULT_MAX_DENSE_N)
+        p.add_argument("--max-dense-n", type=int, default=oracle.DEFAULT_MAX_DENSE_N,
+                       help="numeric eigensolver vertex budget (default %d)"
+                            % oracle.DEFAULT_MAX_DENSE_N)
 
     p = command("build", cmd_build, "construct a graph and export the edge list")
     p.add_argument("--graph", choices=["d4", "gamma"], default="gamma")

@@ -511,14 +511,15 @@ class RootProfile:
 def _root_profile(spec: FieldSpec, t: np.ndarray, lead: np.ndarray) -> RootProfile:
     """Root counts over the points t of every nonzero a*lead(t) + b*t + c."""
     q = spec.q
-    minus = spec.neg(np.arange(q))
+    b = np.arange(q)[:, None]
+    bt, offset = spec.mul(b, t), q * b
     tally = np.zeros(t.size + 1, dtype=np.int64)
     for a in range(q):
-        for b in range(q):
-            # the roots of a*lead + b*t + c are the points where
-            # a*lead + b*t == -c, read off a value histogram
-            hist = np.bincount(spec.add(spec.mul(a, lead), spec.mul(b, t)), minlength=q)
-            tally += np.bincount(hist[minus], minlength=t.size + 1)
+        # a*lead + b*t + c has as many roots as a*lead + b*t takes the value -c;
+        # -c runs over F with c, so row b of the value histogram (taken over
+        # every b at once) holds the root counts of all the constants c
+        hist = np.bincount((offset + spec.add(spec.mul(a, lead), bt)).ravel(), minlength=q * q)
+        tally += np.bincount(hist, minlength=t.size + 1)
     tally[t.size] -= 1  # the zero polynomial vanishes everywhere
     return RootProfile(q, {k: int(m) for k, m in enumerate(tally) if m})
 

@@ -11,9 +11,11 @@ nontrivial eigenvalues to cubic exponential sums: M[a,b](S) has eigenvalue
 multiset {eps_f^2 - q : f(t) = a'*t^3 + c*t, c in F} with a' = 1/(3ab) for
 p >= 5, and the GR(9,e) family t^3 + 3*c*t for p = 3.
 
-Matrices are materialized only at verification scale (q <= 7); the spectrum
-assembly in :mod:`luspec.closedform` never builds them.  For p = 3 matrix
-entries live in conductor 9 with zeta_3 = zeta_9^3.
+A matrix is one int64 array of exponent histograms, hist[i, j, k] = number
+of zeta^k terms in entry (i, j), scattered by a single bincount over rows
+and group elements; the tests build and check every block up to q = 13.
+The spectrum assembly in :mod:`luspec.closedform` never builds them.  For
+p = 3 matrix entries live in conductor 9 with zeta_3 = zeta_9^3.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, cyclo, ff, graphs
-from .cyclo import CycInt, cyc_spec, embed, exp_sum_field
+from .cyclo import CycInt, cyc_spec, exp_sum_field
 from .closedform import ExactValue, SpectrumMultiset
 from .ff import FieldElem, FieldSpec
 
@@ -99,75 +101,64 @@ def even_char_value(alpha: FieldElem, beta: FieldElem, gamma: FieldElem,
 
 @dataclass(eq=False)
 class RepMatrix:
-    """q x q matrix of exact cyclotomic entries, rows/cols in element order."""
+    """q x q matrix over Z[zeta_n], rows/cols in element order, held as
+    exponent histograms: hist[i, j, k] counts the zeta^k terms of entry (i, j)."""
 
-    label: tuple
-    entries: np.ndarray  # object array of CycInt
+    cspec: cyclo.CycSpec
+    hist: np.ndarray  # int64, shape (q, q, n)
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
+    def entry(self, i: int, j: int) -> CycInt:
+        return CycInt.from_histogram(self.cspec, self.hist[i, j].tolist())
 
     def conj_transpose(self) -> "RepMatrix":
-        n = self.size
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.entries[j, i].conj()
-        return RepMatrix(self.label + ("*",), out)
+        n = self.cspec.n
+        return RepMatrix(self.cspec, self.hist.transpose(1, 0, 2)[..., -np.arange(n) % n])
 
     def __matmul__(self, other: "RepMatrix") -> "RepMatrix":
-        n = self.size
-        a, b = self.entries, other.entries
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                acc = a[i, 0] * b[0, j]
-                for k in range(1, n):
-                    acc = acc + a[i, k] * b[k, j]
-                out[i, j] = acc
-        return RepMatrix(("prod",), out)
+        # the zeta^s terms of self times other shift other's exponents by s
+        out = np.zeros_like(other.hist)
+        for s in range(self.cspec.n):
+            out += np.roll(np.einsum("ik,kjt->ijt", self.hist[:, :, s], other.hist), s, axis=2)
+        return RepMatrix(self.cspec, out)
 
     def __eq__(self, other):
-        return (isinstance(other, RepMatrix) and self.size == other.size
-                and all(self.entries[i, j] == other.entries[i, j]
-                        for i in range(self.size) for j in range(self.size)))
+        return (isinstance(other, RepMatrix) and other.cspec.n == self.cspec.n
+                and np.array_equal(cyclo.reduce_rows(self.cspec, self.hist),
+                                   cyclo.reduce_rows(other.cspec, other.hist)))
 
     def is_hermitian(self) -> bool:
         return self == self.conj_transpose()
 
     def trace_sum(self) -> CycInt:
-        acc = self.entries[0, 0]
-        for i in range(1, self.size):
-            acc = acc + self.entries[i, i]
-        return acc
-
-    def embed(self) -> np.ndarray:
-        n = self.size
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = embed(self.entries[i, j])
-        return out
+        return CycInt.from_histogram(self.cspec, np.trace(self.hist).tolist())
 
     def eigenvalues(self) -> np.ndarray:
         """Numeric eigenvalues; Hermitian-symmetrized before decomposition."""
-        m = self.embed()
+        m = self.hist @ np.array(self.cspec.roots)
         return np.linalg.eigvalsh((m + m.conj().T) / 2)
+
+
+def _scatter(spec: FieldSpec, cols: np.ndarray, k: np.ndarray) -> RepMatrix:
+    """Sum zeta^k[i, s] into entry (i, cols[i, s]) over all s, with one bincount."""
+    cspec, scale = _char_spec(spec)
+    q, n = spec.q, cspec.n
+    flat = (np.arange(q)[:, None] * q + cols) * n + scale * k
+    return RepMatrix(cspec, np.bincount(flat.ravel(), minlength=q * q * n).reshape(q, q, n))
+
+
+def _rep_sum(alpha: FieldElem, beta: FieldElem, t, u, v, w) -> RepMatrix:
+    """Sum of M[alpha,beta](g) over the elements g with index columns (t, u, v, w):
+    row i of M(g) holds zeta^tr(alpha*(v - 2*i*u) + beta*w) at column i + t."""
+    spec = alpha.spec
+    add, mul = spec.add, spec.mul
+    i = np.arange(spec.q)[:, None]
+    k = spec.tr(add(mul(alpha.i, spec.sub(v, mul(2 % spec.p, mul(i, u)))), mul(beta.i, w)))
+    return _scatter(spec, add(i, t), k)
 
 
 def rep_matrix(alpha: FieldElem, beta: FieldElem, g: graphs.GroupElem) -> RepMatrix:
     """M[alpha,beta](g) for a single group element."""
-    spec = alpha.spec
-    q = spec.q
-    two = spec.element([2 % spec.p] + [0] * (spec.e - 1))
-    zero = cyclo.CycInt.integer(_char_spec(spec)[0], 0)
-    out = np.full((q, q), zero, dtype=object)
-    for ii in range(q):
-        i = FieldElem(spec, ii)
-        k = ff.trace(alpha * (g.v - two * i * g.u) + beta * g.w)
-        out[ii, (i + g.t).i] = _zeta_pow(spec, k)
-    return RepMatrix((alpha.i, beta.i, "g"), out)
+    return _rep_sum(alpha, beta, *(np.array([x.i]) for x in g))
 
 
 def build_M(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
@@ -176,41 +167,25 @@ def build_M(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
         raise ValueError("the degree-q representations need odd q")
     if alpha.i == 0:
         raise ValueError("alpha must be nonzero")
-    q = spec.q
-    two = spec.element([2 % spec.p] + [0] * (spec.e - 1))
-    zero = cyclo.CycInt.integer(_char_spec(spec)[0], 0)
-    acc = np.full((q, q), zero, dtype=object)
-    for g in graphs.connection_set(spec):
-        t = g.t.i
-        for ii in range(q):
-            i = FieldElem(spec, ii)
-            k = ff.trace(alpha * (g.v - two * i * g.u) + beta * g.w)
-            jj = spec.add(ii, t)
-            acc[ii, jj] = acc[ii, jj] + _zeta_pow(spec, k)
-    return RepMatrix((alpha.i, beta.i, "S"), acc)
+    return _rep_sum(alpha, beta, *graphs._connection_indices(spec))
 
 
 def build_U(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
     """U[alpha,beta][i,j] = zeta^tr(alpha*i^2*j - beta*i*j^2)."""
-    q = spec.q
-    out = np.empty((q, q), dtype=object)
-    for ii in range(q):
-        i = FieldElem(spec, ii)
-        for jj in range(q):
-            j = FieldElem(spec, jj)
-            k = ff.trace(alpha * i * i * j - beta * i * j * j)
-            out[ii, jj] = _zeta_pow(spec, k)
-    return RepMatrix((alpha.i, beta.i, "U"), out)
+    mul = spec.mul
+    i, j = np.arange(spec.q)[:, None], np.arange(spec.q)
+    ij = mul(i, j)
+    k = spec.tr(spec.sub(mul(alpha.i, mul(ij, i)), mul(beta.i, mul(ij, j))))
+    return _scatter(spec, j, k)
 
 
 def m_from_u(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
     """U * U^adj - q*I, the factored form of M[alpha,beta](S)."""
     u = build_U(alpha, beta, spec)
     prod = u @ u.conj_transpose()
-    q = spec.q
-    for i in range(q):
-        prod.entries[i, i] = prod.entries[i, i] - q
-    return RepMatrix((alpha.i, beta.i, "UU*-qI"), prod.entries)
+    d = np.arange(spec.q)
+    prod.hist[d, d, 0] -= spec.q
+    return prod
 
 
 def psi_value(alpha: FieldElem, beta: FieldElem, g: graphs.GroupElem) -> CycInt:

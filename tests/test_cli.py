@@ -280,19 +280,14 @@ def test_deterministic_output(tmp_path, capsys):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_max_dense_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("LUSPEC_MAX_DENSE_N", "10")
-    code, _, err = run(capsys, ["spectrum", "--q", "2", "--source", "numeric"])
+def test_bad_max_dense_n_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["spectrum", "--q", "2", "--max-dense-n", "abc",
+                                  "--no-timestamp"])
+    assert code == 2 and out == ""
+    assert "--max-dense-n: invalid int value: 'abc'" in err
+    code, _, err = run(capsys, ["spectrum", "--q", "2", "--source", "numeric",
+                                "--max-dense-n", "10"])
     assert code == 2 and "budget" in err
-
-
-def test_bad_max_dense_env_var_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("LUSPEC_MAX_DENSE_N", "abc")
-    code, _, err = run(capsys, ["spectrum", "--q", "2", "--no-timestamp"])
-    assert code == 2 and "--max-dense-n: invalid int value: 'abc'" in err
-    # epsilons does not read the budget, so the bad value does not reach it
-    code, out, _ = run(capsys, ["epsilons", "--q", "5", "--no-timestamp"])
-    assert code == 0 and out.startswith("family,")
 
 
 @pytest.mark.parametrize("argv", [

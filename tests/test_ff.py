@@ -161,6 +161,27 @@ def test_cubic_root_profile_even(q):
     assert prof.count(2) == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_root_profiles_match_a_literal_loop(q):
+    spec = ff.field_for(q)
+    F = list(spec.elements())
+
+    def literal(points, lead):
+        counts = {}
+        for a in F:
+            for b in F:
+                for c in F:
+                    if a or b or c:
+                        k = sum(1 for t in points if a * lead(t) + b * t + c == spec.zero)
+                        counts[k] = counts.get(k, 0) + 1
+        return counts
+
+    assert ff.quadratic_root_profile(spec).counts == literal(F, lambda t: t * t)
+    if q % 2 == 0:
+        assert (ff.cubic_root_profile_even(spec).counts
+                == literal(F[1:], lambda t: t * t * t))
+
+
 def test_cubic_profile_rejects_odd():
     with pytest.raises(ValueError):
         ff.cubic_root_profile_even(ff.ff_make(3, 1))

@@ -62,7 +62,7 @@ def test_build_u_q3_display():
     z = zeta(c9, 3)  # zeta_3 inside the conductor-9 lattice
     one = CycInt.integer(c9, 1)
     want = [[one, one, one], [one, one, z], [one, z * z, one]]
-    assert all(u.entries[i, j] == want[i][j] for i in range(3) for j in range(3))
+    assert all(u.entry(i, j) == want[i][j] for i in range(3) for j in range(3))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -71,7 +71,7 @@ def test_uustar_diagonal_is_q(q):
     u = reps.build_U(spec.one, spec.element(2 % q if q > 3 else 1), spec)
     prod = u @ u.conj_transpose()
     for i in range(q):
-        assert prod.entries[i, i] == q
+        assert prod.entry(i, i) == q
 
 
 def test_u_reindexing_similarity_q5():
@@ -87,20 +87,30 @@ def test_u_reindexing_similarity_q5():
             for j in range(5):
                 ci = spec.mul(c.i, i)
                 dj = spec.mul(d.i, j)
-                assert u2.entries[i, j] == u1.entries[ci, dj]
+                assert u2.entry(i, j) == u1.entry(ci, dj)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_m_factorization_and_shape(q):
     spec = F(q)
-    pairs = [(1, 1), (1, q - 1), (2 % q or 1, 1)]
-    for ai, bi in pairs:
+    for ai in range(1, q):
+        for bi in range(q):
+            a, b = spec.element(ai), spec.element(bi)
+            m = reps.build_M(a, b, spec)
+            assert m == reps.m_from_u(a, b, spec)
+            assert m.is_hermitian()
+            tr = m.trace_sum()
+            assert tr.is_rational and tr.as_int == 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_build_m_is_the_sum_over_the_connection_set(q):
+    spec = F(q)
+    S = graphs.connection_set(spec)
+    for ai, bi in [(1, 0), (1, 1), (q - 1, 2)]:
         a, b = spec.element(ai), spec.element(bi)
-        m = reps.build_M(a, b, spec)
-        assert m == reps.m_from_u(a, b, spec)
-        assert m.is_hermitian()
-        tr = m.trace_sum()
-        assert tr.is_rational and tr.as_int == 0
+        want = sum(reps.rep_matrix(a, b, s).hist for s in S)
+        assert np.array_equal(reps.build_M(a, b, spec).hist, want)
 
 
 def test_build_m_rejects():
@@ -141,7 +151,7 @@ def test_identity_maps_to_identity():
     m = reps.rep_matrix(F5.one, F5.element(3), graphs.group_identity(F5))
     for i in range(5):
         for j in range(5):
-            assert m.entries[i, j] == (1 if i == j else 0)
+            assert m.entry(i, j) == (1 if i == j else 0)
 
 
 def test_psi_closed_form_vs_trace_exhaustive_q3():
@@ -208,7 +218,7 @@ def test_conjugacy_classes(q):
     assert reps.irreducible_degree_check(F(q))
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_eigen_via_epsilon_matches_numeric(q):
     spec = F(q)
     for ai in range(1, q):

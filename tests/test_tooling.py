@@ -40,6 +40,14 @@ def test_no_assertion_errors_raised_in_package():
     assert found == []
 
 
+def test_no_object_arrays_in_package():
+    # bulk cyclotomic data is int64 exponent histograms, never arrays of CycInt
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if isinstance(node, ast.keyword) and node.arg == "dtype"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert found == []
+
+
 def test_traced_functions_exist():
     # the benchmark's tracer wraps these attributes by name; a rename must fail here
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
