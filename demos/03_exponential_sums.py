@@ -22,13 +22,12 @@ r13 = closedform.representatives(13)
 print(f"\n|C~| for p=13: {len(r13.members)} classes (p + 2 since 13 = 1 mod 3)")
 print("  2*t^3 + 3*t folds onto", r13.representative_of(2, 3))
 
-# the unique eps^2 coincidence lives at p = 5
-print("\neps^2 coincidences:")
-for p in (5, 7, 11):
-    print(f"  p={p}:", closedform.epsilon_square_coincidences(p) or "none")
+# the eps^2 coincidence at p = 5: two classes whose sums are negatives
+F5 = ff.field_for(5)
+e2, e3 = (cyclo.exp_sum_field([0, c, 0, 1], F5) for c in (2, 3))
+print("\neps^2 coincidence at p=5: eps_{t^3+2t} == -eps_{t^3+3t}:", e2 == -e3)
 
 # fiber profiles determine the sums over prime fields
-F5 = ff.field_for(5)
 for c in (2, 3):
     prof = closedform.fiber_profile([0, c, 0, 1], F5)
     val = cyclo.embed(cyclo.exp_sum_field([0, c, 0, 1], F5)).real

@@ -231,32 +231,34 @@ class EpsilonOrbits:
         return tuple(CycInt(self.bases[0].spec, c) for c in rows)
 
 
+def _raw_id(spec: ff.FieldSpec, a, c):
+    """The scaling orbit of a*t^3 + c*t, a != 0 (arrays or ints), g = ``spec.exp[1]``.
+
+    q = 1 (mod 3): k for the orbit of (a*c^-3, 1) = (g^k, 1), q - 1 + i for (g^i, 0).
+    Otherwise: c' for the orbit of (1, c') = (1, c*a^(-1/3)).
+    """
+    n, la = spec.q - 1, spec.log[a]
+    if spec.q % 3 == 1:
+        return np.where(c == 0, n + la % 3, (la - 3 * spec.log[c]) % n)
+    return np.where(c == 0, 0, spec.exp[(spec.log[c] - pow(3, -1, n) * la) % n])
+
+
 def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     """The scaling and Galois orbits of the odd-q family (see the module doc).
 
     For p = 3 the family is t^3 + 3*c*t over GR(9,e), c the Teichmueller
     index; for q = 2 (mod 3) it is t^3 + c*t.  Both have one row, a = 1, and
     one orbit per c.  For q = 1 (mod 3) it is a*t^3 + c*t for a != 0, whose
-    sums are constant on the orbits (a, c) -> (a*l^3, c*l): (g^k, 1) for
-    k < q - 1 and (g^i, 0) for i = 0, 1, 2, with g = ``spec.exp[1]``.
+    sums are constant on the orbits (a, c) -> (a*l^3, c*l) that ``_raw_id`` names.
     """
     q = spec.q
     if q % 2 == 0:
         raise ValueError("the cubic family exists for odd q only")
-    n = q - 1
     if q % 3 == 1:
         rows, position_mult = tuple(range(1, q)), q * (q - 1)
-
-        def raw_id(a, c):  # k for the orbit of (a*c^-3, 1) = (g^k, 1), n + i for (g^i, 0)
-            la = spec.log[a]
-            return np.where(c == 0, n + la % 3, (la - 3 * spec.log[c]) % n)
     else:
         rows, position_mult = (1,), q * (q - 1) ** 2
-        third = pow(3, -1, n)  # (a, c) lies on the orbit of (1, c*a^(-1/3))
-
-        def raw_id(a, c):  # c for the orbit of (1, c)
-            return np.where(c == 0, 0, spec.exp[(spec.log[c] - third * spec.log[a]) % n])
-    raw = raw_id(np.array(rows)[:, None], np.arange(q)[None, :])
+    raw = _raw_id(spec, np.array(rows)[:, None], np.arange(q)[None, :])
     ids, first = np.unique(raw, return_index=True)
     order = ids[np.argsort(first)]  # raw orbit ids in first-seen order
     a, c = np.divmod(np.sort(first) + q, q)  # each orbit's first position (a, c)
@@ -267,7 +269,8 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     j, js = [1] * len(order), np.arange(1, spec.p)  # p = 3: j = 1
     for k in range(len(order)):
         if base[k] < 0:  # orbit k is the base of a new Galois orbit
-            img = rank[raw_id(spec.mul(js, int(a[k])), spec.mul(js, int(c[k])))].tolist()
+            img = rank[_raw_id(spec, spec.mul(js, int(a[k])),
+                               spec.mul(js, int(c[k])))].tolist()
             if img[0] != k or any(base[r] >= 0 for r in img):  # sigma_1 fixes orbit k
                 raise RuntimeError(f"q={q}: an orbit gets a second (base, j)")
             for jk, r in reversed(list(enumerate(img, 1))):  # sigma_jk(eps_k) = eps_r
@@ -360,32 +363,23 @@ class RepresentativeSet:
         """The unique member sharing its exponential sum with a*t^3 + c*t."""
         p = self.p
         spec = ff.ff_make(p, 1)
-        a %= p
-        c %= p
-        if a == 0:
+        if a % p == 0:
             raise ValueError("a must be nonzero")
+        k = int(_raw_id(spec, a % p, c % p))  # (g^k, 1), (g^(k-p+1), 0) or (1, k)
         if p % 3 == 2:
-            ainv3 = spec.inv(ff.cube_root(spec.element(a)).i)
-            return (1, spec.mul(ainv3, c))
-        if c != 0:
-            return (spec.mul(a, spec.pow(c, -3)), 1)
-        w = ff.primitive_element(spec).i
-        for i in range(3):
-            if spec.pow(spec.mul(a, spec.pow(w, -i)), (p - 1) // 3) == 1:
-                return (spec.pow(w, i), 0)
-        raise RuntimeError("cube coset classification failed")
+            return (1, k)
+        return (int(spec.exp[k]), 1) if k < p - 1 else (int(spec.exp[k - p + 1]), 0)
 
 
 def representatives(p: int) -> RepresentativeSet:
     """Canonical representative set: size p for p = 2 mod 3, p + 2 otherwise."""
     if not ff.is_prime(p) or p < 5:
         raise ValueError("representatives are defined for primes p >= 5")
-    spec = ff.ff_make(p, 1)
     if p % 3 == 2:
         members = tuple((1, c) for c in range(p))
     else:
-        w = ff.primitive_element(spec).i
-        members = tuple((spec.pow(w, i), 0) for i in range(3)) + \
+        g = ff.ff_make(p, 1).exp
+        members = tuple((int(g[i]), 0) for i in range(3)) + \
             tuple((a, 1) for a in range(1, p))
     return RepresentativeSet(p, members)
 
@@ -394,32 +388,8 @@ def fiber_profile(f, spec: ff.FieldSpec):
     """|f^-1(s)| for s = 0..p-1; prime fields only (where it determines eps)."""
     if spec.e != 1:
         raise ValueError("fiber profiles characterize sums over prime fields only")
-    coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) % spec.p for c in f]
-    values = spec.eval_poly(coeffs, np.arange(spec.p))
+    values = spec.eval_poly([int(c) % spec.p for c in f], np.arange(spec.p))
     return tuple(np.bincount(values, minlength=spec.p).tolist())
-
-
-def scale_invariance_check(f, lam: ff.FieldElem) -> bool:
-    """eps_{f(lambda t)} == eps_f exactly, for lambda != 0."""
-    spec = lam.spec
-    if lam.i == 0:
-        raise ValueError("lambda must be nonzero")
-    coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
-    scaled = [spec.mul(c, spec.pow(lam.i, k)) for k, c in enumerate(coeffs)]
-    return exp_sum_field(coeffs, spec) == exp_sum_field(scaled, spec)
-
-
-def epsilon_square_coincidences(p: int):
-    """Representative pairs whose sums are negatives (hence merge under eps^2)."""
-    reps = representatives(p)
-    spec = ff.ff_make(p, 1)
-    sums = [((a, c), exp_sum_field([0, c, 0, a], spec)) for a, c in reps.members]
-    out = []
-    for i in range(len(sums)):
-        for j in range(i + 1, len(sums)):
-            if sums[i][1] == -sums[j][1]:
-                out.append((sums[i][0], sums[j][0]))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -178,7 +178,7 @@ def embed_rows(spec: CycSpec, coeffs: np.ndarray) -> np.ndarray:
 
 def trace_histogram(f, spec: ff.FieldSpec) -> np.ndarray:
     """|{a in GF(q) : trace(f(a)) = s}| for s < p; ``f``: coefficients, constant first."""
-    coeffs = [c.i if isinstance(c, ff.FieldElem) else int(c) for c in f]
+    coeffs = [int(c) for c in f]
     n = spec.q - 1
     j = np.arange(n)  # a = g**j runs over the nonzero elements
     tr = np.full(spec.q, spec.tr(coeffs[0]) if coeffs else 0)  # tr[0]: a = 0

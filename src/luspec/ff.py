@@ -467,16 +467,6 @@ def primitive_element(spec: FieldSpec) -> FieldElem:
     return FieldElem(spec, int(spec.exp[1]))
 
 
-def cube_root(a: FieldElem) -> FieldElem:
-    """Unique cube root when cubing is a bijection (q not 1 mod 3)."""
-    spec = a.spec
-    if spec.q % 3 == 1:
-        raise ValueError(f"cubing is not injective in GF({spec.q}) (q = 1 mod 3)")
-    if spec.p == 3:
-        return a ** (3 ** (spec.e - 1))
-    return a ** ((2 * spec.q - 1) // 3)
-
-
 def moment_sum(spec: FieldSpec, k: int) -> int:
     """sum(a**k for a in GF(q)) as an element of the prime subfield.
 

@@ -354,7 +354,7 @@ def test_orbit_table_guards_the_galois_assignment(monkeypatch):
         closedform.epsilon_orbits(spec)
 
 
-# ---- representatives / coincidences / fibers ----
+# ---- representatives / fibers ----
 
 def test_representatives_sizes():
     assert len(closedform.representatives(5).members) == 5
@@ -376,9 +376,29 @@ def test_representatives_rejects():
         closedform.representatives(3)
     with pytest.raises(ValueError):
         closedform.representatives(9)
+    for p in (5, 7):  # a = 0 mod p is no cubic, for either residue of p mod 3
+        for a in (0, p):
+            with pytest.raises(ValueError):
+                closedform.representatives(p).representative_of(a, 1)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_representative_labels_the_orbits(p):
+    # one label per orbit of the table, and distinct orbits get distinct labels
+    reps_set = closedform.representatives(p)
+    orbits = closedform.epsilon_orbits(ff.ff_make(p, 1))
+    labels = {}
+    for a, row in zip(orbits.rows, orbits.orbit):
+        for c, k in enumerate(row.tolist()):
+            label = reps_set.representative_of(a, c)
+            assert labels.setdefault(k, label) == label
+    assert len(set(labels.values())) == len(labels) == len(orbits.mults)
+
+
+REPRESENTATIVE_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@pytest.mark.parametrize("p", REPRESENTATIVE_PRIMES)
 def test_representative_preserves_eps(p):
     spec = ff.ff_make(p, 1)
     reps_set = closedform.representatives(p)
@@ -391,18 +411,12 @@ def test_representative_preserves_eps(p):
                 cyclo.exp_sum_field([0, rc, 0, ra], spec)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("p", REPRESENTATIVE_PRIMES)
 def test_representative_sums_distinct(p):
     spec = ff.ff_make(p, 1)
     sums = [cyclo.exp_sum_field([0, c, 0, a], spec)
             for a, c in closedform.representatives(p).members]
     assert len({s.coeffs for s in sums}) == len(sums)
-
-
-def test_coincidences():
-    assert closedform.epsilon_square_coincidences(5) == [((1, 2), (1, 3))]
-    assert closedform.epsilon_square_coincidences(7) == []
-    assert closedform.epsilon_square_coincidences(11) == []
 
 
 def test_fiber_profiles():
@@ -435,16 +449,6 @@ def test_bounded_fiber_cubics_p7():
         assert closedform.fiber_profile([0, c, 0, 1], F7) == (1, 0, 2, 1, 1, 2, 0)
 
 
-def test_scale_invariance():
-    F5 = ff.ff_make(5, 1)
-    assert closedform.scale_invariance_check([0, 1, 0, 1], F5.element(2))
-    assert closedform.scale_invariance_check([0, 1, 0, 1], F5.one)
-    F7 = ff.ff_make(7, 1)
-    assert closedform.scale_invariance_check([0, 0, 0, 1], F7.element(3))
-    with pytest.raises(ValueError):
-        closedform.scale_invariance_check([0, 1], F5.zero)
-
-
 def test_orbit_rows_are_scale_invariant():
     # eps_{f(lambda t)} == eps_f: every position (a, c) of the family and its
     # scalings (a*l^3, c*l) have the trace histogram of their orbit's row
@@ -454,7 +458,7 @@ def test_orbit_rows_are_scale_invariant():
         eps = orbits.permute(orbits.base_hist)
         for a, row in zip(orbits.rows, orbits.orbit):
             for c, k in enumerate(row.tolist()):
-                for lam in (1, 2, q - 1):
+                for lam in (1, 2, 3, q - 1):
                     f = [0, spec.mul(c, lam), 0, spec.mul(a, spec.pow(lam, 3))]
                     assert np.array_equal(cyclo.trace_histogram(f, spec), eps[k])
 

@@ -106,28 +106,6 @@ def test_primitive_element_examples():
     assert ff.primitive_element(ff.ff_make(2, 1)).i == 1
 
 
-def test_cube_root_examples():
-    F5 = ff.ff_make(5, 1)
-    assert ff.cube_root(F5.element(3)) == F5.element(2)
-    assert ff.cube_root(F5.zero) == F5.zero
-    assert ff.cube_root(F5.one) == F5.one
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 8, 9, 11, 17, 27, 32, 81])
-def test_cube_root_bijection(q):
-    spec = ff.field_for(q)
-    for a in spec.elements():
-        r = ff.cube_root(a)
-        assert r * r * r == a
-
-
-def test_cube_root_rejects_q_1_mod_3():
-    with pytest.raises(ValueError):
-        ff.cube_root(ff.ff_make(7, 1).element(2))
-    with pytest.raises(ValueError):
-        ff.cube_root(ff.ff_make(2, 2).element(1))
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_moment_sums(q):
     spec = ff.field_for(q)

@@ -106,3 +106,15 @@ def test_hooked_layers_are_reached(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv + ["--no-timestamp"]) == 0, argv
     assert all(calls.values()), calls
+
+
+def test_demos_run(tmp_path):
+    # every demo runs from a clean directory against the source tree
+    demos = sorted((SRC.parents[1] / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                              timeout=120)
+        assert proc.returncode == 0, (demo.name, proc.stderr)
+        assert proc.stdout.strip(), demo.name
