@@ -16,6 +16,7 @@ import json
 import sys
 import types
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
@@ -266,6 +267,7 @@ def cmd_ramanujan(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@cache  # one parser per process; parse_args fills a fresh namespace each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luspec",

@@ -44,20 +44,31 @@ class ExactValue:
 
     Instances are normalized at construction (rational cyclotomics collapse
     to integers, perfect squares collapse to integers), so the merge key is
-    simply the canonical payload.
+    simply the canonical payload.  eps is kept as its int64 coefficient ``row``
+    in Z[zeta_n], n = ``cspec.n``, and the key holds the bytes of a row: eps^2's
+    for eps^2 - q, |eps|'s for +-|eps|.  The coefficient ``text`` is formatted
+    once; a lifted +- pair shares one row and one text.
     """
 
-    __slots__ = ("kind", "ival", "eps", "q", "sign", "radicand", "key", "approx")
+    __slots__ = ("kind", "ival", "row", "cspec", "q", "sign", "radicand", "key", "approx",
+                 "text")
 
-    def __init__(self, kind, key, approx, ival=0, eps=None, q=0, sign=1, radicand=0):
+    def __init__(self, kind, key, approx, ival=0, row=None, cspec=None, q=0, sign=1,
+                 radicand=0, text=None):
         self.kind = kind
         self.key = key
         self.approx = approx
         self.ival = ival
-        self.eps = eps
+        self.row = row
+        self.cspec = cspec
         self.q = q
         self.sign = sign
         self.radicand = radicand
+        self.text = text
+
+    @property
+    def eps(self) -> CycInt | None:
+        return None if self.row is None else CycInt(self.cspec, self.row.tolist())
 
     @staticmethod
     def integer(n: int) -> "ExactValue":
@@ -66,19 +77,22 @@ class ExactValue:
     @staticmethod
     def eps_shift(eps: CycInt, q: int) -> "ExactValue":
         """The value eps^2 - q; collapses to an integer when eps^2 is rational."""
-        return ExactValue.eps2q(eps, (e2 := eps * eps).coeffs, embed(e2).real, q)
+        e2 = eps * eps
+        return ExactValue.eps2q(eps.spec, np.array(eps.coeffs, dtype=np.int64),
+                                np.array(e2.coeffs, dtype=np.int64), embed(e2).real, q)
 
     @staticmethod
-    def eps2q(eps: CycInt, sq, x: float, q: int) -> "ExactValue":
-        """eps^2 - q, given the coefficients ``sq`` of eps^2 and x = embed(eps^2).real."""
-        if not any(sq[1:]):  # eps^2 is rational
-            return ExactValue.integer(sq[0] - q)
-        return ExactValue("eps2q", ("eps2q", eps.spec.n, tuple(sq), q), x - q, eps=eps, q=q)
+    def eps2q(cspec: cyclo.CycSpec, row, sq, x: float, q: int) -> "ExactValue":
+        """eps^2 - q from the int64 rows of eps and eps^2 and x = embed(eps^2).real."""
+        if not sq[1:].any():  # eps^2 is rational
+            return ExactValue.integer(int(sq[0]) - q)
+        return ExactValue("eps2q", ("eps2q", cspec.n, sq.tobytes(), q), x - q,
+                          row=row, cspec=cspec, q=q)
 
     @staticmethod
     def signed_abs_eps(eps: CycInt, sign: int) -> "ExactValue":
         """The value sign * |eps| for a real cyclotomic eps."""
-        return next(_abs_eps_pairs([eps]))[sign < 0]
+        return next(_abs_eps_pairs(eps.spec, [eps.coeffs]))[sign < 0]
 
     @staticmethod
     def sqrt(sign: int, radicand: int) -> "ExactValue":
@@ -91,17 +105,15 @@ class ExactValue:
                           sign * math.sqrt(radicand), sign=sign, radicand=radicand)
 
     def serial(self) -> str:
+        s = "+" if self.sign > 0 else "-"
         if self.kind == "int":
             return str(self.ival)
-        if self.kind == "eps2q":
-            return (f"eps^2 - {self.q}, eps={list(self.eps.coeffs)}, "
-                    f"conductor={self.eps.spec.n}")
-        if self.kind == "eps":
-            s = "+" if self.sign > 0 else "-"
-            return (f"{s}|eps|, eps={list(self.eps.coeffs)}, "
-                    f"conductor={self.eps.spec.n}")
-        s = "+" if self.sign > 0 else "-"
-        return f"{s}sqrt({self.radicand})"
+        if self.kind == "sqrt":
+            return f"{s}sqrt({self.radicand})"
+        if self.text is None:
+            self.text = cyclo.format_rows(self.row[None])[0]
+        head = f"eps^2 - {self.q}" if self.kind == "eps2q" else f"{s}|eps|"
+        return f"{head}, eps={self.text}, conductor={self.cspec.n}"
 
     def __eq__(self, other):
         return isinstance(other, ExactValue) and other.key == self.key
@@ -136,19 +148,12 @@ class SpectrumMultiset:
 
     @classmethod
     def assemble(cls, graph: str, q: int, pairs, expected_total: int):
-        """Merge (ExactValue, multiplicity) pairs by exact equality."""
-        merged: dict = {}
-        order: list = []
+        """Merge (ExactValue, multiplicity) pairs by exact equality, in first-seen order."""
+        merged: dict = {}  # key -> [first value, summed multiplicity]
         for value, mult in pairs:
-            if mult == 0:
-                continue
-            if value.key in merged:
-                prev_val, prev_mult = merged[value.key]
-                merged[value.key] = (prev_val, prev_mult + mult)
-            else:
-                merged[value.key] = (value, mult)
-                order.append(value.key)
-        entries = [SpectrumEntry(*merged[k]) for k in order]
+            if mult:
+                merged.setdefault(value.key, [value, 0])[1] += mult
+        entries = [SpectrumEntry(v, m) for v, m in merged.values()]
         out = cls(graph, q, entries)
         if out.total != expected_total:
             raise ValueError(f"multiset totals {out.total}, expected {expected_total}")
@@ -259,12 +264,12 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     else:
         rows, position_mult = (1,), q * (q - 1) ** 2
     raw = _raw_id(spec, np.array(rows)[:, None], np.arange(q)[None, :])
-    ids, first = np.unique(raw, return_index=True)
-    order = ids[np.argsort(first)]  # raw orbit ids in first-seen order
-    a, c = np.divmod(np.sort(first) + q, q)  # each orbit's first position (a, c)
-    rank = np.empty(raw.max() + 1, dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    counts = np.bincount(raw.ravel())[order]
+    counts = np.bincount(raw.ravel())
+    first = np.full(len(counts), raw.size)  # each raw id's first position
+    np.minimum.at(first, raw.ravel(), np.arange(raw.size))
+    perm = np.argsort(first)  # raw ids in first-seen order, then the ids never seen
+    order, rank = perm[:np.count_nonzero(counts)], np.argsort(perm)
+    a, c = np.divmod(first[order] + q, q)  # each orbit's first position (a, c)
     base = list(range(len(order))) if spec.p == 3 else [-1] * len(order)
     j, js = [1] * len(order), np.arange(1, spec.p)  # p = 3: j = 1
     for k in range(len(order)):
@@ -281,7 +286,7 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
                  else exp_sum_field([0, int(c[k]), 0, int(a[k])], spec) for k in bases)
     hist = cyclo.histogram_rows(sums[0].spec, [e.coeffs for e in sums], q)
     orbits = EpsilonOrbits(rows, rank[raw], sums, hist, np.searchsorted(bases, base),
-                           spec.inv(np.array(j)), tuple((position_mult * counts).tolist()),
+                           spec.inv(np.array(j)), tuple((position_mult * counts[order]).tolist()),
                            position_mult)
     for b in range(0 if spec.p == 3 else len(bases)):  # one permuted row per base
         k = np.flatnonzero(orbits.slot == b)[-1]
@@ -325,21 +330,20 @@ def spectrum_odd(spec: ff.FieldSpec,
     ]
     if orbits is None:
         orbits = epsilon_orbits(spec)
-    cspec = orbits.bases[0].spec
-    eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist))
-    eps *= np.sign(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)])[:, None]
-    groups = {}  # +-eps, first nonzero coefficient > 0, as bytes -> [orbit, mult]
-    for k, (key, mult) in enumerate(zip(map(bytes, eps), orbits.mults)):
-        groups.setdefault(key, [k, 0])[1] += mult
-    firsts, mults = map(list, zip(*groups.values()))
-    del eps, groups  # every orbit's row and the groups' byte copies
+    cspec, n = orbits.bases[0].spec, len(orbits.mults)
+    groups = {}  # +-eps, first nonzero coefficient > 0, as bytes -> [orbit, its eps, mult]
+    for lo in range(0, n, 64):  # 64 orbits' rows at a time
+        eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist, slice(lo, lo + 64)))
+        sign = np.sign(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)])[:, None]
+        for k, e, key, mult in zip(range(lo, n), eps, map(bytes, eps * sign), orbits.mults[lo:]):
+            groups.setdefault(key, [k, e, 0])[2] += mult
+    firsts, eps, mults = map(list, zip(*groups.values()))  # eps: int64 rows of the blocks
+    del groups  # the groups' byte copies
     squares = cyclo.histogram_rows(cspec, [(e * e).coeffs for e in orbits.bases], q * q)
-    for lo in range(0, len(firsts), 64):  # 64 groups' rows at a time
-        ks = firsts[lo:lo + 64]
-        eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist, ks)).tolist()
-        sq = cyclo.reduce_rows(cspec, orbits.permute(squares, ks))
-        for m, e, s, x in zip(mults[lo:], eps, sq, cyclo.embed_rows(cspec, sq).tolist()):
-            pairs.append((ExactValue.eps2q(CycInt(cspec, e), s.tolist(), x, q), m))
+    for lo in range(0, len(firsts), 64):  # 64 groups' squares at a time
+        sq = cyclo.reduce_rows(cspec, orbits.permute(squares, firsts[lo:lo + 64]))
+        for m, e, s, x in zip(mults[lo:], eps[lo:], sq, cyclo.embed_rows(cspec, sq).tolist()):
+            pairs.append((ExactValue.eps2q(cspec, e, s, x, q), m))
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
@@ -395,15 +399,20 @@ def fiber_profile(f, spec: ff.FieldSpec):
 # ----------------------------------------------------------------------
 # bipartite lift
 
-def _abs_eps_pairs(sums):
-    """(+|eps|, -|eps|) for each real eps of ``sums``, embedded 64 rows at a time."""
-    for block in (sums[lo:lo + 64] for lo in range(0, len(sums), 64)):
-        xs = cyclo.embed_rows(block[0].spec, np.array([e.coeffs for e in block]))
-        for eps, x in zip(block, xs.tolist()):
-            canon = eps if x >= 0 else -eps
-            yield [ExactValue.integer(s * abs(canon.as_int)) if canon.is_rational else
-                   ExactValue("eps", ("eps", s, canon.spec.n, canon.coeffs), s * abs(x),
-                              eps=canon, sign=s) for s in (1, -1)]
+def _abs_eps_pairs(cspec: cyclo.CycSpec, rows):
+    """(+|eps|, -|eps|) for each real eps of the int64 ``rows``, 64 rows at a time:
+    each row is embedded once, signed to |eps|, and formatted once for its pair."""
+    for lo in range(0, len(rows), 64):
+        block = np.array(rows[lo:lo + 64], dtype=np.int64)
+        xs = cyclo.embed_rows(cspec, block)
+        block[xs < 0] *= -1
+        rational = (~block[:, 1:].any(axis=1)).tolist()
+        for key, x, text, rat in zip(map(bytes, block), np.abs(xs).tolist(),
+                                     cyclo.format_rows(block), rational):
+            row = np.frombuffer(key, dtype=np.int64)  # the pair's key and row share memory
+            yield [ExactValue.integer(s * abs(int(row[0]))) if rat else
+                   ExactValue("eps", ("eps", s, cspec.n, key), s * x, row=row,
+                              cspec=cspec, sign=s, text=text) for s in (1, -1)]
 
 
 def lift_to_bipartite(s: SpectrumMultiset, q: int) -> SpectrumMultiset:
@@ -412,7 +421,8 @@ def lift_to_bipartite(s: SpectrumMultiset, q: int) -> SpectrumMultiset:
     if s.total != q ** 4:
         raise ValueError(f"expected a Gamma multiset of total {q**4}, got {s.total}")
     pairs = []
-    lifted = _abs_eps_pairs([e.value.eps for e in s.entries if e.value.kind == "eps2q"])
+    eps = [e.value for e in s.entries if e.value.kind == "eps2q"]
+    lifted = _abs_eps_pairs(eps[0].cspec if eps else None, [v.row for v in eps])
     for e in s.entries:
         v, m = e.value, e.multiplicity
         if v.kind == "int":

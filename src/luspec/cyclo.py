@@ -176,6 +176,13 @@ def embed_rows(spec: CycSpec, coeffs: np.ndarray) -> np.ndarray:
     return np.cumsum(coeffs * np.real(spec.roots[:spec.phi]), axis=-1)[..., -1]
 
 
+def format_rows(rows: np.ndarray) -> list:
+    """``str(list(row))`` of each integer row, from one table over the rows' range:
+    str(v) for v = 0 .. max, then min .. -1, so that lut[v] is str(v) for every v."""
+    lut = [*map(str, range(rows.max(initial=0) + 1)), *map(str, range(rows.min(initial=0), 0))]
+    return ["[" + ", ".join(map(lut.__getitem__, r)) + "]" for r in rows.tolist()]
+
+
 def trace_histogram(f, spec: ff.FieldSpec) -> np.ndarray:
     """|{a in GF(q) : trace(f(a)) = s}| for s < p; ``f``: coefficients, constant first."""
     coeffs = [int(c) for c in f]

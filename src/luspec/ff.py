@@ -462,28 +462,6 @@ def trace(a: FieldElem) -> int:
     return a.spec.tr(a.i)
 
 
-def primitive_element(spec: FieldSpec) -> FieldElem:
-    """Smallest element (index order) of multiplicative order q - 1."""
-    return FieldElem(spec, int(spec.exp[1]))
-
-
-def moment_sum(spec: FieldSpec, k: int) -> int:
-    """sum(a**k for a in GF(q)) as an element of the prime subfield.
-
-    Exists as a self-test of the arithmetic: the value must be -1 mod p
-    when (q-1) | k, k >= 1, and 0 otherwise.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    acc = 0
-    for i in range(spec.q):
-        acc = spec.add(acc, spec.pow(i, k))
-    coeffs = spec.index_coeffs(acc)
-    if any(coeffs[1:]):
-        raise RuntimeError("moment sum must lie in the prime subfield")
-    return coeffs[0]
-
-
 @dataclass(frozen=True)
 class RootProfile:
     """Distribution of root counts over a family of polynomials."""

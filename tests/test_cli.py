@@ -327,3 +327,30 @@ def test_out_writes_the_file_and_prints_it(argv, tmp_path, capsys):
     code, out, _ = run(capsys, argv + ["--no-timestamp", "--out", str(path)])
     assert code == 0 and out == stdout
     assert path.read_bytes() == stdout.encode()
+
+
+def test_one_parser_serves_every_call_without_leaking_values(tmp_path, capsys):
+    # main() reuses one cached parser; each call must read only its own flags,
+    # exactly as a freshly built parser would, whatever ran before it
+    out = tmp_path / "spectrum.csv"
+    calls = [["spectrum", "--q", "5", "--format", "csv", "--no-timestamp"],
+             ["spectrum", "--q", "5", "--no-timestamp"],
+             ["verify", "--q", "3", "--tol", "1e-3", "--max-dense-n", "100"],
+             ["spectrum", "--q", "7", "--graph", "d4", "--format", "table",
+              "--out", str(out)],
+             ["verify", "--q", "2,3"],
+             ["spectrum", "--q", "5", "--source", "numeric", "--no-timestamp"],
+             ["epsilons", "--q", "5", "--format", "table", "--no-timestamp"],
+             ["spectrum", "--q", "5", "--no-timestamp"],
+             ["spectrum", "--q", "5", "--tol", "1"],
+             ["epsilons", "--q", "5", "--no-timestamp"]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert fresh[8][0] == 2 and fresh[1] == fresh[7]
+    assert fresh[0][1].startswith("value_float,") and fresh[1][1].startswith("{")
+    assert fresh[3][1] == "" and out.read_text().startswith("value_float  ")
+    assert cli._build_parser() is cli._build_parser()
+    for argv, want in zip(calls * 2, fresh * 2):
+        assert run(capsys, argv) == want, argv

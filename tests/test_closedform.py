@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from luspec import closedform, cyclo, ff, gr9
+from luspec import cli, closedform, cyclo, ff, gr9
 from luspec.closedform import (ExactValue, SpectrumMultiset, lift_to_bipartite,
                                spectrum_closed, spectrum_even, spectrum_odd)
 
@@ -492,6 +494,42 @@ def test_lift_negation_symmetry():
             neg = [x for x in lifted.entries
                    if abs(x.approx + e.approx) < 1e-9]
             assert neg and neg[0].multiplicity == e.multiplicity
+
+
+@pytest.mark.parametrize("q", [5, 13, 25, 27])
+def test_lifted_pair_shares_one_row_and_one_text(q):
+    # +|eps| and -|eps| of one class hold the same row and coefficient text,
+    # formatted once, and that text is |eps|'s coefficient list
+    lifted = lift_to_bipartite(spectrum_odd(ff.field_for(q)), q)
+    pairs = {}
+    for e in lifted.entries:
+        if e.value.kind == "eps":
+            pairs.setdefault(e.value.key[2:], []).append(e.value)
+    assert pairs
+    for plus, minus in (sorted(p, key=lambda v: -v.sign) for p in pairs.values()):
+        assert (plus.sign, minus.sign) == (1, -1) and plus.approx == -minus.approx > 0
+        assert plus.row is minus.row
+        assert plus.serial()[1:] == minus.serial()[1:]  # "+|eps|, ..." and "-|eps|, ..."
+        assert plus.text is minus.text
+        assert plus.text == str(list(plus.eps.coeffs))
+        assert cyclo.embed(plus.eps).real == pytest.approx(plus.approx)
+
+
+def test_d4_spectrum_builds_no_cyc_int_per_class(monkeypatch):
+    # the merged eps stay int64 rows from spectrum_odd to the JSON text: the
+    # only CycInts are the three base sums of q = 257 and their three squares
+    calls = {"init": 0}
+    real = cyclo.CycInt.__init__
+
+    def counted(self, spec, coeffs):
+        calls["init"] += 1
+        real(self, spec, coeffs)
+
+    monkeypatch.setattr(cyclo.CycInt, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["spectrum", "--graph", "d4", "--q", "257", "--no-timestamp"]) == 0
+    assert len(json.loads(out.getvalue())["entries"]) > 500
+    assert calls == {"init": 6}
 
 
 def test_lift_rejects():

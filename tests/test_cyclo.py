@@ -203,3 +203,25 @@ def test_histogram_rows_invert_reduce_rows(q):
     assert cyclo.reduce_rows(cspec, rows).tolist() == [list(c) for c in coeffs]
     with pytest.raises(RuntimeError, match="does not sum"):
         cyclo.histogram_rows(cspec, coeffs, q + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_format_rows_matches_str_of_list(data):
+    # the lookup-table text of each row is str(list(row)), for rows with
+    # negative, zero, single-valued and large (up to +-q^2) entries
+    q = data.draw(st.sampled_from([3, 5, 13, 61]))
+    value = st.integers(-q * q, q * q)
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(0, 12)))
+    kind = data.draw(st.sampled_from(["any", "zero", "single", "extremes"]))
+    if kind == "zero":
+        rows = np.zeros(shape, dtype=np.int64)
+    elif kind == "single":
+        rows = np.full(shape, data.draw(value), dtype=np.int64)
+    else:
+        elements = st.sampled_from([-q * q, -1, 0, 1, q * q]) if kind == "extremes" else value
+        rows = np.array(data.draw(st.lists(st.lists(elements, min_size=shape[1],
+                                                    max_size=shape[1]),
+                                           min_size=shape[0], max_size=shape[0])),
+                        dtype=np.int64).reshape(shape)
+    assert cyclo.format_rows(rows) == [str(list(r)) for r in rows.tolist()]

@@ -10,7 +10,10 @@ and table formats, ``ramanujan``, ``build`` and the two files of ``build
 and 169 ``epsilons`` csv and the q = 9, 25, 61 ``epsilons`` table digests
 before ``epsilons`` formatted its cells once per scaling orbit; the q = 61,
 343 and 991 ``spectrum --graph d4`` digests before the closed form took one
-sum and one square per Galois orbit.  They must not be regenerated to make a
+sum and one square per Galois orbit; the q = 61 ``spectrum --graph d4``
+csv (its +-|eps| serials) and the q = 257 ``spectrum`` table (its
+eps^2 - q serials) before each eps was kept as an integer row and its
+coefficient text formatted once.  They must not be regenerated to make a
 changed program pass: a new digest means the output changed.
 """
 
@@ -101,6 +104,10 @@ GOLDEN = {
         "a7687b50f55e98e5b78aa9daf41b5853d4ef7840886cbdeed72a3bf804175c7a",
     "spectrum --graph d4 --q 991 --no-timestamp":
         "f1b42bea9124f7a33f2ae106d908b069fa1681e85f611f0426a89c9475169f5a",
+    "spectrum --graph d4 --q 61 --format csv --no-timestamp":
+        "5741715d9705a440c1c900ecdf4b38fd6a405f5394f1c238e6d7bdfd8a9686c5",
+    "spectrum --q 257 --format table --no-timestamp":
+        "d55c6eb3ab2434870016a571adae54a03a2fb62949c121a2f73de343d7b90da0",
 }
 
 # build --q 2 --graph d4 --out F writes the edge list to F and the vertex
