@@ -14,7 +14,7 @@ print("eps_{4t^3} over F_13:")
 print("  power basis:", list(eps.coeffs))
 print("  value      :", cyclo.embed(eps).real)
 print("  2*sqrt(12) =", 2 * 12 ** 0.5, "  2*sqrt(13) =", 2 * 13 ** 0.5)
-wc = cyclo.weil_check(eps, 13, 3)
+wc = cyclo.weil_check(eps, 13)
 print(f"  Weil margin: {wc.margin:.4f} (bound holds: {wc.ok})")
 
 # representative classes: every a*t^3 + c*t folds onto a small canonical set

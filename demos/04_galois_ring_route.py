@@ -18,7 +18,7 @@ print("mod 3 (the field trace):", (R.teich_trace % 3).tolist(),
 print("\nconductor-9 sums for t^3 + 3*c*t:")
 for c in range(4):
     eps = cyclo.exp_sum_gr(c, R)
-    wc = cyclo.weil_check(eps, R.q, 3)
+    wc = cyclo.weil_check(eps, R.q)
     print(f"  c = {c}: eps = {cyclo.embed(eps).real:+.6f}, "
           f"Weil margin {wc.margin:.4f}")
 

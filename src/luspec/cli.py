@@ -140,7 +140,7 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
     if q % 2 == 1:
         # positions on one scaling orbit share their sum: one check per orbit
         orbits = closedform.epsilon_orbits(spec)
-        bad = sum(not cyclo.weil_check(eps, q, 3).ok for eps in orbits.sums)
+        bad = sum(not cyclo.weil_check(eps, q).ok for eps in orbits.sums)
         check("Weil bound over the cubic family", bad == 0)
 
     s = closedform.spectrum_closed(spec, orbits)
@@ -214,7 +214,7 @@ def cmd_epsilons(args) -> int:
                 f"{list(eps.coeffs)}@{eps.spec.n}",
                 f"{cyclo.embed(eps).real:.10g}",
                 closedform.ExactValue.eps_shift(eps, q).serial(),
-                f"{cyclo.weil_check(eps, q, 3).margin:.10g}",
+                f"{cyclo.weil_check(eps, q).margin:.10g}",
                 # over F_p, eps = sum_s |f^-1(s)| zeta^s and the counts sum to
                 # p, so eps fixes the fiber profile
                 "|".join(str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))

@@ -90,11 +90,6 @@ class ExactValue:
                           row=row, cspec=cspec, q=q)
 
     @staticmethod
-    def signed_abs_eps(eps: CycInt, sign: int) -> "ExactValue":
-        """The value sign * |eps| for a real cyclotomic eps."""
-        return next(_abs_eps_pairs(eps.spec, [eps.coeffs]))[sign < 0]
-
-    @staticmethod
     def sqrt(sign: int, radicand: int) -> "ExactValue":
         if radicand < 0:
             raise ValueError("negative radicand")
@@ -211,19 +206,28 @@ def spectrum_even(spec: ff.FieldSpec) -> SpectrumMultiset:
 class EpsilonOrbits:
     """The odd-q cubic family's scaling orbits, grouped into Galois orbits.
 
-    Positions (rows[i], c), c = 0 .. q-1, lie on orbit ``orbit[i, c]`` (first-seen
-    order).  Orbit k has multiplicity ``mults[k]`` (``position_mult`` per position)
-    and sum ``sums[k]`` = sigma_j(``bases[slot[k]]``), j^-1 = ``jinv[k]``; the base
-    sums' histograms are the rows of ``base_hist``."""
+    Position (a, c) lies on orbit ``ids(a, c)`` (first-seen order over the
+    positions (rows[i], c), c = 0 .. q-1).  Orbit k has multiplicity ``mults[k]``
+    (``position_mult`` per position) and sum ``sums[k]`` = sigma_j(``bases[slot[k]]``),
+    j^-1 = ``jinv[k]``; the base sums' histograms are the rows of ``base_hist``."""
 
+    spec: ff.FieldSpec
     rows: tuple
-    orbit: np.ndarray
+    rank: np.ndarray  # raw id (``_raw_id``) -> orbit
     bases: tuple
     base_hist: np.ndarray
     slot: np.ndarray
     jinv: np.ndarray
     mults: tuple
     position_mult: int
+
+    def ids(self, a, c) -> np.ndarray:
+        return self.rank[_raw_id(self.spec, a, c)]
+
+    @cached_property
+    def orbit(self) -> np.ndarray:
+        """The (rows x q) grid of orbit ids, built when first read."""
+        return self.ids(np.array(self.rows)[:, None], np.arange(self.spec.q))
 
     def permute(self, base_hist, ks=slice(None)) -> np.ndarray:
         """Rows ks from one histogram h per base: sigma_j(h)[s] = h[j^-1 * s]."""
@@ -285,7 +289,7 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     sums = tuple(exp_sum_gr(int(spec.exp[c[k] - 1]) if c[k] else 0, R) if spec.p == 3
                  else exp_sum_field([0, int(c[k]), 0, int(a[k])], spec) for k in bases)
     hist = cyclo.histogram_rows(sums[0].spec, [e.coeffs for e in sums], q)
-    orbits = EpsilonOrbits(rows, rank[raw], sums, hist, np.searchsorted(bases, base),
+    orbits = EpsilonOrbits(spec, rows, rank, sums, hist, np.searchsorted(bases, base),
                            spec.inv(np.array(j)), tuple((position_mult * counts[order]).tolist()),
                            position_mult)
     for b in range(0 if spec.p == 3 else len(bases)):  # one permuted row per base
@@ -310,32 +314,19 @@ def epsilon_family(spec: ff.FieldSpec):
             yield (a, c), sums[k], mult
 
 
-def spectrum_odd(spec: ff.FieldSpec,
-                 orbits: EpsilonOrbits | None = None) -> SpectrumMultiset:
-    """Exact Gamma(4,q) spectrum for odd q via exponential sums.
+def eps_classes(orbits: EpsilonOrbits, ks, mults) -> list:
+    """(eps^2 - q, multiplicity) pairs of the orbits ``ks``, orbit ks[i] carrying mults[i].
 
     Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
     eps = +-eps': the orbit rows are merged on +-eps first, and each group, in
     first-seen order with its first eps, takes its row of the bases' squares.
-    ``orbits`` is ``epsilon_orbits(spec)`` when the caller already has it.
     """
-    q = spec.q
-    if q % 2 == 0:
-        raise ValueError("spectrum_odd needs odd q")
-    pairs = [
-        (ExactValue.integer(q * (q - 1)), 1),
-        (ExactValue.integer(q), q * (q - 1) ** 2),
-        (ExactValue.integer(0), 3 * q * (q - 1)),
-        (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
-    ]
-    if orbits is None:
-        orbits = epsilon_orbits(spec)
-    cspec, n = orbits.bases[0].spec, len(orbits.mults)
+    cspec, q, pairs = orbits.bases[0].spec, orbits.spec.q, []
     groups = {}  # +-eps, first nonzero coefficient > 0, as bytes -> [orbit, its eps, mult]
-    for lo in range(0, n, 64):  # 64 orbits' rows at a time
-        eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist, slice(lo, lo + 64)))
+    for lo in range(0, len(ks), 64):  # 64 orbits' rows at a time
+        eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist, ks[lo:lo + 64]))
         sign = np.sign(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)])[:, None]
-        for k, e, key, mult in zip(range(lo, n), eps, map(bytes, eps * sign), orbits.mults[lo:]):
+        for k, e, key, mult in zip(ks[lo:lo + 64], eps, map(bytes, eps * sign), mults[lo:]):
             groups.setdefault(key, [k, e, 0])[2] += mult
     firsts, eps, mults = map(list, zip(*groups.values()))  # eps: int64 rows of the blocks
     del groups  # the groups' byte copies
@@ -344,6 +335,25 @@ def spectrum_odd(spec: ff.FieldSpec,
         sq = cyclo.reduce_rows(cspec, orbits.permute(squares, firsts[lo:lo + 64]))
         for m, e, s, x in zip(mults[lo:], eps[lo:], sq, cyclo.embed_rows(cspec, sq).tolist()):
             pairs.append((ExactValue.eps2q(cspec, e, s, x, q), m))
+    return pairs
+
+
+def spectrum_odd(spec: ff.FieldSpec,
+                 orbits: EpsilonOrbits | None = None) -> SpectrumMultiset:
+    """Exact Gamma(4,q) spectrum for odd q: the integer classes and ``eps_classes``
+    of every orbit.  ``orbits`` is ``epsilon_orbits(spec)`` when the caller already has it.
+    """
+    q = spec.q
+    if q % 2 == 0:
+        raise ValueError("spectrum_odd needs odd q")
+    if orbits is None:
+        orbits = epsilon_orbits(spec)
+    pairs = [
+        (ExactValue.integer(q * (q - 1)), 1),
+        (ExactValue.integer(q), q * (q - 1) ** 2),
+        (ExactValue.integer(0), 3 * q * (q - 1)),
+        (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
+    ] + eps_classes(orbits, range(len(orbits.mults)), orbits.mults)
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 

@@ -102,9 +102,6 @@ class CycInt:
         o = self._other(other)
         return CycInt(self.spec, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return CycInt(self.spec, [-a for a in self.coeffs])
 
@@ -222,11 +219,10 @@ class WeilCheck:
     margin: float
 
 
-def weil_check(eps: CycInt, q: int, d: int) -> WeilCheck:
-    """|eps| <= (d-1)*sqrt(q) up to 1e-9 of float error; returns the margin."""
-    if d < 2:
-        raise ValueError("the bound (d-1)*sqrt(q) needs weighted degree d >= 2")
-    bound = (d - 1) * float(q) ** 0.5
+def weil_check(eps: CycInt, q: int) -> WeilCheck:
+    """|eps| <= 2*sqrt(q), Weil's bound for a cubic f, up to 1e-9 of float error;
+    returns the margin."""
+    bound = 2 * float(q) ** 0.5
     val = abs(embed(eps))
     return WeilCheck(ok=val <= bound + 1e-9, bound=bound,
                      abs_value=val, margin=bound - val)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -192,16 +192,6 @@ class ExpansionReport:
     margin_ramanujan: float   # 2*sqrt(q-1) - lambda2
     margin_weil: float        # 2*sqrt(q)   - lambda2
 
-    def to_json_dict(self) -> dict:
-        return {"q": self.q, "source": self.source, "lambda2": self.lambda2,
-                "spectral_gap": self.spectral_gap,
-                "isoperimetric_lower": self.isoperimetric_lower,
-                "isoperimetric_upper": self.isoperimetric_upper,
-                "ramanujan": self.ramanujan,
-                "near_ramanujan": self.near_ramanujan,
-                "margin_ramanujan": self.margin_ramanujan,
-                "margin_weil": self.margin_weil}
-
     def verdict(self) -> str:
         word = "Ramanujan" if self.ramanujan else "NOT Ramanujan"
         return f"q={self.q}: {word} (margin {self.margin_ramanujan:+.4f})"
@@ -255,4 +245,4 @@ def expansion_table(reports) -> str:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)
+    return json.dumps([asdict(r) for r in reports], indent=2)

@@ -20,13 +20,15 @@ p = 3 matrix entries live in conductor 9 with zeta_3 = zeta_9^3.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closedform, cyclo, ff, graphs
-from .cyclo import CycInt, cyc_spec, exp_sum_field
-from .closedform import ExactValue, SpectrumMultiset
+from .cyclo import CycInt, cyc_spec
+from .cyclo import exp_sum_field  # noqa: F401 -- perfbench/tracer.py wraps reps.exp_sum_field
+from .closedform import SpectrumMultiset
 from .ff import FieldElem, FieldSpec
 
 
@@ -228,25 +230,19 @@ def psi_orthogonality(spec: FieldSpec) -> bool:
 
 
 def eigen_via_epsilon(alpha: FieldElem, beta: FieldElem) -> SpectrumMultiset:
-    """Exact eigenvalue multiset {eps_f^2 - q} of M[alpha,beta](S)."""
+    """Exact eigenvalue multiset {eps_f^2 - q} of M[alpha,beta](S): the
+    ``closedform.eps_classes`` of the orbits of the positions (a', c), c in F."""
     spec = alpha.spec
     q = spec.q
     if spec.p == 2:
         raise ValueError("no degree-q representations for p = 2")
     if alpha.i == 0 or beta.i == 0:
         raise ValueError("the eps route needs alpha*beta != 0")
-    pairs = []
-    if spec.p == 3:
-        for _, eps, _ in closedform.epsilon_family(spec):
-            pairs.append((ExactValue.eps_shift(eps, q), 1))
-    else:
-        three = spec.element([3 % spec.p] + [0] * (spec.e - 1))
-        a = (three * alpha * beta) ** (-1)
-        for c in range(q):
-            eps = exp_sum_field([0, c, 0, a.i], spec)
-            pairs.append((ExactValue.eps_shift(eps, q), 1))
-    return SpectrumMultiset.assemble(f"M[{alpha.i},{beta.i}]", q, pairs,
-                                     expected_total=q)
+    a = 1 if spec.p == 3 else spec.inv(spec.mul(3, spec.mul(alpha.i, beta.i)))
+    orbits = closedform.epsilon_orbits(spec)
+    counts = Counter(orbits.ids(a, np.arange(q)).tolist())  # orbit -> positions, in c order
+    pairs = closedform.eps_classes(orbits, list(counts), list(counts.values()))
+    return SpectrumMultiset.assemble(f"M[{alpha.i},{beta.i}]", q, pairs, expected_total=q)
 
 
 def conjugacy_class_data(spec: FieldSpec):
@@ -268,9 +264,3 @@ def conjugacy_class_data(spec: FieldSpec):
     for s in sizes:
         hist[int(s)] = hist.get(int(s), 0) + 1
     return len(classes), hist
-
-
-def irreducible_degree_check(spec: FieldSpec) -> bool:
-    """Sum of squared degrees over the constructed irreducibles equals |G|."""
-    q = spec.q
-    return q ** 3 * 1 + (q * q - q) * q * q == q ** 4

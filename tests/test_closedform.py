@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from luspec import cli, closedform, cyclo, ff, gr9
-from luspec.closedform import (ExactValue, SpectrumMultiset, lift_to_bipartite,
-                               spectrum_closed, spectrum_even, spectrum_odd)
+from luspec.closedform import (ExactValue, SpectrumMultiset, _abs_eps_pairs,
+                               lift_to_bipartite, spectrum_closed, spectrum_even,
+                               spectrum_odd)
 
 
 def entries_dict(s):
@@ -42,17 +43,16 @@ def test_exact_value_normalization():
     root5 = -(cyclo.CycInt.integer(c5, 1) + 2 * cyclo.zeta(c5, 2)
               + 2 * cyclo.zeta(c5, 3))  # sqrt(5) as a cyclotomic integer
     assert ExactValue.eps_shift(root5, 5) == ExactValue.integer(0)
-    neg = ExactValue.signed_abs_eps(root5, -1)
+    _, neg = next(_abs_eps_pairs(c5, [root5.coeffs]))
     assert neg.kind == "eps" and neg.approx == pytest.approx(-math.sqrt(5))
 
 
 def test_signed_abs_eps_sign_canonical():
     c5 = cyclo.cyc_spec(5)
     eps = cyclo.exp_sum_field([0, 1, 0, 1], ff.ff_make(5, 1))  # (5-sqrt5)/2 > 0
-    plus = ExactValue.signed_abs_eps(eps, +1)
-    minus = ExactValue.signed_abs_eps(-eps, +1)
-    assert plus == minus  # canonical |eps| ignores the sign of eps
-    assert plus.approx > 0 > ExactValue.signed_abs_eps(eps, -1).approx
+    (plus, minus_eps), (plus_neg, _) = _abs_eps_pairs(c5, [eps.coeffs, (-eps).coeffs])
+    assert plus == plus_neg  # canonical |eps| ignores the sign of eps
+    assert plus.approx > 0 > minus_eps.approx
 
 
 def test_spectrum_even_q2():
@@ -144,6 +144,21 @@ def test_epsilon_orbits_in_first_seen_order(q):
                                   for i in range(k)]
     # the eps classes fill what the four integer eigenvalues leave of q^4
     assert sum(orbits.mults) == q ** 2 * (q - 1) ** 2
+
+
+def test_position_grid_is_built_on_first_read(monkeypatch):
+    spec = ff.field_for(61)
+    orbits = closedform.epsilon_orbits(spec)
+    lift_to_bipartite(spectrum_odd(spec, orbits), 61)
+    assert "orbit" not in vars(orbits)
+    assert orbits.orbit.shape == (60, 61) and "orbit" in vars(orbits)
+
+    def no_grid(self):
+        raise AssertionError("the position grid was read")
+
+    monkeypatch.setattr(closedform.EpsilonOrbits, "orbit", property(no_grid))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--q", "3,5,7,61", "--no-timestamp"]) == 0
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 31])

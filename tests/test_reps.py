@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from luspec import closedform, cyclo, ff, graphs, reps
+from luspec import closedform, cyclo, ff, gr9, graphs, reps
 from luspec.cyclo import CycInt, cyc_spec, zeta
 
 
@@ -215,7 +215,6 @@ def test_conjugacy_classes(q):
     count, hist = reps.conjugacy_class_data(F(q))
     assert count == q ** 3 + q ** 2 - q
     assert hist == {1: q * q, q: q ** 3 - q}
-    assert reps.irreducible_degree_check(F(q))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
@@ -228,6 +227,53 @@ def test_eigen_via_epsilon_matches_numeric(q):
             numeric = np.sort(m.eigenvalues())
             exact = reps.eigen_via_epsilon(a, b).expand()
             assert np.abs(numeric - exact).max() < 1e-9
+
+
+def _eigen_per_position(alpha, beta):
+    """M[alpha,beta](S)'s multiset by one sum and one square per position c in F."""
+    spec = alpha.spec
+    q = spec.q
+    if spec.p == 3:
+        ring = gr9.gr9_make(spec.e)  # Teichmueller index c -> field element g^(c-1)
+        sums = [cyclo.exp_sum_gr(int(spec.exp[c - 1]) if c else 0, ring) for c in range(q)]
+    else:
+        a = (spec.element([3 % spec.p] + [0] * (spec.e - 1)) * alpha * beta) ** (-1)
+        sums = [cyclo.exp_sum_field([0, c, 0, a.i], spec) for c in range(q)]
+    pairs = [(closedform.ExactValue.eps_shift(eps, q), 1) for eps in sums]
+    return closedform.SpectrumMultiset.assemble(f"M[{alpha.i},{beta.i}]", q, pairs,
+                                                expected_total=q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_eigen_via_epsilon_is_the_per_position_route(q):
+    # exact values, serials, floats, multiplicities and order, at every block
+    spec = F(q)
+    for ai in range(1, q):
+        for bi in range(1, q):
+            a, b = spec.element(ai), spec.element(bi)
+            got = reps.eigen_via_epsilon(a, b).to_json_dict()
+            assert got == _eigen_per_position(a, b).to_json_dict(), (ai, bi)
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 61])
+def test_eigen_via_epsilon_makes_one_sum_and_one_square_per_galois_orbit(q, monkeypatch):
+    calls = {"sum": 0, "mul": 0}
+    real_sum, real_mul = cyclo.exp_sum_field, cyclo.CycInt.__mul__
+
+    def counted_sum(*args):
+        calls["sum"] += 1
+        return real_sum(*args)
+
+    def counted_mul(*args):
+        calls["mul"] += 1
+        return real_mul(*args)
+
+    for module in (cyclo, closedform, reps):
+        monkeypatch.setattr(module, "exp_sum_field", counted_sum)
+    monkeypatch.setattr(cyclo.CycInt, "__mul__", counted_mul)
+    spec = F(q)
+    reps.eigen_via_epsilon(spec.element(2), spec.element(q - 1))
+    assert calls == {"sum": 3, "mul": 3}
 
 
 def test_eigen_via_epsilon_c0_rule():
