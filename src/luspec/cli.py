@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import types
 from datetime import datetime, timezone
@@ -42,6 +43,17 @@ def _parse_q_list(text: str) -> list[int]:
         # prime powers are checked by ff.field_for, with one message everywhere
         out.append(q)
     return out
+
+
+def _tolerance(text: str) -> float:
+    """--tol as a finite float >= 0; argparse exits 2 on anything else."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return tol
 
 
 def _stamp(args) -> str | None:
@@ -301,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     max_dense_n(p)
 
     p = command("verify", cmd_verify, "run the cross-validation suite", multi_q=True)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_tolerance, default=1e-6,
                    help="comparison tolerance (default 1e-6)")
     max_dense_n(p)
 

@@ -170,21 +170,16 @@ class AdjacencyStructure:
     def num_edges(self) -> int:
         return self.n * self.degree // 2
 
+    def _arcs(self):
+        """int64 (u, v) of every arc u -> v, in row order."""
+        return (np.repeat(np.arange(self.n, dtype=np.int64), self.degree),
+                self.neighbors.reshape(-1).astype(np.int64))
+
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of edges u < v, sorted by (u, v)."""
-        d = self.degree
-        u = np.repeat(np.arange(self.n, dtype=np.int64), d)
-        v = self.neighbors.reshape(-1).astype(np.int64)
+        u, v = self._arcs()
         mask = u < v
         return np.column_stack([u[mask], v[mask]])
-
-    def to_sparse(self):
-        from scipy.sparse import csr_matrix
-        d = self.degree
-        indptr = np.arange(0, self.n * d + 1, d)
-        data = np.ones(self.n * d, dtype=np.int8)
-        return csr_matrix((data, self.neighbors.reshape(-1), indptr),
-                          shape=(self.n, self.n))
 
     def validate(self):
         nb = self.neighbors
@@ -192,8 +187,9 @@ class AdjacencyStructure:
             raise ValueError("neighbor rows must be strictly increasing")
         if np.any(nb == np.arange(self.n)[:, None]):
             raise ValueError("loops present")
-        a = self.to_sparse()
-        if (a != a.T).nnz:
+        # rows increase, so the arcs u*n + v are already sorted in row order
+        u, v = self._arcs()
+        if not np.array_equal(u * self.n + v, np.sort(v * self.n + u)):
             raise ValueError("adjacency is not symmetric")
         return True
 

@@ -1,13 +1,11 @@
 """Brute-force spectral verification and expansion reporting.
 
-Numeric spectra are full eigenvalue lists (multiset comparison needs every
-multiplicity), solved as q^2 Hermitian blocks of order n/q^2, one per additive
-character of the (c3, c4) translations, after an exact integer check that
-those translations are graph automorphisms.  The blocks go to one stacked
-``numpy.linalg.eigvalsh``, so importing this module loads no SciPy.  SciPy is
-imported only by the sparse Lanczos path (``lambda2_sparse``, through
-``AdjacencyStructure.to_sparse``), which serves extreme-eigenvalue-only
-queries on graphs too large for the dense budget.
+The one numeric eigensolver returns full eigenvalue lists (multiset
+comparison needs every multiplicity).  It splits the graph into q^2 Hermitian
+blocks of order n/q^2, one per additive character of the (c3, c4)
+translations, in the style of Babai (JCTB 1979), after an exact integer check
+that those translations are graph automorphisms.  The blocks go to one
+stacked ``numpy.linalg.eigvalsh``; the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ def numeric_spectrum(adj: AdjacencyStructure,
     if adj.n > max_dense_n:
         raise ff.SizeBudgetError(
             f"{adj.n} vertices exceed the dense budget {max_dense_n}; "
-            "use the closed-form path (or lambda2_sparse)")
+            "use the closed-form path")
     spec = ff.field_for(adj.q)
     q, q2, nb = spec.q, spec.q ** 2, adj.neighbors
     orbit, h = graphs.translation_orbits(adj, spec)
@@ -110,19 +108,6 @@ def numeric_spectrum(adj: AdjacencyStructure,
     ns = NumericSpectrum(np.sort(w, axis=None))
     ns.check_moments(adj.num_edges)
     return ns
-
-
-def lambda2_sparse(adj: AdjacencyStructure) -> float:
-    """Second-largest eigenvalue from the 4 largest by sparse Lanczos (large graphs)."""
-    from scipy.sparse.linalg import eigsh
-    a = adj.to_sparse().astype(np.float64)
-    w = eigsh(a, k=4, which="LA", return_eigenvectors=False)
-    w = np.sort(w)[::-1]
-    top = adj.degree
-    below = w[w < top - 1e-6]
-    if not len(below):
-        raise ValueError("all 4 Lanczos values sit at the top eigenvalue")
-    return float(below[0])
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,10 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     code, _, err = run(capsys, ["build", "--q", "2,3"])
     assert code == 2 and "single q" in err
+    # a tolerance that is negative, nan or infinite is a usage error, not a FAIL
+    for tol in ("-1", "nan", "inf"):
+        code, out, err = run(capsys, ["verify", "--q", "2", "--tol", tol])
+        assert code == 2 and out == "" and "argument --tol" in err, tol
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -511,6 +511,24 @@ def test_lift_negation_symmetry():
             assert neg and neg[0].multiplicity == e.multiplicity
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13, 25, 27, 61, 125])
+def test_lift_round_trip(q):
+    # lambda -> lambda^2 - q, in exact arithmetic, takes D(4,q) back to
+    # Gamma(4,q): each +- pair, and 0 at doubled multiplicity, gives 2m
+    gam = spectrum_closed(ff.field_for(q))
+    back = {}
+    for e in lift_to_bipartite(gam, q).entries:
+        v = e.value
+        if v.kind == "int":
+            image = ExactValue.integer(v.ival ** 2 - q)
+        elif v.kind == "sqrt":
+            image = ExactValue.integer(v.radicand - q)
+        else:  # +-|eps|: |eps| squared from its row
+            image = ExactValue.eps_shift(v.eps, q)
+        back[image.key] = back.get(image.key, 0) + e.multiplicity
+    assert back == {key: 2 * m for key, m in entries_dict(gam).items()}
+
+
 @pytest.mark.parametrize("q", [5, 13, 25, 27])
 def test_lifted_pair_shares_one_row_and_one_text(q):
     # +|eps| and -|eps| of one class hold the same row and coefficient text,

@@ -57,14 +57,33 @@ def test_collinear_symmetric_q3():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_collinear_iff_common_line(q, graph):
     # adjacency in Gamma == sharing an incident line in D (for distinct points)
-    d4 = graph("d4", q)
+    nb = graph("d4", q).neighbors
     gam = graph("gamma", q)
     n4 = q ** 4
-    b = d4.to_sparse()[:n4, n4:]
-    common = (b @ b.T).toarray()
-    np.fill_diagonal(common, 0)
-    adj = gam.to_sparse().toarray()
-    assert np.array_equal(common > 0, adj > 0)
+    # each point's q lines and each line's q points, the point itself dropped
+    reach = nb[nb[:n4]].reshape(n4, q * q)
+    shared = reach[reach != np.arange(n4)[:, None]].reshape(n4, q * (q - 1))
+    # girth 8: no two lines through a point meet again, so no point repeats
+    assert np.array_equal(np.sort(shared, axis=1), gam.neighbors)
+
+
+def test_validate_rejects(graph):
+    gam = graph("gamma", 3)
+    assert gam.validate()
+
+    def with_rows(nb):
+        return graphs.AdjacencyStructure(gam.name, gam.q, gam.n, nb, gam.bipartite)
+
+    swapped = gam.neighbors.copy()
+    swapped[0, [0, 1]] = swapped[0, [1, 0]]
+    looped = gam.neighbors.copy()
+    looped[0, 0] = 0  # vertex 0's first neighbour is above 0, so the row still increases
+    moved = gam.neighbors.copy()  # the arc 0 -> 62 moved to 0 -> 63; 63's row lacks 0
+    moved[0, -1] += 1
+    for nb, message in ((swapped, "strictly increasing"), (looped, "loops"),
+                        (moved, "not symmetric")):
+        with pytest.raises(ValueError, match=message):
+            with_rows(nb).validate()
 
 
 @pytest.mark.parametrize("q,n,m,deg", [(2, 32, 32, 2), (3, 162, 243, 3),

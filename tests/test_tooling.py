@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -78,7 +79,7 @@ _COMMANDS = [["spectrum", "--q", "7"], ["epsilons", "--q", "7"],
 
 
 def test_commands_import_no_scipy():
-    # scipy serves only the sparse Lanczos path; start-up and the CLI are numpy
+    # scipy is the tests' dense reference only; start-up and the CLI are numpy
     code = f"""
 import contextlib, io, sys
 from luspec.cli import main
@@ -92,6 +93,22 @@ print([k for k in sys.modules if k == "scipy" or k.startswith("scipy.")])
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_runtime_dependencies_are_the_imported_modules():
+    # every third-party module the package imports, at any depth, is declared
+    # in [project] dependencies, and every declared dependency is imported
+    import tomllib
+    imported = set()
+    for _, node in _nodes():
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"luspec"}
+    with (SRC.parents[1] / "pyproject.toml").open("rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    assert third_party == {re.match(r"[\w-]+", d)[0] for d in declared}
 
 
 def test_hooked_layers_are_reached(monkeypatch):
