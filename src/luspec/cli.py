@@ -11,6 +11,7 @@ ramanujan also print it, and build writes the edge list and F.coords.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -62,13 +63,27 @@ def _stamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write(args, text: str, echo: bool = False):
-    """Write text to --out, else to stdout; with echo, to stdout as well."""
-    if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(text)
-    if echo or not args.out:
-        sys.stdout.write(text)
+def _write(args, text, echo: bool = False):
+    """Write text (a str or str chunks) to --out, else to stdout; with echo, to both."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fp:
+        sinks = [fp, sys.stdout] if echo and args.out else [fp]
+        for chunk in [text] if isinstance(text, str) else text:
+            for sink in sinks:
+                sink.write(chunk)
+
+
+def _spectrum_json(s: closedform.SpectrumMultiset, stamp: str | None):
+    """``json.dumps(s.to_json_dict() (+ "generated": stamp), indent=2) + "\\n"``, one
+    chunk per entry; strings take the encoder's own escaping, floats float.__repr__."""
+    enc = json.encoder.encode_basestring_ascii
+    head = '{\n  "graph": %s,\n  "q": %d,\n  "entries": [' % (enc(s.graph), s.q)
+    for e in s.entries:
+        yield head + ('\n    {\n      "value_exact": %s,\n      "value_float": %s,\n'
+                      '      "multiplicity": %d\n    }') % (
+            enc(e.value.serial()), float.__repr__(e.approx), e.multiplicity)
+        head = ","
+    tail = ',\n  "generated": %s' % enc(stamp) if stamp else ""
+    yield '\n  ],\n  "total": %d%s\n}\n' % (s.total, tail)
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +114,7 @@ def cmd_spectrum(args) -> int:
         if args.graph == "d4":
             s = closedform.lift_to_bipartite(s, q)
         if args.format == "json":
-            doc = s.to_json_dict()
+            text = _spectrum_json(s, _stamp(args))  # streamed: no whole-output copy
         else:
             sep = "," if args.format == "csv" else "  "
             rows = [sep.join(["value_float", "multiplicity", "value_exact"])]
@@ -113,13 +128,13 @@ def cmd_spectrum(args) -> int:
         doc = {"graph": args.graph.upper(), "q": q, "source": "numeric",
                "eigenvalues": vals}
         rows = [f"{v:.12g}" for v in vals]
-    if args.format == "json":
+    if args.format != "json":
+        text = "\n".join(rows) + "\n"
+    elif args.source == "numeric":
         stamp = _stamp(args)
         if stamp:
             doc["generated"] = stamp
         text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = "\n".join(rows) + "\n"
     _write(args, text)
     return 0
 

@@ -173,11 +173,26 @@ def embed_rows(spec: CycSpec, coeffs: np.ndarray) -> np.ndarray:
     return np.cumsum(coeffs * np.real(spec.roots[:spec.phi]), axis=-1)[..., -1]
 
 
+@lru_cache(maxsize=64)
+def _cells(lo: int, hi: int) -> np.ndarray:
+    """Cells "[", "v, " and "v]\\n" (v = lo .. hi), NUL-padded to a width numpy gathers fast."""
+    d, k = max(len(str(lo)), len(str(hi))), hi - lo + 1
+    cells = np.zeros((2 * k + 1, 1 << (d + 1).bit_length()), np.uint8)
+    cells[1:, :d] = np.tile(np.arange(lo, hi + 1).astype(f"S{d}").view(np.uint8), 2).reshape(-1, d)
+    cells[:, d:d + 2] = np.frombuffer(b"[\0" + b", " * k + b"]\n" * k, np.uint8).reshape(-1, 2)
+    return cells.view(f"V{cells.shape[1]}").ravel()
+
+
 def format_rows(rows: np.ndarray) -> list:
-    """``str(list(row))`` of each integer row, from one table over the rows' range:
-    str(v) for v = 0 .. max, then min .. -1, so that lut[v] is str(v) for every v."""
-    lut = [*map(str, range(rows.max(initial=0) + 1)), *map(str, range(rows.min(initial=0), 0))]
-    return ["[" + ", ".join(map(lut.__getitem__, r)) + "]" for r in rows.tolist()]
+    """``str(list(row))`` of each integer row: each entry becomes its cell from the
+    table over the rows' [min, max], and one bytes pass drops the padding."""
+    if not rows.size:
+        return ["[]"] * len(rows)
+    lo, hi = int(rows.min()), int(rows.max())
+    idx = np.zeros((len(rows), rows.shape[1] + 1), np.intp)  # column 0: "["
+    np.subtract(rows, lo - 1, out=idx[:, 1:])
+    idx[:, -1] += hi - lo + 1  # the last column's cells end the row
+    return _cells(lo, hi).take(idx).tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def trace_histogram(f, spec: ff.FieldSpec) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -307,6 +308,7 @@ def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--q", "5"],
+    ["spectrum", "--graph", "d4", "--q", "61"],
     ["spectrum", "--q", "3", "--source", "numeric", "--format", "csv"],
     ["epsilons", "--q", "7"],
 ])
@@ -317,6 +319,34 @@ def test_out_writes_only_the_file(argv, tmp_path, capsys):
     code, out, _ = run(capsys, argv + ["--no-timestamp", "--out", str(path)])
     assert code == 0 and out == ""
     assert path.read_bytes() == stdout.encode()  # csv rows end in \r\n
+
+
+@pytest.mark.parametrize("stamp", [None, "2026-01-02T03:04:05+00:00"])
+@pytest.mark.parametrize("graph", ["d4", "gamma"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 13, 25, 27, 61, 64, 81, 125, 127, 243])
+def test_spectrum_json_is_streamed_in_the_dumps_layout(q, graph, stamp, capsys, monkeypatch):
+    # the closed-form JSON is written entry by entry; its text is exactly what
+    # json.dumps(indent=2) makes of the whole document, "generated" last
+    s = closedform.spectrum_closed(ff.field_for(q))
+    if graph == "d4":
+        s = closedform.lift_to_bipartite(s, q)
+    doc = s.to_json_dict()
+    if stamp:
+        doc["generated"] = stamp
+    monkeypatch.setattr(cli, "_stamp", lambda args: stamp)
+    code, out, _ = run(capsys, ["spectrum", "--graph", graph, "--q", str(q)])
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+    assert list(json.loads(out))[-1] == ("generated" if stamp else "total")
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_write_sends_every_chunk_to_every_sink(out, tmp_path, capsys):
+    # a one-shot chunk iterable reaches --out and the echo in full
+    path = tmp_path / "out.txt"
+    args = argparse.Namespace(out=str(path) if out else None)
+    cli._write(args, iter(["a", "", "b\n", "c\n"]), echo=True)
+    assert capsys.readouterr().out == "ab\nc\n"
+    assert path.exists() == out and (not out or path.read_text() == "ab\nc\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -223,3 +223,17 @@ def test_format_rows_matches_str_of_list(data):
                                            min_size=shape[0], max_size=shape[0])),
                         dtype=np.int64).reshape(shape)
     assert cyclo.format_rows(rows) == [str(list(r)) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[-4], [0], [7], [-4]]),  # conductor 2: phi = 1, one cell per row
+    np.zeros((3, 0), dtype=np.int64),  # zero-width rows
+    np.zeros((0, 5), dtype=np.int64),  # no rows
+    np.random.default_rng(257).integers(-3, 4, (64, 256)),  # one lift block at q = 257
+    np.array([[-61 ** 2, -1, 0, 9, 10, -10, 61 ** 2]]),  # a row spanning +-q^2
+    np.array([[-10 ** 7, -10 ** 7 + 2], [-10 ** 7 + 1, -10 ** 7]]),  # cells over eight bytes
+], ids=["conductor-2", "zero-width", "no-rows", "block-64x256", "plus-minus-q2", "wide"])
+def test_format_rows_cases(rows):
+    assert cyclo.format_rows(rows) == [str(list(r)) for r in rows.tolist()]
+    # a second call reads the cached tables
+    assert cyclo.format_rows(rows) == [str(list(r)) for r in rows.tolist()]
