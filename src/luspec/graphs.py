@@ -38,7 +38,7 @@ import numpy as np
 from .ff import FieldElem, FieldSpec, SizeBudgetError
 
 DEFAULT_MAX_GRAPH_Q = 13
-_CHUNK = 1 << 16  # neighbour entries gathered at once by the BFS scans below
+_CHUNK = 1 << 16  # entries per chunk: BFS neighbour gathers, girth walk ends and counts
 
 
 class PointCoords(NamedTuple):
@@ -160,7 +160,6 @@ class AdjacencyStructure:
     q: int
     n: int
     neighbors: np.ndarray
-    bipartite: bool
 
     @property
     def degree(self) -> int:
@@ -235,7 +234,7 @@ def build_gamma(spec: FieldSpec) -> AdjacencyStructure:
     Q4 = add(P4, mul(spec.inv(d), mul(e2, e2)))
     nb = _encode(q, Q1, b, Q3, Q4)
     nb.sort(axis=1)
-    return AdjacencyStructure("GAMMA4", q, q ** 4, nb, bipartite=False)
+    return AdjacencyStructure("GAMMA4", q, q ** 4, nb)
 
 
 def build_d4(spec: FieldSpec) -> AdjacencyStructure:
@@ -253,7 +252,7 @@ def build_d4(spec: FieldSpec) -> AdjacencyStructure:
     nb_lns = _encode(q, a, X2, sub(mul(C2, a), C3), sub(mul(X2, C1), C4))
     nb = np.vstack([nb_pts, nb_lns])
     nb.sort(axis=1)
-    return AdjacencyStructure("D4", q, 2 * n4, nb, bipartite=True)
+    return AdjacencyStructure("D4", q, 2 * n4, nb)
 
 
 def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
@@ -267,7 +266,7 @@ def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     V2 = sub(add(V, vs), mul(2 % spec.p, mul(ts, U)))
     nb = _encode(q, add(T, ts), add(U, us), V2, add(W, ws))
     nb.sort(axis=1)
-    return AdjacencyStructure("CAYLEY4", q, q ** 4, nb, bipartite=False)
+    return AdjacencyStructure("CAYLEY4", q, q ** 4, nb)
 
 
 def action_permutation(spec: FieldSpec, g: GroupElem) -> np.ndarray:
@@ -340,11 +339,13 @@ def connected_components(adj: AdjacencyStructure):
         frontier = np.asarray([np.argmin(seen)])  # the first unseen vertex
         seen[frontier] = True
         while frontier.size:
-            mark = np.zeros(n, dtype=bool)
+            mark = seen.copy()
             for lo in range(0, frontier.size, step):
                 mark[nb[frontier[lo:lo + step]]] = True
-            frontier = np.flatnonzero(mark & ~seen)
-            seen[frontier] = True
+                if mark.all():  # every vertex seen: the rest adds nothing
+                    break
+            frontier = np.flatnonzero(mark ^ seen)
+            seen = mark
         sizes.append(int(np.count_nonzero(seen)) - sum(sizes))
     return len(sizes), sorted(sizes, reverse=True)
 
@@ -355,11 +356,13 @@ def girth_at_least(adj: AdjacencyStructure, g: int = 8) -> bool:
     From every root at once, the non-backtracking walks of length 0..R,
     R = (g-1)//2, must end at pairwise distinct vertices (else two of them
     close a cycle of length <= 2R); for even g the walks of length R+1 must
-    also end away from all of those (else a cycle of length <= 2R+1)."""
+    also end away from all of those (else a cycle of length <= 2R+1).  A chunk
+    of roots counts its walk ends in one table, slot root_row*n + end: no count
+    may exceed 1, and every length-(R+1) end must find a count of 0."""
     n, k, nb = adj.n, adj.degree, adj.neighbors
     R, last = (g - 1) // 2, g // 2  # last = R + 1 for even g
     walks = 1 + sum(k * (k - 1) ** (level - 1) for level in range(1, last + 1))
-    step = max(1, _CHUNK // walks)
+    step = max(1, _CHUNK // max(walks, n))
     for lo in range(0, n, step):
         roots = np.arange(lo, min(lo + step, n), dtype=nb.dtype)
         ends = roots[:, None]
@@ -371,17 +374,11 @@ def girth_at_least(adj: AdjacencyStructure, g: int = 8) -> bool:
             prev = np.repeat(ends, k if level == 1 else k - 1, axis=1)
             ends = cand.reshape(len(roots), -1)
             levels.append(ends)
-        near = np.sort(np.concatenate(levels[:R + 1], axis=1), axis=1)
-        if np.any(near[:, 1:] == near[:, :-1]):
+        offset = np.arange(0, len(roots) * n, n)[:, None]
+        near = np.concatenate(levels[:R + 1], axis=1) + offset
+        counts = np.bincount(near.reshape(-1), minlength=len(roots) * n)
+        if counts.max() > 1 or (last > R and np.any(counts[ends + offset])):
             return False
-        if last > R:
-            key = np.int32 if len(roots) * n < 2 ** 31 else np.int64
-            offset = (np.arange(len(roots), dtype=key) * n)[:, None]
-            near = (near + offset).reshape(-1)
-            far = (np.sort(ends, axis=1) + offset).reshape(-1)  # sorted probes search faster
-            at = np.minimum(np.searchsorted(near, far), near.size - 1)
-            if np.any(near[at] == far):
-                return False
     return True
 
 

@@ -221,8 +221,7 @@ def _two_switch(adj: graphs.AdjacencyStructure) -> graphs.AdjacencyStructure:
         rows[u].remove(old)
         rows[u].add(new)
     out = graphs.AdjacencyStructure(adj.name, adj.q, adj.n,
-                                    np.array([sorted(r) for r in rows], dtype=np.int32),
-                                    adj.bipartite)
+                                    np.array([sorted(r) for r in rows], dtype=np.int32))
     assert out.validate()
     return out
 
@@ -270,7 +269,7 @@ def _build_gamma_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
             nb[:, col] = Q1 + q * b + q * q * Q3 + q ** 3 * Q4
             col += 1
     nb.sort(axis=1)
-    return graphs.AdjacencyStructure("GAMMA4", q, n, nb, bipartite=False)
+    return graphs.AdjacencyStructure("GAMMA4", q, n, nb)
 
 
 def _build_d4_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
@@ -293,7 +292,7 @@ def _build_d4_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
         nb_lns[:, a] = a + q * P2 + q * q * P3 + q ** 3 * P4
     nb = np.vstack([nb_pts, nb_lns])
     nb.sort(axis=1)
-    return graphs.AdjacencyStructure("D4", q, 2 * n4, nb, bipartite=True)
+    return graphs.AdjacencyStructure("D4", q, 2 * n4, nb)
 
 
 def _build_cayley_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
@@ -311,7 +310,7 @@ def _build_cayley_reference(spec: ff.FieldSpec) -> graphs.AdjacencyStructure:
         W2 = add(W, ws)
         nb[:, col] = T2 + q * U2 + q * q * V2 + q ** 3 * W2
     nb.sort(axis=1)
-    return graphs.AdjacencyStructure("CAYLEY4", q, n, nb, bipartite=False)
+    return graphs.AdjacencyStructure("CAYLEY4", q, n, nb)
 
 
 def _cayley_vertex_map_reference(spec: ff.FieldSpec) -> np.ndarray:

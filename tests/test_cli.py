@@ -147,7 +147,7 @@ def test_verify_cayley_mismatch_past_the_first_block_fails(capsys, monkeypatch):
         cay = real(spec)
         nb = cay.neighbors.copy()
         nb[-1, 0] = cay.n - 1  # a loop: Gamma(4,q) has none
-        return graphs.AdjacencyStructure(cay.name, cay.q, cay.n, nb, cay.bipartite)
+        return graphs.AdjacencyStructure(cay.name, cay.q, cay.n, nb)
 
     monkeypatch.setattr(graphs, "build_cayley", corrupted)
     code, out, _ = run(capsys, ["verify", "--q", "9", "--no-timestamp"])

@@ -72,7 +72,7 @@ def test_validate_rejects(graph):
     assert gam.validate()
 
     def with_rows(nb):
-        return graphs.AdjacencyStructure(gam.name, gam.q, gam.n, nb, gam.bipartite)
+        return graphs.AdjacencyStructure(gam.name, gam.q, gam.n, nb)
 
     swapped = gam.neighbors.copy()
     swapped[0, [0, 1]] = swapped[0, [1, 0]]
@@ -107,8 +107,7 @@ def test_builders_match_column_loops(q, builders_reference):
     for name in ("build_gamma", "build_d4", "build_cayley"):
         got = getattr(graphs, name)(spec)
         want = getattr(builders_reference, name)(spec)
-        assert (got.name, got.q, got.n, got.bipartite) == \
-            (want.name, want.q, want.n, want.bipartite)
+        assert (got.name, got.q, got.n) == (want.name, want.q, want.n)
         assert got.neighbors.dtype == want.neighbors.dtype == np.int32, name
         assert np.array_equal(got.neighbors, want.neighbors), name
     # int32, the dtype of the neighbour matrices it indexes (the loop gave int64)
@@ -304,14 +303,14 @@ def test_d4_no_short_cycles(q, graph):
 def test_girth_detects_squares():
     # C4: 4 vertices in a cycle
     nb = np.array([[1, 3], [0, 2], [1, 3], [0, 2]], dtype=np.int32)
-    c4 = graphs.AdjacencyStructure("C4", 2, 4, nb, bipartite=True)
+    c4 = graphs.AdjacencyStructure("C4", 2, 4, nb)
     assert graphs.girth_at_least(c4, 4)
     assert not graphs.girth_at_least(c4, 5)
 
 
 def _from_rows(name, rows):
     nb = np.sort(np.array(rows, dtype=np.int32), axis=1)
-    return graphs.AdjacencyStructure(name, 0, len(rows), nb, bipartite=False)
+    return graphs.AdjacencyStructure(name, 0, len(rows), nb)
 
 
 def _cycle(n):
@@ -328,7 +327,7 @@ def _girth_cases():
     yield from (_cycle(n) for n in range(3, 10))
     yield _petersen()
     yield graphs.build_gamma(ff.field_for(3))
-    yield from (graphs.build_d4(ff.field_for(q)) for q in (2, 3, 4))
+    yield from (graphs.build_d4(ff.field_for(q)) for q in (2, 3, 4, 5))
 
 
 @pytest.mark.parametrize("g", range(3, 11))
@@ -339,14 +338,27 @@ def test_girth_matches_scalar_bfs(g, girth_reference):
 
 def test_girth_one_root_per_chunk(monkeypatch, girth_reference):
     monkeypatch.setattr(graphs, "_CHUNK", 1)
-    for adj in (_petersen(), graphs.build_d4(ff.field_for(3))):
+    for adj in _girth_cases():
         for g in range(3, 11):
-            assert graphs.girth_at_least(adj, g) == girth_reference(adj, g)
+            assert graphs.girth_at_least(adj, g) == girth_reference(adj, g), adj.name
 
 
 def test_d4_q7_girth_is_eight(graph):
     assert graphs.girth_at_least(graph("d4", 7), 8)
     assert not graphs.girth_at_least(graph("d4", 7), 9)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_girth_peak_memory(q):
+    # walk ends and the per-root count table each stay within _CHUNK entries
+    adj = graphs.build_d4(ff.field_for(q))
+    tracemalloc.start()
+    try:
+        assert graphs.girth_at_least(adj, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def _cycles_and_paths():
@@ -368,15 +380,17 @@ def _cycles_and_paths():
 
 
 def test_components_match_scalar_bfs(components_reference):
-    cases = [_cycles_and_paths()] + [graphs.build_gamma(ff.field_for(q))
-                                     for q in (2, 3, 4, 5)]
+    # several components: the BFS may stop early only in the last one
+    cases = [_cycles_and_paths(), graphs.build_d4(ff.field_for(2))]
+    cases += [graphs.build_gamma(ff.field_for(q)) for q in (2, 3, 4, 5, 7, 8)]
     for adj in cases:
         assert graphs.connected_components(adj) == components_reference(adj)
 
 
 def test_components_one_vertex_per_slice(monkeypatch, components_reference):
     monkeypatch.setattr(graphs, "_CHUNK", 1)
-    for adj in (_cycles_and_paths(), graphs.build_gamma(ff.field_for(3))):
+    for adj in (_cycles_and_paths(), graphs.build_gamma(ff.field_for(3)),
+                graphs.build_gamma(ff.field_for(4))):
         assert graphs.connected_components(adj) == components_reference(adj)
 
 

@@ -60,7 +60,7 @@ def test_untranslatable_graph_is_refused_under_O(graph, two_switch, tmp_path):
     code = ("import numpy as np\n"
             "from luspec import graphs, oracle\n"
             f"nb = np.load({str(path)!r})\n"
-            "oracle.numeric_spectrum(graphs.AdjacencyStructure('GAMMA4', 3, 81, nb, False))\n")
+            "oracle.numeric_spectrum(graphs.AdjacencyStructure('GAMMA4', 3, 81, nb))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -73,7 +73,7 @@ def test_asymmetric_translation_invariant_graph_is_refused():
     # but the counts are not symmetric
     v = np.arange(81)
     nb = (v % 9 + 9 * ((v // 9 + 1) % 3) + 27 * (v // 27)).astype(np.int32)
-    adj = graphs.AdjacencyStructure("GAMMA4", 3, 81, nb[:, None], False)
+    adj = graphs.AdjacencyStructure("GAMMA4", 3, 81, nb[:, None])
     with pytest.raises(oracle.VerificationError, match="not automorphisms"):
         oracle.numeric_spectrum(adj)
 
