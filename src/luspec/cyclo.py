@@ -185,10 +185,8 @@ def _cells(lo: int, hi: int) -> np.ndarray:
 
 def format_rows(rows: np.ndarray) -> list:
     """``str(list(row))`` of each integer row: each entry becomes its cell from the
-    table over the rows' [min, max], and one bytes pass drops the padding.
-    The range must be small: the table has two cells per value in it, so rows
-    spanning [-10**7, 10**7] build 640 MB.  Callers pass epsilon coefficients,
-    which stay within a few times sqrt(q)."""
+    table over the rows' [min, max], and one bytes pass drops the padding.  The
+    table has two cells per value in that range, so the range must stay small."""
     if not rows.size:
         return ["[]"] * len(rows)
     lo, hi = int(rows.min()), int(rows.max())

@@ -358,7 +358,8 @@ def girth_at_least(adj: AdjacencyStructure, g: int = 8) -> bool:
     close a cycle of length <= 2R); for even g the walks of length R+1 must
     also end away from all of those (else a cycle of length <= 2R+1).  A chunk
     of roots counts its walk ends in one table, slot root_row*n + end: no count
-    may exceed 1, and every length-(R+1) end must find a count of 0."""
+    may exceed 1, and every length-(R+1) end must find a count of 0.  Each root
+    costs n table slots, so a chunk stays within _CHUNK entries while n <= _CHUNK."""
     n, k, nb = adj.n, adj.degree, adj.neighbors
     R, last = (g - 1) // 2, g // 2  # last = R + 1 for even g
     walks = 1 + sum(k * (k - 1) ** (level - 1) for level in range(1, last + 1))
