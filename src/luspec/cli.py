@@ -177,10 +177,15 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
         gam = graphs.build_gamma(spec)
         cay = graphs.build_cayley(spec)
         sigma = graphs.cayley_vertex_map(spec)
+
+        def relabelled(i):  # np.take: no intp copy of the int32 rows; sorted in place
+            block = np.take(sigma, cay.neighbors[i:i + 4096])
+            block.sort(axis=1)
+            return block
+
         # row blocks: no full-size gathered copy; the first mismatch ends the scan
         check("Cayley graph matches collinearity graph", all(
-            np.array_equal(np.sort(sigma[cay.neighbors[i:i + 4096]], axis=1),
-                           gam.neighbors[sigma[i:i + 4096]])
+            np.array_equal(relabelled(i), gam.neighbors[sigma[i:i + 4096]])
             for i in range(0, cay.n, 4096)))
         ncomp, _ = graphs.connected_components(gam)
         check("component count equals top multiplicity",
@@ -225,52 +230,53 @@ def cmd_epsilons(args) -> int:
     spec = ff.field_for(q)
     if q % 2 == 0:
         raise UsageError(f"q={q}: the cubic-sum tables exist for odd q only")
+    table = closedform.epsilon_orbits(spec)
+    cspec = table.bases[0].spec
+    # every orbit's eps and eps^2: sigma_j permutes a base's square as it does the base
+    eps, squares = (cyclo.reduce_rows(cspec, table.permute(h))
+                    for h in (table.base_hist, table.squares))
+    # summed left to right as cyclo.embed sums, so the floats match it bit for bit
+    z = np.cumsum(eps * np.array(cspec.roots[:cspec.phi]), axis=1)[:, -1]
+    # each orbit's first position (a, c): its family and fiber cells are read there
+    row_of, c_of = np.divmod(np.unique(table.orbit, return_index=True)[1], q)
     prime_field = spec.e == 1 and spec.p >= 5
     reps_set = closedform.representatives(spec.p) if prime_field else None
-    # eps -> cells, once per distinct sum (by id first: one eps object per orbit);
-    # row i is positions[i], row_cells[i], since (a, c, list) tuples stay GC-tracked
-    orbits, by_id, positions, row_cells = {}, {}, [], []
-    for (a, c), eps, _mult in closedform.epsilon_family(spec):
-        cells = by_id.get(id(eps))
-        if cells is None:
-            cells = by_id[id(eps)] = orbits.get(eps) or orbits.setdefault(eps, [
-                # the representatives' sums are pairwise distinct, so eps
-                # fixes the class
-                "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
-                if reps_set is not None else "a*t^3+c*t",
-                f"{list(eps.coeffs)}@{eps.spec.n}",
-                f"{cyclo.embed(eps).real:.10g}",
-                closedform.ExactValue.eps_shift(eps, q).serial(),
-                f"{cyclo.weil_check(eps, q).margin:.10g}",
-                # over F_p, eps = sum_s |f^-1(s)| zeta^s and the counts sum to
-                # p, so eps fixes the fiber profile
-                "|".join(str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
-                if prime_field else "-"])
-        positions.append((a, c))
-        row_cells.append(cells)
-    if spec.p == 3:  # the family names c, so each row (one per c) gets its own cells
-        row_cells = [["t^3+3*c*t over GR(9,e), c = teich[%d]" % c, *cells[1:]]
-                     for (a, c), cells in zip(positions, row_cells)]
-        orbits = {id(cells): cells for cells in row_cells}
-    # each orbit's cells become two strings, the family cell and the five after c
+    orbits = []
+    for e, sq, text, x, margin, a, c in zip(
+            eps, squares, cyclo.format_rows(eps), z.real.tolist(),
+            (2 * float(q) ** 0.5 - np.abs(z)).tolist(),
+            np.array(table.rows)[row_of].tolist(), c_of.tolist()):
+        shift = closedform.ExactValue.eps2q(cspec, e, sq, math.nan, q)  # for its serial
+        shift.text = text  # formatted above, with the other orbits' rows
+        orbits.append([
+            # the representatives' sums are pairwise distinct, so eps fixes the class
+            "class of %d*t^3+%d*t" % reps_set.representative_of(a, c) if prime_field
+            else "t^3+3*c*t over GR(9,e), c = teich[%d]" % c if spec.p == 3
+            else "a*t^3+c*t",
+            f"{text}@{cspec.n}", f"{x:.10g}", shift.serial(), f"{margin:.10g}",
+            # over F_p, eps = sum_s |f^-1(s)| zeta^s and the counts sum to p, so
+            # eps fixes the fiber profile
+            "|".join(map(str, closedform.fiber_profile([0, c, 0, a], spec)))
+            if prime_field else "-"])
+    # each orbit's cells become the text before a and the text after c
     if args.format == "csv":
         line = csv.writer(types.SimpleNamespace(write=str)).writerow  # returns the line
-        for cells in orbits.values():
-            cells[:] = line(cells[:1])[:-2], line(cells[1:])
-        rows = [line(EPSILON_COLUMNS)]
-        rows += [f"{family},{a},{c},{tail}"
-                 for (a, c), (family, tail) in zip(positions, row_cells)]
+        header, sep, wa, wc = line(EPSILON_COLUMNS), ",", 0, 0
+        cells = [(line(o[:1])[:-2] + ",", "," + line(o[1:])) for o in orbits]
     else:
         widths = [max(map(len, col)) for col in
-                  zip(EPSILON_COLUMNS[:1] + EPSILON_COLUMNS[3:], *orbits.values())]
-        wa, wc = (len(str(max(p[i] for p in positions))) for i in (0, 1))
-        for cells in orbits.values():
-            cells[:] = cells[0].ljust(widths[0]), "  ".join(
-                x.ljust(w) for x, w in zip(cells[1:], widths[1:]))
-        rows = ["  ".join(k.ljust(w) for k, w in
-                          zip(EPSILON_COLUMNS, [widths[0], wa, wc, *widths[1:]])) + "\n"]
-        rows += [f"{family}  {a:<{wa}}  {c:<{wc}}  {tail}\n"
-                 for (a, c), (family, tail) in zip(positions, row_cells)]
+                  zip(EPSILON_COLUMNS[:1] + EPSILON_COLUMNS[3:], *orbits)]
+        sep, wa, wc = "  ", len(str(table.rows[-1])), len(str(q - 1))
+        header = "  ".join(k.ljust(w) for k, w in
+                           zip(EPSILON_COLUMNS, [widths[0], wa, wc, *widths[1:]])) + "\n"
+        cells = [(o[0].ljust(widths[0]) + "  ", "  " + "  ".join(
+            x.ljust(w) for x, w in zip(o[1:], widths[1:])) + "\n") for o in orbits]
+    a_text, c_text = ([str(x).ljust(w) for x in range(q)] for w in (wa, wc))
+    # epsilon_family walks the orbit grid row by row, so each position meets its orbit k
+    family = closedform.epsilon_family(spec, table)
+    rows = [header] + [f"{head}{a_text[a]}{sep}{c_text[c]}{tail}"
+                       for ((a, c), _, _), k in zip(family, table.orbit.ravel().tolist())
+                       for head, tail in [cells[k]]]
     text = "".join(rows)
     stamp = _stamp(args)
     if stamp and args.format == "csv":

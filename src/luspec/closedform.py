@@ -239,6 +239,13 @@ class EpsilonOrbits:
         rows = cyclo.reduce_rows(self.bases[0].spec, self.permute(self.base_hist)).tolist()
         return tuple(CycInt(self.bases[0].spec, c) for c in rows)
 
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """The bases' squares as histograms: sigma_j(eps^2) = sigma_j(eps)^2, so
+        ``permute(squares, ks)`` gives the orbits' squares."""
+        return cyclo.histogram_rows(self.bases[0].spec, [(e * e).coeffs for e in self.bases],
+                                    self.spec.q ** 2)
+
 
 def _raw_id(spec: ff.FieldSpec, a, c):
     """The scaling orbit of a*t^3 + c*t, a != 0 (arrays or ints), g = ``spec.exp[1]``.
@@ -299,15 +306,16 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     return orbits
 
 
-def epsilon_family(spec: ff.FieldSpec):
+def epsilon_family(spec: ff.FieldSpec, orbits: EpsilonOrbits | None = None):
     """The (eps, multiplicity) classes carried by the odd-q spectrum.
 
-    Yields ((a, c) label, eps, multiplicity) for each position of
-    ``epsilon_orbits(spec)``; for p = 3 the label's c is the Teichmueller
-    index of the GR(9,e) family t^3 + 3*c*t.  Every position of an orbit
-    yields that orbit's CycInt object.
+    Yields ((a, c) label, eps, multiplicity) for each position of ``orbits``
+    (``epsilon_orbits(spec)`` unless the caller has it); for p = 3 the label's c
+    is the Teichmueller index of the GR(9,e) family t^3 + 3*c*t.  Every position
+    of an orbit yields that orbit's CycInt object.
     """
-    orbits = epsilon_orbits(spec)
+    if orbits is None:
+        orbits = epsilon_orbits(spec)
     sums, mult = orbits.sums, orbits.position_mult
     for a, row in zip(orbits.rows, orbits.orbit):
         for c, k in enumerate(row.tolist()):
@@ -330,9 +338,8 @@ def eps_classes(orbits: EpsilonOrbits, ks, mults) -> list:
             groups.setdefault(key, [k, e, 0])[2] += mult
     firsts, eps, mults = map(list, zip(*groups.values()))  # eps: int64 rows of the blocks
     del groups  # the groups' byte copies
-    squares = cyclo.histogram_rows(cspec, [(e * e).coeffs for e in orbits.bases], q * q)
     for lo in range(0, len(firsts), 64):  # 64 groups' squares at a time
-        sq = cyclo.reduce_rows(cspec, orbits.permute(squares, firsts[lo:lo + 64]))
+        sq = cyclo.reduce_rows(cspec, orbits.permute(orbits.squares, firsts[lo:lo + 64]))
         for m, e, s, x in zip(mults[lo:], eps[lo:], sq, cyclo.embed_rows(cspec, sq).tolist()):
             pairs.append((ExactValue.eps2q(cspec, e, s, x, q), m))
     return pairs

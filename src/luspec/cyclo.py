@@ -186,10 +186,13 @@ def _cells(lo: int, hi: int) -> np.ndarray:
 def format_rows(rows: np.ndarray) -> list:
     """``str(list(row))`` of each integer row: each entry becomes its cell from the
     table over the rows' [min, max], and one bytes pass drops the padding.  The
-    table has two cells per value in that range, so the range must stay small."""
+    table has two cells per value in that range, so a range wider than a few
+    cells per entry takes ``str`` instead."""
     if not rows.size:
         return ["[]"] * len(rows)
     lo, hi = int(rows.min()), int(rows.max())
+    if hi - lo > 4 * rows.size:
+        return [str(row) for row in rows.tolist()]
     idx = np.zeros((len(rows), rows.shape[1] + 1), np.intp)  # column 0: "["
     np.subtract(rows, lo - 1, out=idx[:, 1:])
     idx[:, -1] += hi - lo + 1  # the last column's cells end the row

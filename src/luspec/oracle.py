@@ -4,7 +4,9 @@ The one numeric eigensolver returns full eigenvalue lists (multiset
 comparison needs every multiplicity).  It splits the graph into q^2 Hermitian
 blocks of order n/q^2, one per additive character of the (c3, c4)
 translations, in the style of Babai (JCTB 1979), after an exact integer check
-that those translations are graph automorphisms.  The blocks go to one
+that those translations are graph automorphisms.  For odd p the block of
+the character -chi is the complex conjugate of chi's, so only one of each
+such pair is built, and its eigenvalues count twice.  The blocks go to one
 stacked ``numpy.linalg.eigvalsh``; the package needs numpy alone.
 """
 
@@ -53,7 +55,7 @@ class NumericSpectrum:
 
 def numeric_spectrum(adj: AdjacencyStructure,
                      max_dense_n: int = DEFAULT_MAX_DENSE_N) -> NumericSpectrum:
-    """Full eigenvalue list, solved in q^2 Hermitian translation blocks.
+    """Full eigenvalue list from the q^2 Hermitian translation blocks.
 
     First checked in integers, else VerificationError: each vertex's row is
     tau_h of its orbit representative's (``graphs.translation_orbits``), and
@@ -93,19 +95,22 @@ def numeric_spectrum(adj: AdjacencyStructure,
     chi = np.exp(2j * np.pi / spec.p * spec.tr(spec.mul(a[:, None], a)))
     if spec.p == 2:
         chi = chi.real  # exactly +-1
-    # blocks[k, l, r, c] = sum_y chi[k, y] sum_x chi[l, x] counts[y, x, r, c],
-    # filled one row k at a time: (q^2, m, m) is a reshape, not a copy.  The
-    # real and imaginary parts of chi[k] go apart, since complex @ float
-    # would cast all of counts to complex
+    # B[-k, -l] is the conjugate of B[k, l], so it has the same eigenvalues:
+    # rows k <= -k are solved, and those with k != -k (odd p) count twice.
+    # blocks[i, l, r, c] = sum_y chi[k, y] sum_x chi[l, x] counts[y, x, r, c],
+    # k = ks[i], filled one row at a time: (rows * q, m, m) is a reshape, not
+    # a copy.  The real and imaginary parts of chi[k] go apart, since
+    # complex @ float would cast all of counts to complex
+    ks = np.flatnonzero(a <= neg)
     flat = counts.reshape(q, q * m * m)
-    blocks = np.empty((q, q, m * m), dtype=chi.dtype)
-    for k in range(q):
+    blocks = np.empty((len(ks), q, m * m), dtype=chi.dtype)
+    for i, k in enumerate(ks):
         row = chi[k].real @ flat
         if spec.p != 2:
             row = row + 1j * (chi[k].imag @ flat)
-        np.matmul(chi, row.reshape(q, m * m), out=blocks[k])
-    w = np.linalg.eigvalsh(blocks.reshape(q2, m, m))
-    ns = NumericSpectrum(np.sort(w, axis=None))
+        np.matmul(chi, row.reshape(q, m * m), out=blocks[i])
+    w = np.linalg.eigvalsh(blocks.reshape(-1, m, m)).reshape(len(ks), q * m)
+    ns = NumericSpectrum(np.sort(np.concatenate([w, w[ks != neg[ks]]]), axis=None))
     ns.check_moments(adj.num_edges)
     return ns
 

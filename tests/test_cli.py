@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from luspec import cli, closedform, ff, graphs, oracle
+from luspec import cli, closedform, cyclo, ff, graphs, oracle
 
 
 def run(capsys, args):
@@ -184,7 +184,7 @@ ODD_PRIME_POWERS_TO_31 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])
-@pytest.mark.parametrize("q", ODD_PRIME_POWERS_TO_31 + [61, 81])
+@pytest.mark.parametrize("q", ODD_PRIME_POWERS_TO_31 + [61, 81, 125, 169])
 def test_epsilons_match_row_loop(q, fmt, capsys, epsilons_reference):
     code, out, _ = run(capsys, ["epsilons", "--q", str(q), "--format", fmt,
                                 "--no-timestamp"])
@@ -201,9 +201,11 @@ def test_epsilons_out_file_with_timestamp(tmp_path, capsys):
 
 
 def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
-    spec = ff.field_for(61)
-    orbits = len(closedform.epsilon_orbits(spec).sums)
-    calls = {"representative_of": 0, "fiber_profile": 0, "eps_shift": 0}
+    # the cells come from the orbit table in one block: a representative and a
+    # fiber profile per orbit, one square per Galois base, and no per-orbit sums
+    table = closedform.epsilon_orbits(ff.field_for(61))
+    calls = {"representative_of": 0, "fiber_profile": 0, "__mul__": 0,
+             "eps_shift": 0, "embed": 0, "weil_check": 0}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -214,11 +216,17 @@ def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
     monkeypatch.setattr(closedform.RepresentativeSet, "representative_of",
                         counted(closedform.RepresentativeSet.representative_of))
     monkeypatch.setattr(closedform, "fiber_profile", counted(closedform.fiber_profile))
+    monkeypatch.setattr(cyclo.CycInt, "__mul__", counted(cyclo.CycInt.__mul__))
     monkeypatch.setattr(closedform.ExactValue, "eps_shift",
                         staticmethod(counted(closedform.ExactValue.eps_shift)))
+    for owner in (cyclo, closedform):
+        monkeypatch.setattr(owner, "embed", counted(cyclo.embed))
+    monkeypatch.setattr(cyclo, "weil_check", counted(cyclo.weil_check))
     code, out, _ = run(capsys, ["epsilons", "--q", "61", "--no-timestamp"])
-    assert code == 0
-    assert orbits == 61 + 2 and calls == dict.fromkeys(calls, orbits)
+    assert code == 0 and len(table.mults) == 61 + 2
+    assert calls == {"representative_of": 61 + 2, "fiber_profile": 61 + 2,
+                     "__mul__": len(table.bases), "eps_shift": 0, "embed": 0,
+                     "weil_check": 0}
     assert out.count("\r\n") == 1 + 60 * 61
 
 

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,3 +238,15 @@ def test_format_rows_cases(rows):
     assert cyclo.format_rows(rows) == [str(list(r)) for r in rows.tolist()]
     # a second call reads the cached tables
     assert cyclo.format_rows(rows) == [str(list(r)) for r in rows.tolist()]
+
+
+def test_format_rows_memory_follows_the_entries_not_the_range():
+    # a cell table over [-10^7, 10^7] would take 640 MB
+    rows = np.array([[-10 ** 7, 10 ** 7]])
+    tracemalloc.start()
+    try:
+        text = cyclo.format_rows(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == ["[-10000000, 10000000]"] and peak < 64 * 1024

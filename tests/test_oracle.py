@@ -35,9 +35,9 @@ def test_blocks_match_dense_reference(kind, q, graph, numeric, dense_reference):
 
 
 def test_block_stack_peak_memory(graph, field):
-    # the (q^2, m, m) complex stack is 16 n^2 / q^2 bytes; the float counts
-    # and the row-translation check (in row blocks) must not add more than a
-    # fraction of it
+    # a (q^2, m, m) complex stack would be 16 n^2 / q^2 bytes; for odd q only
+    # (q + 1) / 2 of its q character rows are built, so that part, the float
+    # counts and the row-translation check (in row blocks) stay under 1.4 of it
     adj = graph("gamma", 11)
     field(11)
     tracemalloc.start()
@@ -46,7 +46,7 @@ def test_block_stack_peak_memory(graph, field):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.8 * 16 * adj.n ** 2 / 11 ** 2
+    assert peak <= 1.4 * 16 * adj.n ** 2 / 11 ** 2
 
 
 def test_untranslatable_graph_is_refused(graph, two_switch):
