@@ -175,18 +175,18 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
 
     if q <= graphs.DEFAULT_MAX_GRAPH_Q:
         gam = graphs.build_gamma(spec)
-        cay = graphs.build_cayley(spec)
-        sigma = graphs.cayley_vertex_map(spec)
+        sigma, n3 = graphs.cayley_vertex_map(spec), q ** 3
 
-        def relabelled(i):  # np.take: no intp copy of the int32 rows; sorted in place
-            block = np.take(sigma, cay.neighbors[i:i + 4096])
-            block.sort(axis=1)
-            return block
+        def relabelled(rows):  # sorted in place
+            rows = sigma[rows]
+            rows.sort(axis=1)
+            return rows
 
-        # row blocks: no full-size gathered copy; the first mismatch ends the scan
+        # sigma keeps c4, so Cay(G,S)'s slab w maps onto Gamma's rows
+        # sigma[w*q^3:(w+1)*q^3]; the first mismatch ends the scan
         check("Cayley graph matches collinearity graph", all(
-            np.array_equal(relabelled(i), gam.neighbors[sigma[i:i + 4096]])
-            for i in range(0, cay.n, 4096)))
+            np.array_equal(relabelled(rows), gam.neighbors[sigma[w * n3:(w + 1) * n3]])
+            for w, rows in enumerate(graphs.cayley_slabs(spec))))
         ncomp, _ = graphs.connected_components(gam)
         check("component count equals top multiplicity",
               ncomp == s.largest.multiplicity)

@@ -25,6 +25,7 @@ multiplication).  The connection set is S = {g(t, r*t, -r*t^2, r^2*t): t != 0}.
 The builders evaluate each neighbour coordinate once, over broadcast axes of
 a (c4, c3, c2, c1, column) grid: a formula spans only the axes it depends on,
 and the encoded indices of every column land in one int32 neighbour matrix.
+cayley_slabs yields Cay(G, S) one c4 slab at a time, for checks against Gamma.
 """
 
 from __future__ import annotations
@@ -255,16 +256,25 @@ def build_d4(spec: FieldSpec) -> AdjacencyStructure:
     return AdjacencyStructure("D4", q, 2 * n4, nb)
 
 
+def cayley_slabs(spec: FieldSpec):
+    """The unsorted int32 (q^3, q^2-q) rows of g(t,u,v,w) in Cay(G, S), one slab
+    per w = 0..q-1, columns in connection_set order.  s*g = (ts+t, us+u,
+    vs+v-2*ts*u, ws+w) has low digits free of w: encoded once for all slabs."""
+    _check_size(spec)
+    q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
+    T, U, V = (c[0] for c in _coord_axes(q)[:3])  # the (c3, c2, c1, column) axes
+    ts, us, vs, ws = _connection_indices(spec)
+    V2 = sub(add(V, vs), mul(2 % spec.p, mul(ts, U)))
+    low = (add(T, ts) + q * add(U, us) + q * q * V2).astype(np.int32).reshape(q ** 3, -1)
+    return (low + q ** 3 * add(w, ws).astype(np.int32) for w in range(q))
+
+
 def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     """Cay(G, S): vertex g(t,u,v,w) at index enc(t,u,v,w); g ~ g' iff g'*g^-1 in S."""
-    _check_size(spec)
-    q = spec.q
-    add, sub, mul = spec.add, spec.sub, spec.mul
-    T, U, V, W = _coord_axes(q)
-    ts, us, vs, ws = _connection_indices(spec)
-    # left multiplication: s*g = (ts+t, us+u, vs+v-2*ts*u, ws+w)
-    V2 = sub(add(V, vs), mul(2 % spec.p, mul(ts, U)))
-    nb = _encode(q, add(T, ts), add(U, us), V2, add(W, ws))
+    slabs, q = cayley_slabs(spec), spec.q  # checks q before the matrix is allocated
+    nb = np.empty((q ** 4, q * (q - 1)), dtype=np.int32)
+    for w, slab in enumerate(slabs):
+        nb[w * q ** 3:(w + 1) * q ** 3] = slab
     nb.sort(axis=1)
     return AdjacencyStructure("CAYLEY4", q, q ** 4, nb)
 

@@ -139,21 +139,34 @@ def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
     assert code == 1 and "not automorphisms" in err
 
 
-def test_verify_cayley_mismatch_past_the_first_block_fails(capsys, monkeypatch):
-    # q = 9 has 6561 vertices, so the last one lies in the second row block
-    real = graphs.build_cayley
+def test_verify_cayley_mismatch_in_the_last_slab_fails(capsys, monkeypatch):
+    # q = 9 has nine c4 slabs of 729 rows; the corrupted row is the last one
+    real = graphs.cayley_slabs
 
     def corrupted(spec):
-        cay = real(spec)
-        nb = cay.neighbors.copy()
-        nb[-1, 0] = cay.n - 1  # a loop: Gamma(4,q) has none
-        return graphs.AdjacencyStructure(cay.name, cay.q, cay.n, nb)
+        for w, slab in enumerate(real(spec)):
+            if w == spec.q - 1:
+                slab[-1, 0] = spec.q ** 4 - 1  # a loop: Gamma(4,q) has none
+            yield slab
 
-    monkeypatch.setattr(graphs, "build_cayley", corrupted)
+    monkeypatch.setattr(graphs, "cayley_slabs", corrupted)
     code, out, _ = run(capsys, ["verify", "--q", "9", "--no-timestamp"])
     assert code == 1
     assert "[FAIL] q=9 Cayley graph matches collinearity graph\n" in out
     assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
+def test_verify_peak_memory_is_below_two_neighbour_matrices():
+    # Gamma(4,13)'s int32 matrix is held whole; Cay(G,S) only one slab at a time
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--q", "13", "--max-dense-n", "2401",
+                             "--no-timestamp"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 13 ** 4 * 156 * 4
 
 
 def test_epsilons_q5_shows_merge(capsys):

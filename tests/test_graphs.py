@@ -128,6 +128,34 @@ def test_build_gamma_peak_memory():
     assert peak <= 2 * nb.nbytes
 
 
+def test_build_cayley_peak_memory():
+    # the slabs are written into one preallocated matrix, never stacked
+    spec = ff.field_for(13)
+    tracemalloc.start()
+    try:
+        nb = graphs.build_cayley(spec).neighbors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * nb.nbytes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_cayley_slabs_tile_build_cayley(q, builders_reference):
+    # p = 2 drops the 2*ts*u term; q = 9 is the first odd q with e = 2
+    spec = ff.field_for(q)
+    want = builders_reference.build_cayley(spec).neighbors
+    n3 = q ** 3
+    slabs = list(graphs.cayley_slabs(spec))
+    assert len(slabs) == q
+    for w, slab in enumerate(slabs):
+        assert slab.dtype == np.int32 and slab.shape == (n3, q * q - q)
+        assert np.array_equal(np.sort(slab, axis=1), want[w * n3:(w + 1) * n3])
+    # the identity's row is S itself, in connection_set order
+    assert slabs[0][0].tolist() == [graphs.group_elem_index(s)
+                                    for s in connection_set(spec)]
+
+
 def test_size_budget():
     with pytest.raises(ff.SizeBudgetError):
         graphs.build_gamma(ff.field_for(16))
