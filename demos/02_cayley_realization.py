@@ -28,10 +28,17 @@ lhs = graphs.group_matrix(graphs.group_mul(g, h))
 rhs = graphs.matrix_mul(graphs.group_matrix(g), graphs.group_matrix(h))
 print("closed form == 5x5 product:", lhs == rhs)
 
-# the orbit map g -> P(0,0,0,0)g is an isomorphism Cay(G,S) -> Gamma
-cay = graphs.build_cayley(spec)
-gam = graphs.build_gamma(spec)
+# the orbit map sigma: g -> P(0,0,0,0)g carries Cay(G,S) onto Gamma column for
+# column: Gamma's columns follow S's (t, r) order, and sigma(s*g) is the entry
+# of Gamma's row sigma(g) in the column of s
 sigma = graphs.cayley_vertex_map(spec)
-iso = np.array_equal(np.sort(sigma[cay.neighbors], axis=1),
-                     gam.neighbors[sigma])
-print(f"Cay(G,S) isomorphic to Gamma(4,{q}) under the orbit map:", iso)
+rows = graphs.gamma_rows(spec)
+ts, r = 2, 4
+k = (ts - 1) * q + r  # the column of s = S[k]
+sg = graphs.group_mul(S[k], g)
+print(f"s = S[{k}], (t_s, r) = ({ts}, {r}): sigma(s*g) =",
+      int(sigma[graphs.group_elem_index(sg)]), "= Gamma's column (t_s, r) at sigma(g) =",
+      int(rows[sigma[graphs.group_elem_index(g)], k]))
+cay = np.vstack(list(graphs.cayley_slabs(spec)))  # row g: s*g for s in S, in order
+print(f"sigma(s*g) = Gamma(4,{q})'s column (t_s, r) at sigma(g), for every g and s:",
+      np.array_equal(sigma[cay], rows[sigma]))

@@ -174,19 +174,15 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
     check("closed-form degree conservation", s.total == q ** 4)
 
     if q <= graphs.DEFAULT_MAX_GRAPH_Q:
-        gam = graphs.build_gamma(spec)
-        sigma, n3 = graphs.cayley_vertex_map(spec), q ** 3
-
-        def relabelled(rows):  # sorted in place
-            rows = sigma[rows]
-            rows.sort(axis=1)
-            return rows
-
-        # sigma keeps c4, so Cay(G,S)'s slab w maps onto Gamma's rows
-        # sigma[w*q^3:(w+1)*q^3]; the first mismatch ends the scan
+        rows, sigma, n3 = graphs.gamma_rows(spec), graphs.cayley_vertex_map(spec), q ** 3
+        # Gamma's columns follow S's order, so row sigma(g) is sigma of Cay(G,S)'s
+        # row g, column for column; sigma keeps c4, so Cay(G,S)'s slab w maps onto
+        # Gamma's rows sigma[w*q^3:(w+1)*q^3], and the first mismatch ends the scan
         check("Cayley graph matches collinearity graph", all(
-            np.array_equal(relabelled(rows), gam.neighbors[sigma[w * n3:(w + 1) * n3]])
-            for w, rows in enumerate(graphs.cayley_slabs(spec))))
+            np.array_equal(np.take(sigma, slab), rows[sigma[w * n3:(w + 1) * n3]])
+            for w, slab in enumerate(graphs.cayley_slabs(spec))))
+        rows.sort(axis=1)
+        gam = graphs.AdjacencyStructure("GAMMA4", q, q ** 4, rows)
         ncomp, _ = graphs.connected_components(gam)
         check("component count equals top multiplicity",
               ncomp == s.largest.multiplicity)

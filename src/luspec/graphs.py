@@ -25,7 +25,9 @@ multiplication).  The connection set is S = {g(t, r*t, -r*t^2, r^2*t): t != 0}.
 The builders evaluate each neighbour coordinate once, over broadcast axes of
 a (c4, c3, c2, c1, column) grid: a formula spans only the axes it depends on,
 and the encoded indices of every column land in one int32 neighbour matrix.
-cayley_slabs yields Cay(G, S) one c4 slab at a time, for checks against Gamma.
+gamma_rows takes Gamma's columns in S's (t, r) order, so the vertex map sigma
+carries Cay(G, S)'s rows, which cayley_slabs yields one c4 slab at a time, onto
+Gamma's unsorted rows column for column.
 """
 
 from __future__ import annotations
@@ -221,21 +223,25 @@ def _check_size(spec: FieldSpec):
             f"q={spec.q} exceeds the graph construction bound {DEFAULT_MAX_GRAPH_Q}")
 
 
-def build_gamma(spec: FieldSpec) -> AdjacencyStructure:
-    """Point collinearity graph: q^4 vertices, q*(q-1)-regular."""
+def gamma_rows(spec: FieldSpec) -> np.ndarray:
+    """Gamma's unsorted int32 (q^4, q^2-q) rows, one column per (d, r) in
+    connection_set's (t, r) order: Q = (P1+d, P2+r*d, P3-(P2*Q1-P1*Q2), P4+r^2*d).
+    Row sigma(g) is sigma of Cay(G, S)'s row g, column for column."""
     _check_size(spec)
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
     P1, P2, P3, P4 = _coord_axes(q)
-    # one column per (d, b): d = p1' - p1 != 0, b = p2'
-    d, b = np.divmod(np.arange(q, q * q), q)
-    Q1 = add(P1, d)
-    Q3 = sub(P3, sub(mul(P2, Q1), mul(P1, b)))
-    e2 = sub(P2, b)
-    Q4 = add(P4, mul(spec.inv(d), mul(e2, e2)))
-    nb = _encode(q, Q1, b, Q3, Q4)
+    d, r = np.divmod(np.arange(q, q * q), q)
+    Q1, Q2 = add(P1, d), add(P2, mul(r, d))
+    Q3 = sub(P3, mul(d, sub(P2, mul(r, P1))))  # P2*Q1 - P1*Q2 = d*(P2 - r*P1)
+    return _encode(q, Q1, Q2, Q3, add(P4, mul(mul(r, r), d)))
+
+
+def build_gamma(spec: FieldSpec) -> AdjacencyStructure:
+    """Point collinearity graph: q^4 vertices, q*(q-1)-regular."""
+    nb = gamma_rows(spec)
     nb.sort(axis=1)
-    return AdjacencyStructure("GAMMA4", q, q ** 4, nb)
+    return AdjacencyStructure("GAMMA4", spec.q, spec.q ** 4, nb)
 
 
 def build_d4(spec: FieldSpec) -> AdjacencyStructure:
@@ -340,23 +346,43 @@ def group_elem_from_index(spec: FieldSpec, i: int) -> GroupElem:
 # connectivity / girth / exports
 
 def connected_components(adj: AdjacencyStructure):
-    """(component count, sizes in decreasing order) by BFS."""
+    """(component count, sizes in decreasing order) by BFS in both directions.
+
+    A small frontier gathers its neighbour rows, _CHUNK entries at a time, and
+    stops once every vertex is seen (top-down).  Once twice the frontier
+    outnumbers the unseen vertices, those test one neighbour column at a time
+    for a frontier neighbour, and each column drops the ones found (bottom-up)."""
     n, nb = adj.n, adj.neighbors
     seen = np.zeros(n, dtype=bool)
     step = max(1, _CHUNK // adj.degree)
-    sizes = []
-    while not seen.all():
+    sizes, left = [], n  # left: the number of unseen vertices
+    while left:
         frontier = np.asarray([np.argmin(seen)])  # the first unseen vertex
         seen[frontier] = True
-        while frontier.size:
-            mark = seen.copy()
-            for lo in range(0, frontier.size, step):
-                mark[nb[frontier[lo:lo + step]]] = True
-                if mark.all():  # every vertex seen: the rest adds nothing
-                    break
-            frontier = np.flatnonzero(mark ^ seen)
-            seen = mark
-        sizes.append(int(np.count_nonzero(seen)) - sum(sizes))
+        start, left = left, left - 1
+        while frontier.size and left:
+            if 2 * frontier.size > left:
+                front, found = np.zeros(n, dtype=bool), []
+                front[frontier] = True
+                unseen = np.flatnonzero(~seen)
+                for col in nb.T:
+                    hit = front[col[unseen]]
+                    found.append(unseen[hit])
+                    unseen = unseen[~hit]
+                    if not unseen.size:
+                        break
+                frontier = np.concatenate(found)
+                seen[frontier] = True
+            else:
+                mark = seen.copy()
+                for lo in range(0, frontier.size, step):
+                    mark[nb[frontier[lo:lo + step]]] = True
+                    if mark.all():  # every vertex seen: the rest adds nothing
+                        break
+                frontier = np.flatnonzero(mark ^ seen)
+                seen = mark
+            left -= frontier.size
+        sizes.append(start - left)
     return len(sizes), sorted(sizes, reverse=True)
 
 

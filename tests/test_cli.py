@@ -133,8 +133,10 @@ def test_verify_sums_each_odd_q_once(capsys, monkeypatch):
 
 
 def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
-    real = graphs.build_gamma
-    monkeypatch.setattr(graphs, "build_gamma", lambda spec: two_switch(real(spec)))
+    # verify takes Gamma's rows from gamma_rows and sorts them itself
+    real = graphs.gamma_rows
+    monkeypatch.setattr(graphs, "gamma_rows", lambda spec: two_switch(
+        graphs.AdjacencyStructure("GAMMA4", spec.q, spec.q ** 4, real(spec))).neighbors)
     code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
     assert code == 1 and "not automorphisms" in err
 
@@ -153,6 +155,25 @@ def test_verify_cayley_mismatch_in_the_last_slab_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--q", "9", "--no-timestamp"])
     assert code == 1
     assert "[FAIL] q=9 Cayley graph matches collinearity graph\n" in out
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
+def test_verify_gamma_mismatch_in_the_last_slab_fails(capsys, monkeypatch):
+    # a corrupted Gamma row, not a Cayley row: the last point has c4 = q - 1,
+    # so the last Cayley slab maps onto its row
+    real = graphs.gamma_rows
+
+    def corrupted(spec):
+        rows = real(spec)
+        rows[-1, 0] = spec.q ** 4 - 1  # a loop: Gamma(4,q) has none
+        return rows
+
+    monkeypatch.setattr(graphs, "gamma_rows", corrupted)
+    code, out, _ = run(capsys, ["verify", "--q", "9", "--max-dense-n", "2401",
+                                "--no-timestamp"])
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] q=9 Cayley graph matches collinearity graph"]
     assert out.endswith("VERIFICATION FAILURES PRESENT\n")
 
 

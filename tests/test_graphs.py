@@ -156,6 +156,17 @@ def test_cayley_slabs_tile_build_cayley(q, builders_reference):
                                     for s in connection_set(spec)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_gamma_columns_follow_the_cayley_slabs(q):
+    # Gamma's column (t, r) at sigma(g) is sigma(s*g), s = S's (t, r) element;
+    # p = 2 drops the 2*ts*u term, q = 4, 8, 9 have e > 1
+    spec = ff.field_for(q)
+    rows, sigma, n3 = graphs.gamma_rows(spec), graphs.cayley_vertex_map(spec), q ** 3
+    assert rows.dtype == np.int32 and rows.shape == (q ** 4, q * q - q)
+    for w, slab in enumerate(graphs.cayley_slabs(spec)):
+        assert np.array_equal(sigma[slab], rows[sigma[w * n3:(w + 1) * n3]])
+
+
 def test_size_budget():
     with pytest.raises(ff.SizeBudgetError):
         graphs.build_gamma(ff.field_for(16))
@@ -408,9 +419,14 @@ def _cycles_and_paths():
 
 
 def test_components_match_scalar_bfs(components_reference):
-    # several components: the BFS may stop early only in the last one
-    cases = [_cycles_and_paths(), graphs.build_d4(ff.field_for(2))]
-    cases += [graphs.build_gamma(ff.field_for(q)) for q in (2, 3, 4, 5, 7, 8)]
+    # several components: the BFS may stop early only in the last one.  The
+    # 5-cycles 0-1-3-4-2 and 0-3-1-2-4 go bottom-up at the far pair, which meets
+    # the frontier only in its first column, or only in its last
+    cases = [_cycles_and_paths(),
+             _from_rows("C5", [[1, 2], [0, 3], [0, 4], [1, 4], [2, 3]]),
+             _from_rows("C5", [[3, 4], [2, 3], [1, 4], [0, 1], [0, 2]])]
+    cases += [graphs.build_d4(ff.field_for(q)) for q in (2, 3, 4, 5, 7)]
+    cases += [graphs.build_gamma(ff.field_for(q)) for q in (2, 3, 4, 5, 7, 8, 9)]
     for adj in cases:
         assert graphs.connected_components(adj) == components_reference(adj)
 
