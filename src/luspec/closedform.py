@@ -209,7 +209,8 @@ class EpsilonOrbits:
     Position (a, c) lies on orbit ``ids(a, c)`` (first-seen order over the
     positions (rows[i], c), c = 0 .. q-1).  Orbit k has multiplicity ``mults[k]``
     (``position_mult`` per position) and sum ``sums[k]`` = sigma_j(``bases[slot[k]]``),
-    j^-1 = ``jinv[k]``; the base sums' histograms are the rows of ``base_hist``."""
+    j^-1 = ``jinv[k]``; the base sums' histograms are the rows of ``base_hist``.
+    ``first`` holds the arrays a and c of each orbit's first position (a, c)."""
 
     spec: ff.FieldSpec
     rows: tuple
@@ -220,6 +221,7 @@ class EpsilonOrbits:
     jinv: np.ndarray
     mults: tuple
     position_mult: int
+    first: tuple
 
     def ids(self, a, c) -> np.ndarray:
         return self.rank[_raw_id(self.spec, a, c)]
@@ -298,7 +300,7 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     hist = cyclo.histogram_rows(sums[0].spec, [e.coeffs for e in sums], q)
     orbits = EpsilonOrbits(spec, rows, rank, sums, hist, np.searchsorted(bases, base),
                            spec.inv(np.array(j)), tuple((position_mult * counts[order]).tolist()),
-                           position_mult)
+                           position_mult, (a, c))
     for b in range(0 if spec.p == 3 else len(bases)):  # one permuted row per base
         k = np.flatnonzero(orbits.slot == b)[-1]
         if (orbits.permute(hist, [k]) != trace_histogram([0, c[k], 0, a[k]], spec)).any():

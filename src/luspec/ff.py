@@ -24,13 +24,19 @@ The operations ``add, sub, neg, mul, inv, pow, tr`` work elementwise on an
 integer ndarray of indices or on a single Python int, which gives a Python
 int back.  The polynomial helpers below build the arrays and serve as the
 reference the tests compare them against.
+
+The root-count profiles that ``verify`` checks the arithmetic with are plain
+``{roots: count}`` dicts over every nonzero a*lead(t) + b*t + c, compared
+with their closed forms by ``==``.  For a != 0 the polynomial has the roots
+of the monic lead + (b/a)*t + c/a, and (b, c) -> (b/a, c/a) is a bijection
+of F^2, so two q x q value histograms give the profile: a = 1, counted
+q - 1 times, and a = 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -462,43 +468,30 @@ def trace(a: FieldElem) -> int:
     return a.spec.tr(a.i)
 
 
-@dataclass(frozen=True)
-class RootProfile:
-    """Distribution of root counts over a family of polynomials."""
-    q: int
-    counts: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def count(self, k: int) -> int:
-        return self.counts.get(k, 0)
-
-
-def _root_profile(spec: FieldSpec, t: np.ndarray, lead: np.ndarray) -> RootProfile:
-    """Root counts over the points t of every nonzero a*lead(t) + b*t + c."""
+def _root_profile(spec: FieldSpec, t: np.ndarray, lead: np.ndarray) -> dict:
+    """{roots: count} over the points t of every nonzero a*lead(t) + b*t + c."""
     q = spec.q
     b = np.arange(q)[:, None]
     bt, offset = spec.mul(b, t), q * b
     tally = np.zeros(t.size + 1, dtype=np.int64)
-    for a in range(q):
-        # a*lead + b*t + c has as many roots as a*lead + b*t takes the value -c;
-        # -c runs over F with c, so row b of the value histogram (taken over
-        # every b at once) holds the root counts of all the constants c
+    # a = 1 stands for every a != 0 (see the module doc).  a*lead + b*t + c has as
+    # many roots as a*lead + b*t takes the value -c; -c runs over F with c, so row
+    # b of the value histogram (taken over every b at once) holds the root counts
+    # of all the constants c
+    for a, weight in (1, q - 1), (0, 1):
         hist = np.bincount((offset + spec.add(spec.mul(a, lead), bt)).ravel(), minlength=q * q)
-        tally += np.bincount(hist, minlength=t.size + 1)
+        tally += weight * np.bincount(hist, minlength=t.size + 1)
     tally[t.size] -= 1  # the zero polynomial vanishes everywhere
-    return RootProfile(q, {k: int(m) for k, m in enumerate(tally) if m})
+    return {k: int(m) for k, m in enumerate(tally) if m}
 
 
-def quadratic_root_profile(spec: FieldSpec) -> RootProfile:
+def quadratic_root_profile(spec: FieldSpec) -> dict:
     """Root-count profile of all nonzero a2*t^2 + a1*t + a0 over GF(q)."""
     t = np.arange(spec.q)
     return _root_profile(spec, t, spec.mul(t, t))
 
 
-def cubic_root_profile_even(spec: FieldSpec) -> RootProfile:
+def cubic_root_profile_even(spec: FieldSpec) -> dict:
     """Nonzero-root profile of all nonzero a3*t^3 + a1*t + a0, q even."""
     if spec.q % 2:
         raise ValueError("even-characteristic profile requested for odd q")
@@ -514,7 +507,8 @@ def quadratic_profile_expected(q: int) -> dict:
 
 
 def cubic_even_profile_expected(q: int) -> dict:
-    """Closed-form even-q cubic nonzero-root profile {k: n_k}."""
-    return {0: (q - 1) * (q * q + 8) // 3,
-            1: (q - 1) ** 2 * (q + 4) // 2,
-            3: (q - 1) ** 2 * (q - 2) // 6}
+    """Closed-form even-q cubic nonzero-root profile {k: n_k}, n_k > 0."""
+    counts = {0: (q - 1) * (q * q + 8) // 3,
+              1: (q - 1) ** 2 * (q + 4) // 2,
+              3: (q - 1) ** 2 * (q - 2) // 6}
+    return {k: n for k, n in counts.items() if n}  # q = 2: no cubic has 3 roots

@@ -43,7 +43,7 @@ def _combine(rows: np.ndarray, weights) -> np.ndarray:
 class GR9Spec:
     """GR(9, e) as the vector of traces of its Teichmueller elements."""
 
-    __slots__ = ("e", "q", "field", "modulus", "key", "teich_trace")
+    __slots__ = ("e", "q", "field", "modulus", "teich_trace")
 
     def __init__(self, e: int):
         if e < 1:
@@ -51,7 +51,6 @@ class GR9Spec:
         self.field = ff.ff_make(3, e)  # enforces the field's size budget
         self.e, self.q = e, self.field.q
         self.modulus = tuple(self.field.modulus)  # coefficientwise lift to Z/9
-        self.key = (9, e, self.modulus)
         self._build()
 
     def _build(self):

@@ -232,6 +232,22 @@ def two_switch():
     return _two_switch
 
 
+def _swapped_field(q: int) -> ff.FieldSpec:
+    """An uncached GF(q) whose powers g^1 and g^2 trade places in ``exp``
+    (both copies), so that ``mul`` is wrong while every table keeps its size."""
+    spec = ff.FieldSpec(*ff.prime_power(q))
+    n = q - 1
+    for i, j in (1, 2), (n + 1, n + 2):
+        spec.exp[[i, j]] = spec.exp[[j, i]]
+    return spec
+
+
+@pytest.fixture(scope="session")
+def swapped_field():
+    """swapped_field(q): a broken GF(q) for mutant checks."""
+    return _swapped_field
+
+
 # The graph builders as column loops: one pass of field arithmetic over all
 # q^4 vertices per neighbour column.
 

@@ -177,6 +177,25 @@ def test_verify_gamma_mismatch_in_the_last_slab_fails(capsys, monkeypatch):
     assert out.endswith("VERIFICATION FAILURES PRESENT\n")
 
 
+def test_verify_passes_past_the_graph_bound(capsys):
+    # above graphs.DEFAULT_MAX_GRAPH_Q: the profiles, the Weil bound and the total
+    code, out, _ = run(capsys, ["verify", "--q", "211,243,256,343", "--no-timestamp"])
+    lines = out.splitlines()
+    assert code == 0 and lines.pop() == "all checks passed"
+    assert len(lines) == 12 and all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_verify_fails_a_broken_field_on_its_root_profile(capsys, monkeypatch,
+                                                          swapped_field):
+    broken = swapped_field(8)
+    monkeypatch.setattr(ff, "field_for", lambda q: broken)
+    code, out, _ = run(capsys, ["verify", "--q", "8", "--max-dense-n", "0",
+                                "--no-timestamp"])
+    assert code == 1
+    assert out.startswith("[FAIL] q=8 quadratic root-count profile\n")
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
 def test_verify_peak_memory_is_below_two_neighbour_matrices():
     # Gamma(4,13)'s int32 matrix is held whole; Cay(G,S) only one slab at a time
     tracemalloc.start()
@@ -332,6 +351,10 @@ def test_bad_max_dense_n_is_a_usage_error(capsys):
                                   "--no-timestamp"])
     assert code == 2 and out == ""
     assert "--max-dense-n: invalid int value: 'abc'" in err
+    for argv in (["verify", "--q", "5"], ["spectrum", "--q", "2", "--source", "numeric"]):
+        code, out, err = run(capsys, argv + ["--max-dense-n", "-1", "--no-timestamp"])
+        assert code == 2 and out == ""
+        assert "--max-dense-n -1 is negative" in err
     code, _, err = run(capsys, ["spectrum", "--q", "2", "--source", "numeric",
                                 "--max-dense-n", "10"])
     assert code == 2 and "budget" in err

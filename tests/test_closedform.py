@@ -272,7 +272,8 @@ def _check_orbit_table(q):
     orbits = closedform.epsilon_orbits(spec)
     flat = orbits.orbit.ravel()
     _, first = np.unique(flat, return_index=True)  # orbit k first meets (a, c)
-    a, c = np.divmod(first + q, q)
+    a, c = orbits.first
+    assert np.array_equal(np.divmod(first + q, q), (a, c))
     if spec.p == 3:
         R = gr9.gr9_make(spec.e)
         want = [cyclo.exp_sum_gr(int(spec.exp[ck - 1]) if ck else 0, R) for ck in c]

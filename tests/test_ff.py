@@ -126,32 +126,25 @@ def test_moment_sums(q):
         assert (value, any(rest)) == (want, False), k
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 127, 243, 256, 343, 1024])
 def test_quadratic_root_profile(q):
-    prof = ff.quadratic_root_profile(ff.field_for(q))
-    want = ff.quadratic_profile_expected(q)
-    assert prof.total == q ** 3 - 1
-    for k, v in want.items():
-        assert prof.count(k) == v
-    assert all(k in (0, 1, 2) for k in prof.counts)
+    # equality covers the total q^3 - 1 and allows no root count but 0, 1, 2
+    assert (ff.quadratic_root_profile(ff.field_for(q))
+            == ff.quadratic_profile_expected(q))
 
 
 def test_quadratic_profile_q2_example():
-    prof = ff.quadratic_root_profile(ff.ff_make(2, 1))
-    assert (prof.count(0), prof.count(1), prof.count(2)) == (2, 4, 1)
+    assert ff.quadratic_root_profile(ff.ff_make(2, 1)) == {0: 2, 1: 4, 2: 1}
 
 
-@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("q", [2, 4, 8, 256, 1024])
 def test_cubic_root_profile_even(q):
-    prof = ff.cubic_root_profile_even(ff.field_for(q))
-    want = ff.cubic_even_profile_expected(q)
-    assert prof.total == q ** 3 - 1
-    for k, v in want.items():
-        assert prof.count(k) == v
-    assert prof.count(2) == 0
+    # equality also rules out a cubic with exactly 2 nonzero roots
+    assert (ff.cubic_root_profile_even(ff.field_for(q))
+            == ff.cubic_even_profile_expected(q))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_root_profiles_match_a_literal_loop(q):
     spec = ff.field_for(q)
     F = list(spec.elements())
@@ -166,10 +159,15 @@ def test_root_profiles_match_a_literal_loop(q):
                         counts[k] = counts.get(k, 0) + 1
         return counts
 
-    assert ff.quadratic_root_profile(spec).counts == literal(F, lambda t: t * t)
+    assert ff.quadratic_root_profile(spec) == literal(F, lambda t: t * t)
     if q % 2 == 0:
-        assert (ff.cubic_root_profile_even(spec).counts
-                == literal(F[1:], lambda t: t * t * t))
+        assert ff.cubic_root_profile_even(spec) == literal(F[1:], lambda t: t * t * t)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_root_profile_catches_swapped_powers(q, swapped_field):
+    assert (ff.quadratic_root_profile(swapped_field(q))
+            != ff.quadratic_profile_expected(q))
 
 
 def test_cubic_profile_rejects_odd():
