@@ -39,6 +39,7 @@ sg = graphs.group_mul(S[k], g)
 print(f"s = S[{k}], (t_s, r) = ({ts}, {r}): sigma(s*g) =",
       int(sigma[graphs.group_elem_index(sg)]), "= Gamma's column (t_s, r) at sigma(g) =",
       int(rows[sigma[graphs.group_elem_index(g)], k]))
-cay = np.vstack(list(graphs.cayley_slabs(spec)))  # row g: s*g for s in S, in order
+low, high = graphs.cayley_slabs(spec)  # slab c4 = w is low + q^3*high[w]
+cay = (low + q ** 3 * high[:, None]).reshape(q ** 4, -1)  # row g: s*g for s in S, in order
 print(f"sigma(s*g) = Gamma(4,{q})'s column (t_s, r) at sigma(g), for every g and s:",
       np.array_equal(sigma[cay], rows[sigma]))

@@ -24,10 +24,11 @@ multiplication).  The connection set is S = {g(t, r*t, -r*t^2, r^2*t): t != 0}.
 
 The builders evaluate each neighbour coordinate once, over broadcast axes of
 a (c4, c3, c2, c1, column) grid: a formula spans only the axes it depends on,
-and the encoded indices of every column land in one int32 neighbour matrix.
-gamma_rows takes Gamma's columns in S's (t, r) order, so the vertex map sigma
-carries Cay(G, S)'s rows, which cayley_slabs yields one c4 slab at a time, onto
-Gamma's unsorted rows column for column.
+and the encoded indices of every column land in one INDEX_DTYPE (uint16)
+neighbour matrix.  gamma_rows takes Gamma's columns in S's (t, r) order, so the
+vertex map sigma carries Cay(G, S)'s rows onto Gamma's unsorted rows column for
+column; cayley_slabs gives those rows as one w-free grid plus a c4 digit per
+slab and column.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ import numpy as np
 from .ff import FieldElem, FieldSpec, SizeBudgetError
 
 DEFAULT_MAX_GRAPH_Q = 13
+# every vertex index is below 2*q^4 <= 2*13^4 = 57,122 < 2^16 (see _check_size)
+INDEX_DTYPE = np.uint16
 _CHUNK = 1 << 16  # entries per chunk: BFS neighbour gathers, girth walk ends and counts
 
 
@@ -185,7 +188,7 @@ class AdjacencyStructure:
 
     def validate(self):
         nb = self.neighbors
-        if np.any(np.diff(nb, axis=1) <= 0):
+        if np.any(nb[:, 1:] <= nb[:, :-1]):  # np.diff would wrap on unsigned rows
             raise ValueError("neighbor rows must be strictly increasing")
         if np.any(nb == np.arange(self.n)[:, None]):
             raise ValueError("loops present")
@@ -207,12 +210,14 @@ def _coord_axes(q: int):
 
 def _encode(q: int, c1, c2, c3, c4) -> np.ndarray:
     """c1 + q*c2 + q^2*c3 + q^3*c4 over the (c4, c3, c2, c1, column) grid, as
-    an int32 (q^4, columns) matrix.
+    an INDEX_DTYPE (q^4, columns) matrix.
 
     No caller's c1..c3 spans the c4 axis, so the low digits sum on a grid
-    q times smaller and one ufunc pass writes the full int32 grid."""
-    low, high = c1 + q * c2 + q * q * c3, q ** 3 * c4
-    out = np.empty(np.broadcast_shapes(low.shape, high.shape), dtype=np.int32)
+    q times smaller; both digit grids take INDEX_DTYPE there, and one ufunc
+    pass writes the full grid in it."""
+    low = (c1 + q * c2 + q * q * c3).astype(INDEX_DTYPE)
+    high = (q ** 3 * c4).astype(INDEX_DTYPE)
+    out = np.empty(np.broadcast_shapes(low.shape, high.shape), dtype=INDEX_DTYPE)
     np.add(low, high, out=out)
     return out.reshape(q ** 4, -1)
 
@@ -224,7 +229,7 @@ def _check_size(spec: FieldSpec):
 
 
 def gamma_rows(spec: FieldSpec) -> np.ndarray:
-    """Gamma's unsorted int32 (q^4, q^2-q) rows, one column per (d, r) in
+    """Gamma's unsorted INDEX_DTYPE (q^4, q^2-q) rows, one column per (d, r) in
     connection_set's (t, r) order: Q = (P1+d, P2+r*d, P3-(P2*Q1-P1*Q2), P4+r^2*d).
     Row sigma(g) is sigma of Cay(G, S)'s row g, column for column."""
     _check_size(spec)
@@ -263,30 +268,33 @@ def build_d4(spec: FieldSpec) -> AdjacencyStructure:
 
 
 def cayley_slabs(spec: FieldSpec):
-    """The unsorted int32 (q^3, q^2-q) rows of g(t,u,v,w) in Cay(G, S), one slab
-    per w = 0..q-1, columns in connection_set order.  s*g = (ts+t, us+u,
-    vs+v-2*ts*u, ws+w) has low digits free of w: encoded once for all slabs."""
+    """(low, high): Cay(G, S)'s unsorted rows of the slab c4 = w are
+    low + q^3*high[w], columns in connection_set order.  s*g = (ts+t, us+u,
+    vs+v-2*ts*u, ws+w) has low digits free of w, so low is the INDEX_DTYPE
+    (q^3, q^2-q) grid of those digits (entries < q^3), and high the (q, q^2-q)
+    c4 digits ws+w."""
     _check_size(spec)
     q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
     T, U, V = (c[0] for c in _coord_axes(q)[:3])  # the (c3, c2, c1, column) axes
     ts, us, vs, ws = _connection_indices(spec)
     V2 = sub(add(V, vs), mul(2 % spec.p, mul(ts, U)))
-    low = (add(T, ts) + q * add(U, us) + q * q * V2).astype(np.int32).reshape(q ** 3, -1)
-    return (low + q ** 3 * add(w, ws).astype(np.int32) for w in range(q))
+    low = add(T, ts) + q * add(U, us) + q * q * V2
+    high = add(np.arange(q)[:, None], ws)
+    return low.astype(INDEX_DTYPE).reshape(q ** 3, -1), high.astype(INDEX_DTYPE)
 
 
 def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     """Cay(G, S): vertex g(t,u,v,w) at index enc(t,u,v,w); g ~ g' iff g'*g^-1 in S."""
-    slabs, q = cayley_slabs(spec), spec.q  # checks q before the matrix is allocated
-    nb = np.empty((q ** 4, q * (q - 1)), dtype=np.int32)
-    for w, slab in enumerate(slabs):
-        nb[w * q ** 3:(w + 1) * q ** 3] = slab
+    (low, high), q = cayley_slabs(spec), spec.q  # checks q before the matrix is allocated
+    nb = np.empty((q ** 4, q * (q - 1)), dtype=INDEX_DTYPE)
+    np.add(low, q ** 3 * high[:, None], out=nb.reshape(q, q ** 3, -1))
     nb.sort(axis=1)
     return AdjacencyStructure("CAYLEY4", q, q ** 4, nb)
 
 
 def action_permutation(spec: FieldSpec, g: GroupElem) -> np.ndarray:
     """The permutation P -> P*g of point indices, vectorized over all points."""
+    _check_size(spec)
     q = spec.q
     add, sub, mul = spec.add, spec.sub, spec.mul
     P1, P2, P3, P4 = _coord_axes(q)
@@ -301,6 +309,7 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     P(0,0,0,0)*g(t,u,v,w) = P(t, u, v + t*u, w); this is the regular-action
     bijection carrying Cay(G, S) onto the collinearity graph.
     """
+    _check_size(spec)
     q = spec.q
     T, U, V, W = _coord_axes(q)
     return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
@@ -347,6 +356,8 @@ def group_elem_from_index(spec: FieldSpec, i: int) -> GroupElem:
 
 def connected_components(adj: AdjacencyStructure):
     """(component count, sizes in decreasing order) by BFS in both directions.
+
+    Rows are read as sets of neighbours, so they need not be sorted.
 
     A small frontier gathers its neighbour rows, _CHUNK entries at a time, and
     stops once every vertex is seen (top-down).  Once twice the frontier

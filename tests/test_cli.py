@@ -142,16 +142,31 @@ def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
 
 
 def test_verify_cayley_mismatch_in_the_last_slab_fails(capsys, monkeypatch):
-    # q = 9 has nine c4 slabs of 729 rows; the corrupted row is the last one
+    # q = 9 has nine c4 slabs of 729 rows; only the last slab reads high[q-1]
     real = graphs.cayley_slabs
 
     def corrupted(spec):
-        for w, slab in enumerate(real(spec)):
-            if w == spec.q - 1:
-                slab[-1, 0] = spec.q ** 4 - 1  # a loop: Gamma(4,q) has none
-            yield slab
+        low, high = real(spec)
+        high[-1, 0] = (high[-1, 0] + 1) % spec.q  # column 0 of the last slab moves
+        return low, high
 
     monkeypatch.setattr(graphs, "cayley_slabs", corrupted)
+    code, out, _ = run(capsys, ["verify", "--q", "9", "--no-timestamp"])
+    assert code == 1
+    assert "[FAIL] q=9 Cayley graph matches collinearity graph\n" in out
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
+def test_verify_fails_a_vertex_map_that_moves_c4(capsys, monkeypatch):
+    # sigma stays a bijection, but two points of different c4 slabs trade places
+    real = graphs.cayley_vertex_map
+
+    def swapped(spec):
+        sigma = real(spec)
+        sigma[[0, -1]] = sigma[[-1, 0]]
+        return sigma
+
+    monkeypatch.setattr(graphs, "cayley_vertex_map", swapped)
     code, out, _ = run(capsys, ["verify", "--q", "9", "--no-timestamp"])
     assert code == 1
     assert "[FAIL] q=9 Cayley graph matches collinearity graph\n" in out
@@ -197,7 +212,8 @@ def test_verify_fails_a_broken_field_on_its_root_profile(capsys, monkeypatch,
 
 
 def test_verify_peak_memory_is_below_two_neighbour_matrices():
-    # Gamma(4,13)'s int32 matrix is held whole; Cay(G,S) only one slab at a time
+    # Gamma(4,13)'s uint16 matrix is held whole; Cay(G,S) only as its w-free
+    # low digits and one slab's worth of Gamma rows at a time
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -206,7 +222,7 @@ def test_verify_peak_memory_is_below_two_neighbour_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * 13 ** 4 * 156 * 4
+    assert peak <= 2 * 13 ** 4 * 156 * 2
 
 
 def test_epsilons_q5_shows_merge(capsys):

@@ -86,6 +86,13 @@ def test_validate_rejects(graph):
             with_rows(nb).validate()
 
 
+def test_validate_rejects_a_decreasing_unsigned_row():
+    # np.diff of unsigned rows wraps, so 3 -> 1 would read as an increase
+    nb = np.array([[3, 1], [0, 2], [1, 3], [0, 2]], dtype=np.uint16)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        graphs.AdjacencyStructure("C4", 2, 4, nb).validate()
+
+
 @pytest.mark.parametrize("q,n,m,deg", [(2, 32, 32, 2), (3, 162, 243, 3),
                                        (5, 1250, 3125, 5)])
 def test_d4_counts(q, n, m, deg, graph):
@@ -108,12 +115,17 @@ def test_builders_match_column_loops(q, builders_reference):
         got = getattr(graphs, name)(spec)
         want = getattr(builders_reference, name)(spec)
         assert (got.name, got.q, got.n) == (want.name, want.q, want.n)
-        assert got.neighbors.dtype == want.neighbors.dtype == np.int32, name
+        assert got.neighbors.dtype == graphs.INDEX_DTYPE, name
         assert np.array_equal(got.neighbors, want.neighbors), name
-    # int32, the dtype of the neighbour matrices it indexes (the loop gave int64)
+    # the dtype of the neighbour matrices it indexes (the loop gave int64)
     sigma = graphs.cayley_vertex_map(spec)
-    assert sigma.dtype == np.int32
+    assert sigma.dtype == graphs.INDEX_DTYPE
     assert np.array_equal(sigma, builders_reference.cayley_vertex_map(spec))
+
+
+def test_index_dtype_holds_every_vertex_index():
+    # D(4,q) has 2*q^4 vertices; raising the graph bound past the dtype must fail here
+    assert 2 * graphs.DEFAULT_MAX_GRAPH_Q ** 4 <= np.iinfo(graphs.INDEX_DTYPE).max + 1
 
 
 def test_build_gamma_peak_memory():
@@ -146,14 +158,16 @@ def test_cayley_slabs_tile_build_cayley(q, builders_reference):
     spec = ff.field_for(q)
     want = builders_reference.build_cayley(spec).neighbors
     n3 = q ** 3
-    slabs = list(graphs.cayley_slabs(spec))
-    assert len(slabs) == q
-    for w, slab in enumerate(slabs):
-        assert slab.dtype == np.int32 and slab.shape == (n3, q * q - q)
+    low, high = graphs.cayley_slabs(spec)
+    assert low.dtype == high.dtype == graphs.INDEX_DTYPE
+    assert low.shape == (n3, q * q - q) and high.shape == (q, q * q - q)
+    assert low.max() < n3 and high.max() < q
+    for w in range(q):
+        slab = low + n3 * high[w]
         assert np.array_equal(np.sort(slab, axis=1), want[w * n3:(w + 1) * n3])
     # the identity's row is S itself, in connection_set order
-    assert slabs[0][0].tolist() == [graphs.group_elem_index(s)
-                                    for s in connection_set(spec)]
+    assert (low[0] + n3 * high[0]).tolist() == [graphs.group_elem_index(s)
+                                                for s in connection_set(spec)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
@@ -162,14 +176,21 @@ def test_gamma_columns_follow_the_cayley_slabs(q):
     # p = 2 drops the 2*ts*u term, q = 4, 8, 9 have e > 1
     spec = ff.field_for(q)
     rows, sigma, n3 = graphs.gamma_rows(spec), graphs.cayley_vertex_map(spec), q ** 3
-    assert rows.dtype == np.int32 and rows.shape == (q ** 4, q * q - q)
-    for w, slab in enumerate(graphs.cayley_slabs(spec)):
-        assert np.array_equal(sigma[slab], rows[sigma[w * n3:(w + 1) * n3]])
+    assert rows.dtype == graphs.INDEX_DTYPE and rows.shape == (q ** 4, q * q - q)
+    low, high = graphs.cayley_slabs(spec)
+    for w in range(q):
+        assert np.array_equal(sigma[low + n3 * high[w]], rows[sigma[w * n3:(w + 1) * n3]])
 
 
 def test_size_budget():
+    F16 = ff.field_for(16)
     with pytest.raises(ff.SizeBudgetError):
-        graphs.build_gamma(ff.field_for(16))
+        graphs.build_gamma(F16)
+    # the point maps encode q^4 indices in INDEX_DTYPE too, which q = 16 would overflow
+    with pytest.raises(ff.SizeBudgetError):
+        graphs.cayley_vertex_map(F16)
+    with pytest.raises(ff.SizeBudgetError):
+        graphs.action_permutation(F16, group_identity(F16))
 
 
 # ---- group law ----
@@ -314,7 +335,7 @@ def test_action_matches_act_point():
     for _ in range(20):
         g = graphs.group_elem_from_index(F5, rng.randrange(625))
         pi = graphs.action_permutation(F5, g)
-        assert pi.dtype == np.int32
+        assert pi.dtype == graphs.INDEX_DTYPE
         i = rng.randrange(625)
         pt = graphs.point_from_index(F5, i)
         assert graphs.point_index(act_point(pt, g)) == pi[i]
