@@ -32,14 +32,19 @@ print("closed form == 5x5 product:", lhs == rhs)
 # column: Gamma's columns follow S's (t, r) order, and sigma(s*g) is the entry
 # of Gamma's row sigma(g) in the column of s
 sigma = graphs.cayley_vertex_map(spec)
-rows = graphs.gamma_rows(spec)
+rows = graphs.slab_rows(*graphs.gamma_slabs(spec))  # Gamma's unsorted rows
 ts, r = 2, 4
 k = (ts - 1) * q + r  # the column of s = S[k]
 sg = graphs.group_mul(S[k], g)
 print(f"s = S[{k}], (t_s, r) = ({ts}, {r}): sigma(s*g) =",
       int(sigma[graphs.group_elem_index(sg)]), "= Gamma's column (t_s, r) at sigma(g) =",
       int(rows[sigma[graphs.group_elem_index(g)], k]))
-low, high = graphs.cayley_slabs(spec)  # slab c4 = w is low + q^3*high[w]
-cay = (low + q ** 3 * high[:, None]).reshape(q ** 4, -1)  # row g: s*g for s in S, in order
+# both graphs come in one slab form: slab c4 = w is low + q^3*high[w], and
+# slab_rows adds the two digit grids into rows
+cay = graphs.slab_rows(*graphs.cayley_slabs(spec))  # row g: s*g for s in S, in order
 print(f"sigma(s*g) = Gamma(4,{q})'s column (t_s, r) at sigma(g), for every g and s:",
       np.array_equal(sigma[cay], rows[sigma]))
+(low, high), (glow, ghigh) = graphs.cayley_slabs(spec), graphs.gamma_slabs(spec)
+s0 = sigma[:q ** 3]  # sigma keeps c4, so the check reads the w-free digits only
+print("the same, digit grid by digit grid:",
+      np.array_equal(s0[low], glow[s0]) and np.array_equal(high, ghigh))

@@ -170,25 +170,22 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
     check("closed-form degree conservation", s.total == q ** 4)
 
     if q <= graphs.DEFAULT_MAX_GRAPH_Q:
-        rows, sigma, n3 = graphs.gamma_rows(spec), graphs.cayley_vertex_map(spec), q ** 3
-        low, high = graphs.cayley_slabs(spec)
-        # Gamma's columns follow S's order, so row sigma(g) is sigma of Cay(G,S)'s
-        # row g, column for column.  Once sigma is checked to keep c4, sigma of
-        # Cay(G,S)'s slab w, low + q^3*high[w], is sigma(low) + q^3*high[w]: one
-        # sigma lookup per cell of low.  Slab w maps onto Gamma's rows
-        # sigma[w*q^3:(w+1)*q^3], and the first mismatch ends the scan
-        mapped = sigma[:n3][low]
+        sigma, n3 = graphs.cayley_vertex_map(spec).reshape(q, -1), q ** 3  # c4 slabs
+        (low, high), (glow, ghigh) = graphs.cayley_slabs(spec), graphs.gamma_slabs(spec)
+        # Row sigma(g) of Gamma must be sigma of Cay(G,S)'s row g, column for column.  If
+        # sigma keeps c4 (sigma[w] = sigma[0] + q^3*w < q^4, so sigma[0] < q^3), that is
+        # sigma[0][low] + q^3*high[w] = glow[sigma[0]] + q^3*ghigh[w] for every slab w, in
+        # base-q^3 digits below q^3 and below q: true iff both digit grids agree
         check("Cayley graph matches collinearity graph", np.array_equal(
-            sigma.reshape(q, n3), sigma[:n3] + n3 * np.arange(q)[:, None]) and all(
-            np.array_equal(mapped + n3 * h, rows[sigma[w * n3:(w + 1) * n3]])
-            for w, h in enumerate(high)))
+            sigma, sigma[0] + n3 * np.arange(q)[:, None]) and np.array_equal(
+            sigma[0][low], glow[sigma[0]]) and np.array_equal(high, ghigh))
         # Gamma's rows stay unsorted: components read them as sets
-        gam = graphs.AdjacencyStructure("GAMMA4", q, q ** 4, rows)
+        gam = graphs.AdjacencyStructure("GAMMA4", q, q ** 4, graphs.slab_rows(glow, ghigh))
         ncomp, _ = graphs.connected_components(gam)
         check("component count equals top multiplicity",
               ncomp == s.largest.multiplicity)
         if q ** 4 <= args.max_dense_n:
-            rows.sort(axis=1)  # the oracle compares sorted rows
+            gam.neighbors.sort(axis=1)  # the oracle compares sorted rows
             rep = oracle.compare_spectra(s, oracle.numeric_spectrum(
                 gam, max_dense_n=args.max_dense_n), tol=args.tol)
             check("closed form vs numeric spectrum", rep.passed,

@@ -471,16 +471,18 @@ def trace(a: FieldElem) -> int:
 def _root_profile(spec: FieldSpec, t: np.ndarray, lead: np.ndarray) -> dict:
     """{roots: count} over the points t of every nonzero a*lead(t) + b*t + c."""
     q = spec.q
-    b = np.arange(q)[:, None]
-    bt, offset = spec.mul(b, t), q * b
+    step = max(1, (1 << 16) // q)  # rows b per block, so no q x q array is held
     tally = np.zeros(t.size + 1, dtype=np.int64)
     # a = 1 stands for every a != 0 (see the module doc).  a*lead + b*t + c has as
     # many roots as a*lead + b*t takes the value -c; -c runs over F with c, so row
-    # b of the value histogram (taken over every b at once) holds the root counts
-    # of all the constants c
-    for a, weight in (1, q - 1), (0, 1):
-        hist = np.bincount((offset + spec.add(spec.mul(a, lead), bt)).ravel(), minlength=q * q)
-        tally += weight * np.bincount(hist, minlength=t.size + 1)
+    # b of the value histogram (taken over a block of rows b at once) holds the
+    # root counts of all the constants c
+    for lo in range(0, q, step):
+        b = np.arange(lo, min(q, lo + step))[:, None]
+        bt, offset = spec.mul(b, t), q * (b - lo)
+        for values, weight in (spec.add(lead, bt), q - 1), (bt, 1):
+            hist = np.bincount((offset + values).ravel(), minlength=b.size * q)
+            tally += weight * np.bincount(hist, minlength=t.size + 1)
     tally[t.size] -= 1  # the zero polynomial vanishes everywhere
     return {k: int(m) for k, m in enumerate(tally) if m}
 

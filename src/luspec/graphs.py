@@ -25,10 +25,10 @@ multiplication).  The connection set is S = {g(t, r*t, -r*t^2, r^2*t): t != 0}.
 The builders evaluate each neighbour coordinate once, over broadcast axes of
 a (c4, c3, c2, c1, column) grid: a formula spans only the axes it depends on,
 and the encoded indices of every column land in one INDEX_DTYPE (uint16)
-neighbour matrix.  gamma_rows takes Gamma's columns in S's (t, r) order, so the
-vertex map sigma carries Cay(G, S)'s rows onto Gamma's unsorted rows column for
-column; cayley_slabs gives those rows as one w-free grid plus a c4 digit per
-slab and column.
+neighbour matrix.  gamma_slabs and cayley_slabs give Gamma's and Cay(G, S)'s
+unsorted rows in one slab form, a w-free grid of low digits plus a c4 digit
+per slab and column, which slab_rows adds into rows.  Gamma's columns follow
+S's (t, r) order, so sigma carries Cay(G, S)'s rows onto Gamma's column for column.
 """
 
 from __future__ import annotations
@@ -228,23 +228,30 @@ def _check_size(spec: FieldSpec):
             f"q={spec.q} exceeds the graph construction bound {DEFAULT_MAX_GRAPH_Q}")
 
 
-def gamma_rows(spec: FieldSpec) -> np.ndarray:
-    """Gamma's unsorted INDEX_DTYPE (q^4, q^2-q) rows, one column per (d, r) in
-    connection_set's (t, r) order: Q = (P1+d, P2+r*d, P3-(P2*Q1-P1*Q2), P4+r^2*d).
-    Row sigma(g) is sigma of Cay(G, S)'s row g, column for column."""
+def gamma_slabs(spec: FieldSpec):
+    """(glow, ghigh): Gamma's unsorted rows of the slab c4 = w are glow + q^3*ghigh[w],
+    one column per (d, r) in connection_set's (t, r) order: Q = (P1+d, P2+r*d,
+    P3-(P2*Q1-P1*Q2), P4+r^2*d), whose low digits (glow, (q^3, q^2-q)) are free of
+    P4.  Row sigma(g) is sigma of Cay(G, S)'s row g, column for column."""
     _check_size(spec)
-    q = spec.q
-    add, sub, mul = spec.add, spec.sub, spec.mul
-    P1, P2, P3, P4 = _coord_axes(q)
-    d, r = np.divmod(np.arange(q, q * q), q)
-    Q1, Q2 = add(P1, d), add(P2, mul(r, d))
-    Q3 = sub(P3, mul(d, sub(P2, mul(r, P1))))  # P2*Q1 - P1*Q2 = d*(P2 - r*P1)
-    return _encode(q, Q1, Q2, Q3, add(P4, mul(mul(r, r), d)))
+    q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
+    P1, P2 = (c[0] for c in _coord_axes(q)[:2])  # on the (c3, c2, c1, column) axes
+    (d, rd, _, r2d), c = _connection_indices(spec), np.arange(q)[:, None]
+    x = sub(mul(d, P2), mul(rd, P1))[0]  # P2*Q1 - P1*Q2 on the (c2, c1, column) axes
+    glow = np.take((q * q * sub(c, c.T)).astype(INDEX_DTYPE), x, axis=1)  # q^2*(P3 - x)
+    glow += (add(P1, d) + q * add(P2, rd)).astype(INDEX_DTYPE)
+    return glow.reshape(q ** 3, -1), add(c, r2d).astype(INDEX_DTYPE)
+
+
+def slab_rows(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The unsorted (q^4, columns) rows whose slab c4 = w is low + q^3*high[w]."""
+    nb = np.empty((len(high), *low.shape), dtype=INDEX_DTYPE)
+    return np.add(low, len(low) * high[:, None], out=nb).reshape(-1, low.shape[1])
 
 
 def build_gamma(spec: FieldSpec) -> AdjacencyStructure:
     """Point collinearity graph: q^4 vertices, q*(q-1)-regular."""
-    nb = gamma_rows(spec)
+    nb = slab_rows(*gamma_slabs(spec))
     nb.sort(axis=1)
     return AdjacencyStructure("GAMMA4", spec.q, spec.q ** 4, nb)
 
@@ -268,11 +275,9 @@ def build_d4(spec: FieldSpec) -> AdjacencyStructure:
 
 
 def cayley_slabs(spec: FieldSpec):
-    """(low, high): Cay(G, S)'s unsorted rows of the slab c4 = w are
-    low + q^3*high[w], columns in connection_set order.  s*g = (ts+t, us+u,
-    vs+v-2*ts*u, ws+w) has low digits free of w, so low is the INDEX_DTYPE
-    (q^3, q^2-q) grid of those digits (entries < q^3), and high the (q, q^2-q)
-    c4 digits ws+w."""
+    """(low, high): Cay(G, S)'s unsorted rows of the slab c4 = w are low + q^3*high[w],
+    columns in connection_set order; s*g = (ts+t, us+u, vs+v-2*ts*u, ws+w) has
+    low digits free of w."""
     _check_size(spec)
     q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
     T, U, V = (c[0] for c in _coord_axes(q)[:3])  # the (c3, c2, c1, column) axes
@@ -285,11 +290,9 @@ def cayley_slabs(spec: FieldSpec):
 
 def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     """Cay(G, S): vertex g(t,u,v,w) at index enc(t,u,v,w); g ~ g' iff g'*g^-1 in S."""
-    (low, high), q = cayley_slabs(spec), spec.q  # checks q before the matrix is allocated
-    nb = np.empty((q ** 4, q * (q - 1)), dtype=INDEX_DTYPE)
-    np.add(low, q ** 3 * high[:, None], out=nb.reshape(q, q ** 3, -1))
+    nb = slab_rows(*cayley_slabs(spec))
     nb.sort(axis=1)
-    return AdjacencyStructure("CAYLEY4", q, q ** 4, nb)
+    return AdjacencyStructure("CAYLEY4", spec.q, spec.q ** 4, nb)
 
 
 def action_permutation(spec: FieldSpec, g: GroupElem) -> np.ndarray:

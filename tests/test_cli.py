@@ -133,10 +133,10 @@ def test_verify_sums_each_odd_q_once(capsys, monkeypatch):
 
 
 def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
-    # verify takes Gamma's rows from gamma_rows and sorts them itself
-    real = graphs.gamma_rows
-    monkeypatch.setattr(graphs, "gamma_rows", lambda spec: two_switch(
-        graphs.AdjacencyStructure("GAMMA4", spec.q, spec.q ** 4, real(spec))).neighbors)
+    # verify builds Gamma's full rows once, with slab_rows, and sorts them itself
+    real = graphs.slab_rows
+    monkeypatch.setattr(graphs, "slab_rows", lambda low, high: two_switch(
+        graphs.AdjacencyStructure("GAMMA4", 3, 81, real(low, high))).neighbors)
     code, _, err = run(capsys, ["verify", "--q", "3", "--no-timestamp"])
     assert code == 1 and "not automorphisms" in err
 
@@ -174,21 +174,39 @@ def test_verify_fails_a_vertex_map_that_moves_c4(capsys, monkeypatch):
 
 
 def test_verify_gamma_mismatch_in_the_last_slab_fails(capsys, monkeypatch):
-    # a corrupted Gamma row, not a Cayley row: the last point has c4 = q - 1,
-    # so the last Cayley slab maps onto its row
-    real = graphs.gamma_rows
+    # a corrupted Gamma row, not a Cayley row: ghigh[q-1] is read only by the
+    # last slab (c4 = q - 1), and the corruption keeps every entry below q
+    real = graphs.gamma_slabs
 
     def corrupted(spec):
-        rows = real(spec)
-        rows[-1, 0] = spec.q ** 4 - 1  # a loop: Gamma(4,q) has none
-        return rows
+        glow, ghigh = real(spec)
+        ghigh[-1, 0] = (ghigh[-1, 0] + 1) % spec.q
+        return glow, ghigh
 
-    monkeypatch.setattr(graphs, "gamma_rows", corrupted)
+    monkeypatch.setattr(graphs, "gamma_slabs", corrupted)
     code, out, _ = run(capsys, ["verify", "--q", "9", "--max-dense-n", "2401",
                                 "--no-timestamp"])
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
         "[FAIL] q=9 Cayley graph matches collinearity graph"]
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
+def test_verify_fails_one_changed_cell_of_gamma_low_digits(capsys, monkeypatch):
+    # the last point row of the w-free grid, column 0, moves by one within [0, q^3):
+    # every slab's row with those low digits changes, and only there
+    real = graphs.gamma_slabs
+
+    def corrupted(spec):
+        glow, ghigh = real(spec)
+        glow[-1, 0] = (glow[-1, 0] + 1) % spec.q ** 3
+        return glow, ghigh
+
+    monkeypatch.setattr(graphs, "gamma_slabs", corrupted)
+    code, out, _ = run(capsys, ["verify", "--q", "5", "--max-dense-n", "0",
+                                "--no-timestamp"])
+    assert code == 1
+    assert "[FAIL] q=5 Cayley graph matches collinearity graph\n" in out
     assert out.endswith("VERIFICATION FAILURES PRESENT\n")
 
 
@@ -212,8 +230,8 @@ def test_verify_fails_a_broken_field_on_its_root_profile(capsys, monkeypatch,
 
 
 def test_verify_peak_memory_is_below_two_neighbour_matrices():
-    # Gamma(4,13)'s uint16 matrix is held whole; Cay(G,S) only as its w-free
-    # low digits and one slab's worth of Gamma rows at a time
+    # Gamma(4,13)'s uint16 matrix is held whole, once; Gamma and Cay(G,S) are
+    # compared as their w-free low digits and c4 digits, 0.69 MB each at q = 13
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -222,7 +240,7 @@ def test_verify_peak_memory_is_below_two_neighbour_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 13 ** 4 * 156 * 2
+    assert peak <= 1.3 * 13 ** 4 * 156 * 2
 
 
 def test_epsilons_q5_shows_merge(capsys):

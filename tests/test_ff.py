@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,20 @@ def test_root_profiles_match_a_literal_loop(q):
 def test_root_profile_catches_swapped_powers(q, swapped_field):
     assert (ff.quadratic_root_profile(swapped_field(q))
             != ff.quadratic_profile_expected(q))
+
+
+def test_root_profile_peak_memory_is_a_few_row_blocks():
+    # rows b are counted in blocks of about 2^16/q rows, so no q x q int64 array
+    # is held (the whole (b, t) grid at once peaked at 28.6 MiB at q = 967)
+    spec = ff.field_for(967)
+    tracemalloc.start()
+    try:
+        profile = ff.quadratic_root_profile(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile == ff.quadratic_profile_expected(967)
+    assert peak <= 8 * (1 << 16) * 8  # eight block-sized int64 arrays, 4 MiB
 
 
 def test_cubic_profile_rejects_odd():
