@@ -7,6 +7,8 @@ Tr(x) + 3*tr(c*x) mod 9, so the ring enters only through one vector, the
 trace Tr(T(a)) in Z/9 of the Teichmueller lift of each a in GF(q).
 """
 
+import numpy as np
+
 from luspec import closedform, cyclo, ff, gr9
 
 R = gr9.gr9_make(2)
@@ -16,11 +18,10 @@ print("mod 3 (the field trace):", (R.teich_trace % 3).tolist(),
       "=", R.field.trace.tolist())
 
 print("\nconductor-9 sums for t^3 + 3*c*t:")
-for c in range(4):
-    eps = cyclo.exp_sum_gr(c, R)
-    wc = cyclo.weil_check(eps, R.q)
-    print(f"  c = {c}: eps = {cyclo.embed(eps).real:+.6f}, "
-          f"Weil margin {wc.margin:.4f}")
+sums = [cyclo.exp_sum_gr(c, R) for c in range(4)]
+margins = cyclo.weil_check(cyclo.cyc_spec(9), np.array([e.coeffs for e in sums]), R.q)
+for c, (eps, margin) in enumerate(zip(sums, margins)):
+    print(f"  c = {c}: eps = {cyclo.embed(eps).real:+.6f}, Weil margin {margin:.4f}")
 
 s = closedform.spectrum_odd(ff.field_for(9))
 print(f"\nGamma(4,9) spectrum: {len(s.entries)} distinct eigenvalues, "

@@ -208,8 +208,8 @@ class EpsilonOrbits:
 
     Position (a, c) lies on orbit ``ids(a, c)`` (first-seen order over the
     positions (rows[i], c), c = 0 .. q-1).  Orbit k has multiplicity ``mults[k]``
-    (``position_mult`` per position) and sum ``sums[k]`` = sigma_j(``bases[slot[k]]``),
-    j^-1 = ``jinv[k]``; the base sums' histograms are the rows of ``base_hist``.
+    (``position_mult`` per position) and sum sigma_j(``bases[slot[k]]``), j^-1 =
+    ``jinv[k]``, whose histogram is row k of ``permute(base_hist)``.
     ``first`` holds the arrays a and c of each orbit's first position (a, c)."""
 
     spec: ff.FieldSpec
@@ -235,11 +235,6 @@ class EpsilonOrbits:
         """Rows ks from one histogram h per base: sigma_j(h)[s] = h[j^-1 * s]."""
         n = base_hist.shape[1]
         return base_hist[self.slot[ks, None], np.arange(n) * self.jinv[ks, None] % n]
-
-    @cached_property
-    def sums(self) -> tuple:
-        rows = cyclo.reduce_rows(self.bases[0].spec, self.permute(self.base_hist)).tolist()
-        return tuple(CycInt(self.bases[0].spec, c) for c in rows)
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -318,7 +313,9 @@ def epsilon_family(spec: ff.FieldSpec, orbits: EpsilonOrbits | None = None):
     """
     if orbits is None:
         orbits = epsilon_orbits(spec)
-    sums, mult = orbits.sums, orbits.position_mult
+    cspec, mult = orbits.bases[0].spec, orbits.position_mult
+    sums = [CycInt(cspec, e) for e in cyclo.reduce_rows(cspec, orbits.permute(
+        orbits.base_hist)).tolist()]
     for a, row in zip(orbits.rows, orbits.orbit):
         for c, k in enumerate(row.tolist()):
             yield (a, c), sums[k], mult

@@ -9,12 +9,15 @@ equality is exact.
 The reductions used:
   * n prime:  zeta^(n-1) = -(1 + zeta + ... + zeta^(n-2))
   * n = 9:    zeta^(6+k) = -zeta^k - zeta^(3+k)   (Phi_9 = x^6 + x^3 + 1)
+
+Many sums at once are int64 coefficient rows.  embed_rows, weil_check and
+format_rows act on a block of such rows, each bit for bit what embed, abs
+of embed, and str give for one CycInt.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -230,18 +233,9 @@ def exp_sum_gr(c: int, spec: gr9.GR9Spec) -> CycInt:
     return CycInt.from_histogram(cyc_spec(9), hist.tolist())
 
 
-@dataclass(frozen=True)
-class WeilCheck:
-    ok: bool
-    bound: float
-    abs_value: float
-    margin: float
-
-
-def weil_check(eps: CycInt, q: int) -> WeilCheck:
-    """|eps| <= 2*sqrt(q), Weil's bound for a cubic f, up to 1e-9 of float error;
-    returns the margin."""
-    bound = 2 * float(q) ** 0.5
-    val = abs(embed(eps))
-    return WeilCheck(ok=val <= bound + 1e-9, bound=bound,
-                     abs_value=val, margin=bound - val)
+def weil_check(spec: CycSpec, rows: np.ndarray, q: int) -> np.ndarray:
+    """2*sqrt(q) - |eps| of each coefficient row eps: Weil's bound for a cubic f
+    holds where the margin is >= 0, up to float error.  eps is summed left to
+    right, as ``embed`` sums, so each |eps| is ``abs(embed(CycInt(spec, row)))``."""
+    z = np.cumsum(rows * np.array(spec.roots[:spec.phi]), axis=-1)[..., -1]
+    return 2 * float(q) ** 0.5 - np.abs(z)

@@ -27,7 +27,9 @@ a (c4, c3, c2, c1, column) grid: a formula spans only the axes it depends on,
 and the encoded indices of every column land in one INDEX_DTYPE (uint16)
 neighbour matrix.  gamma_slabs and cayley_slabs give Gamma's and Cay(G, S)'s
 unsorted rows in one slab form, a w-free grid of low digits plus a c4 digit
-per slab and column, which slab_rows adds into rows.  Gamma's columns follow
+per slab and column, which slab_rows adds into rows.  Both take their q^2
+digit from a q x q uint16 table by one np.take and add the other digits in
+uint16, so neither builds a full-size int64 grid.  Gamma's columns follow
 S's (t, r) order, so sigma carries Cay(G, S)'s rows onto Gamma's column for column.
 """
 
@@ -280,12 +282,12 @@ def cayley_slabs(spec: FieldSpec):
     low digits free of w."""
     _check_size(spec)
     q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
-    T, U, V = (c[0] for c in _coord_axes(q)[:3])  # the (c3, c2, c1, column) axes
-    ts, us, vs, ws = _connection_indices(spec)
-    V2 = sub(add(V, vs), mul(2 % spec.p, mul(ts, U)))
-    low = add(T, ts) + q * add(U, us) + q * q * V2
-    high = add(np.arange(q)[:, None], ws)
-    return low.astype(INDEX_DTYPE).reshape(q ** 3, -1), high.astype(INDEX_DTYPE)
+    T, U = (c[0] for c in _coord_axes(q)[:2])  # on the (c3, c2, c1, column) axes
+    (ts, us, vs, ws), c = _connection_indices(spec), np.arange(q)[:, None]
+    y = sub(vs, mul(2 % spec.p, mul(ts, U)))[0]  # V2 = V + y, y on the (c2, c1, column) axes
+    low = np.take((q * q * add(c, c.T)).astype(INDEX_DTYPE), y, axis=1)  # q^2*V2, free of c1
+    low = low + (add(T, ts) + q * add(U, us)).astype(INDEX_DTYPE)  # broadcast over c1
+    return low.reshape(q ** 3, -1), add(c, ws).astype(INDEX_DTYPE)
 
 
 def build_cayley(spec: FieldSpec) -> AdjacencyStructure:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -130,6 +131,46 @@ def test_verify_sums_each_odd_q_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--q", "3,5,7", "--no-timestamp"])
     assert code == 0 and out.endswith("all checks passed\n")
     assert calls == [3, 5, 7]
+
+
+def test_verify_fails_a_sum_outside_the_weil_bound(capsys, monkeypatch):
+    # one orbit's base histogram puts all q on exponent 0: eps = q > 2*sqrt(q)
+    real = closedform.epsilon_orbits
+
+    def mutant(spec):
+        table = real(spec)
+        hist = table.base_hist.copy()
+        hist[-1] = 0
+        hist[-1, 0] = spec.q
+        return dataclasses.replace(table, base_hist=hist)
+
+    monkeypatch.setattr(closedform, "epsilon_orbits", mutant)
+    code, out, _ = run(capsys, ["verify", "--q", "7", "--max-dense-n", "0",
+                                "--no-timestamp"])
+    assert code == 1
+    assert "[FAIL] q=7 Weil bound over the cubic family\n" in out
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
+def test_verify_checks_the_weil_bound_without_per_orbit_sums(capsys, monkeypatch):
+    # the margins come from the table's rows in blocks: no embed, and CycInts
+    # only for each Galois base's sum and its square
+    table = closedform.epsilon_orbits(ff.field_for(967))
+    calls = {"__init__": 0, "embed": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cyclo.CycInt, "__init__", counted(cyclo.CycInt.__init__))
+    for owner in (cyclo, closedform):
+        monkeypatch.setattr(owner, "embed", counted(cyclo.embed))
+    code, out, _ = run(capsys, ["verify", "--q", "967", "--no-timestamp"])
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert len(table.mults) == 967 + 2
+    assert calls == {"__init__": 2 * len(table.bases), "embed": 0}
 
 
 def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
@@ -289,7 +330,8 @@ def test_epsilons_out_file_with_timestamp(tmp_path, capsys):
 
 def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
     # the cells come from the orbit table in one block: a representative and a
-    # fiber profile per orbit, one square per Galois base, and no per-orbit sums
+    # fiber profile per orbit, one square per Galois base, no per-orbit sums and
+    # one bulk Weil check
     table = closedform.epsilon_orbits(ff.field_for(61))
     calls = {"representative_of": 0, "fiber_profile": 0, "__mul__": 0,
              "eps_shift": 0, "embed": 0, "weil_check": 0}
@@ -313,7 +355,7 @@ def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
     assert code == 0 and len(table.mults) == 61 + 2
     assert calls == {"representative_of": 61 + 2, "fiber_profile": 61 + 2,
                      "__mul__": len(table.bases), "eps_shift": 0, "embed": 0,
-                     "weil_check": 0}
+                     "weil_check": 1}
     assert out.count("\r\n") == 1 + 60 * 61
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from luspec import cyclo, ff, gr9
+from luspec import closedform, cyclo, ff, gr9
 from luspec.cyclo import CycInt, cyc_spec, embed, exp_sum_field, exp_sum_gr, zeta
 
 
@@ -71,15 +71,27 @@ def test_f13_weil_margin():
     F13 = ff.ff_make(13, 1)
     eps = exp_sum_field([0, 0, 0, 4], F13)
     assert embed(eps).real == pytest.approx(-6.9533, abs=1e-4)
-    wc = cyclo.weil_check(eps, 13)
-    assert wc.ok
-    assert wc.margin == pytest.approx(2 * 13 ** 0.5 - 6.9533, abs=1e-4)
+    (margin,) = cyclo.weil_check(eps.spec, np.array([eps.coeffs]), 13)
+    assert margin == pytest.approx(2 * 13 ** 0.5 - 6.9533, abs=1e-4)
 
 
 def test_weil_check_errors_and_trivial():
     c5 = cyc_spec(5)
-    wc = cyclo.weil_check(CycInt.integer(c5, 0), 5)
-    assert wc.ok and wc.margin == pytest.approx(2 * 5 ** 0.5)
+    rows = np.array([CycInt.integer(c5, 0).coeffs, CycInt.integer(c5, 5).coeffs])
+    # 0 keeps the whole envelope 2*sqrt(5); the integer 5 lies outside it
+    assert cyclo.weil_check(c5, rows, 5).tolist() == [2 * 5 ** 0.5, 2 * 5 ** 0.5 - 5]
+    with pytest.raises(ValueError):  # rows of phi(n) coefficients only
+        cyclo.weil_check(c5, rows[:, :3], 5)
+
+
+@pytest.mark.parametrize("q", [7, 13, 61, 81, 125, 243, 343])
+def test_weil_margins_are_embed_bit_for_bit(q):
+    # q = 81 and 243 take conductor 9 (GR(9,e)); the rest conductor p
+    table = closedform.epsilon_orbits(ff.field_for(q))
+    cspec = table.bases[0].spec
+    rows = cyclo.reduce_rows(cspec, table.permute(table.base_hist))
+    want = [2 * float(q) ** 0.5 - abs(embed(CycInt(cspec, r))) for r in rows.tolist()]
+    assert cyclo.weil_check(cspec, rows, q).tolist() == want
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 25, 49])
