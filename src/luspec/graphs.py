@@ -320,20 +320,6 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
 
 
-def translation_orbits(adj: AdjacencyStructure, spec: FieldSpec):
-    """(orbit, h) of every vertex under the translations tau_h, h = (x, y) in F_q^2.
-
-    tau_h adds h to (c3, c4) of points, Gamma and Cay(G, S) vertices (there:
-    right multiplication by g(0, 0, x, y)) and subtracts it from those of
-    D(4,q) lines.  v is tau_h of its orbit's vertex with c3 = c4 = 0; orbits
-    are numbered c1 + q*c2, lines after points, and h is encoded x + q*y."""
-    q = spec.q
-    side, j = np.divmod(np.arange(adj.n), q ** 4)
-    c4, c3 = np.divmod(j // (q * q), q)
-    x, y = (np.where(side == 1, spec.neg(c), c) for c in (c3, c4))
-    return side * q * q + j % (q * q), x + q * y
-
-
 def point_index(P: PointCoords) -> int:
     q = P.p1.spec.q
     return P.p1.i + q * P.p2.i + q * q * P.p3.i + q ** 3 * P.p4.i

@@ -1,13 +1,15 @@
 """Brute-force spectral verification and expansion reporting.
 
 The one numeric eigensolver returns full eigenvalue lists (multiset
-comparison needs every multiplicity).  It splits the graph into q^2 Hermitian
-blocks of order n/q^2, one per additive character of the (c3, c4)
-translations, in the style of Babai (JCTB 1979), after an exact integer check
-that those translations are graph automorphisms.  For odd p the block of
-the character -chi is the complex conjugate of chi's, so only one of each
-such pair is built, and its eigenvalues count twice.  The blocks go to one
-stacked ``numpy.linalg.eigvalsh``; the package needs numpy alone.
+comparison needs every multiplicity).  Every built graph is invariant under
+the shear group K = {g(0, b, x, y)} of order q^3, which acts freely with one
+orbit per c1 and side (``shear_orbits``).  After an exact integer check that
+K's 3e generators are graph automorphisms, the graph splits into q^3
+Hermitian blocks of order q (2q for D(4,q)), one per additive character of
+K, in the style of Babai (JCTB 1979).  For odd p the block of the character
+-chi is the complex conjugate of chi's, so only one of each such pair is
+solved, and its eigenvalues count twice.  The blocks go to one stacked
+``numpy.linalg.eigvalsh``; the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -53,64 +55,80 @@ class NumericSpectrum:
         return True
 
 
+def shear_orbits(adj: AdjacencyStructure, spec: ff.FieldSpec):
+    """(orbit, k) of every vertex under K, k = (b, x, y) encoded b + q*x + q^2*y.
+
+    k maps a point or Gamma vertex to (c1, c2+b, c3-b*c1+x, c4+y), a Cay(G, S)
+    vertex to (c1, c2+b, c3-2b*c1+x, c4+y) (right multiplication by
+    g(0, b, x, y)) and a D(4,q) line to (c1, c2-b, c3-x, c4+b*c1-y).  v is k
+    of its orbit's vertex with c2 = c3 = c4 = 0; orbits are numbered c1,
+    lines after points."""
+    q = spec.q
+    side, j = np.divmod(np.arange(adj.n), q ** 4)
+    c1, c2, c3, c4 = (j // q ** i % q for i in range(4))
+    shear = spec.mul(c1, c2)
+    if adj.name == "CAYLEY4":
+        shear = spec.add(shear, shear)
+    line = side == 1
+    b = np.where(line, spec.neg(c2), c2)
+    x = np.where(line, spec.neg(c3), spec.add(c3, shear))
+    y = np.where(line, spec.neg(spec.add(c4, shear)), c4)
+    return side * q + c1, b + q * x + q * q * y
+
+
 def numeric_spectrum(adj: AdjacencyStructure,
                      max_dense_n: int = DEFAULT_MAX_DENSE_N) -> NumericSpectrum:
-    """Full eigenvalue list from the q^2 Hermitian translation blocks.
+    """Full eigenvalue list from the q^3 Hermitian blocks of K's characters.
 
-    First checked in integers, else VerificationError: each vertex's row is
-    tau_h of its orbit representative's (``graphs.translation_orbits``), and
-    R[r, c, k] = A[r, tau_k c] over representatives r, c has R[c, r, -k] =
-    R[r, c, k].  Each additive character chi(x, y) = zeta_p^tr(alpha*x +
-    beta*y) then gives the block B_chi[r, c] = sum_k R[r, c, k] chi(k)."""
+    First checked in integers, else VerificationError: each generator
+    pi: k -> k + p^i on one axis of K carries every row onto its image's row,
+    sort(pi[nb]) = nb[pi], and R[r, c, k] = A[r, k c] over orbit
+    representatives r, c has R[c, r, -k] = R[r, c, k].  Each additive
+    character chi(b, x, y) = zeta_p^tr(alpha*b + beta*x + gamma*y) then gives
+    the block B_chi[r, c] = sum_k R[r, c, k] chi(k)."""
     if adj.n > max_dense_n:
         raise ff.SizeBudgetError(
             f"{adj.n} vertices exceed the dense budget {max_dense_n}; "
             "use the closed-form path")
     spec = ff.field_for(adj.q)
-    q, q2, nb = spec.q, spec.q ** 2, adj.neighbors
-    orbit, h = graphs.translation_orbits(adj, spec)
-    m = adj.n // q2
-    vertex = np.empty(adj.n, dtype=np.int64)
-    vertex[orbit * q2 + h] = np.arange(adj.n)
-    rows = nb[vertex[::q2]]  # the representatives' rows, by orbit
-    # row v must be tau_h(v) of its representative's row: 4096 rows at a time
-    hx, hy, translated = h % q, h // q, True
-    for v in (slice(i, i + 4096) for i in range(0, adj.n, 4096)):
-        moved = rows[orbit[v]]
-        moved = vertex[orbit[moved] * q2 + spec.add(hx[moved], hx[v, None])
-                       + q * spec.add(hy[moved], hy[v, None])]
-        translated = translated and np.array_equal(np.sort(moved, axis=1), nb[v])
-    del moved
+    q, q3, nb = spec.q, spec.q ** 3, adj.neighbors
+    orbit, k = shear_orbits(adj, spec)
+    m = adj.n // q3
+    vertex = np.empty(adj.n, dtype=nb.dtype)
+    vertex[orbit * q3 + k] = np.arange(adj.n)
+    gens = [vertex[orbit * q3 + k + (spec.add(digit, w) - digit) * axis]
+            for axis in (1, q, q * q) for digit in [k // axis % q]
+            for w in (spec.p ** i for i in range(spec.e))]
+    # in 1024-row blocks, each cast to intp once: numpy gathers faster by intp
+    automorphic = all(
+        np.array_equal(np.sort(pi[block], axis=1), nb[pi[v]])
+        for v in (slice(i, i + 1024) for i in range(0, adj.n, 1024))
+        for block in [nb[v].astype(np.intp)] for pi in gens)
+    rows = nb[vertex[::q3]]  # the representatives' rows, by orbit
     counts = np.bincount(
-        ((np.arange(m)[:, None] * m + orbit[rows]) * q2 + h[rows]).ravel(),
-        minlength=m * m * q2).reshape(m, m, q, q)  # [r, c, y, x]
+        ((k[rows] * m + np.arange(m)[:, None]) * m + orbit[rows]).ravel(),
+        minlength=q3 * m * m).reshape(q, q, q, m, m)  # [y, x, b, r, c]
     neg = spec.neg(np.arange(q))
-    if not (translated and np.array_equal(
-            counts, counts.transpose(1, 0, 2, 3)[:, :, neg[:, None], neg])):
+    if not (automorphic and np.array_equal(counts, counts[
+            neg[:, None, None], neg[:, None], neg].transpose(0, 1, 2, 4, 3))):
         raise VerificationError(
-            f"{adj.name} q={q}: the translations of (c3, c4) are not automorphisms")
-    # one float copy in [y, x, r, c] order; the int64 counts go before the stack
-    counts = np.ascontiguousarray(counts.transpose(2, 3, 0, 1), dtype=np.float64)
+            f"{adj.name} q={q}: the shears of K are not automorphisms")
     a = np.arange(q)
     chi = np.exp(2j * np.pi / spec.p * spec.tr(spec.mul(a[:, None], a)))
     if spec.p == 2:
         chi = chi.real  # exactly +-1
-    # B[-k, -l] is the conjugate of B[k, l], so it has the same eigenvalues:
-    # rows k <= -k are solved, and those with k != -k (odd p) count twice.
-    # blocks[i, l, r, c] = sum_y chi[k, y] sum_x chi[l, x] counts[y, x, r, c],
-    # k = ks[i], filled one row at a time: (rows * q, m, m) is a reshape, not
-    # a copy.  The real and imaginary parts of chi[k] go apart, since
-    # complex @ float would cast all of counts to complex
-    ks = np.flatnonzero(a <= neg)
-    flat = counts.reshape(q, q * m * m)
-    blocks = np.empty((len(ks), q, m * m), dtype=chi.dtype)
-    for i, k in enumerate(ks):
-        row = chi[k].real @ flat
-        if spec.p != 2:
-            row = row + 1j * (chi[k].imag @ flat)
-        np.matmul(chi, row.reshape(q, m * m), out=blocks[i])
-    w = np.linalg.eigvalsh(blocks.reshape(-1, m, m)).reshape(len(ks), q * m)
-    ns = NumericSpectrum(np.sort(np.concatenate([w, w[ks != neg[ks]]]), axis=None))
+    # blocks[gamma, beta, alpha] = sum over y, x, b of chi[gamma, y] chi[beta, x]
+    # chi[alpha, b] counts[y, x, b]: three matmuls against the character table
+    blocks = chi @ counts.reshape(q, -1)
+    blocks = chi @ blocks.reshape(q, q, -1)
+    blocks = (chi @ blocks.reshape(q * q, q, m * m)).reshape(q3, m, m)
+    # B[-code] is the conjugate of B[code], so it has the same eigenvalues:
+    # codes <= -code are solved, and those with code != -code (odd p) count twice
+    code = np.arange(q3)
+    negcode = neg[code % q] + q * neg[code // q % q] + q * q * neg[code // (q * q)]
+    ks = np.flatnonzero(code <= negcode)
+    w = np.linalg.eigvalsh(blocks[ks])
+    ns = NumericSpectrum(np.sort(np.concatenate([w, w[ks != negcode[ks]]]), axis=None))
     ns.check_moments(adj.num_edges)
     return ns
 

@@ -55,7 +55,7 @@ def _dense_reference(adj: graphs.AdjacencyStructure) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def dense_reference():
-    """dense_reference(adj): the spectrum without the translation blocks."""
+    """dense_reference(adj): the spectrum without the shear blocks."""
     return _dense_reference
 
 
@@ -203,9 +203,9 @@ def components_reference():
 
 def _two_switch(adj: graphs.AdjacencyStructure) -> graphs.AdjacencyStructure:
     """adj with edges a-b, c-d replaced by a-c, b-d: still regular and
-    symmetric, but no longer invariant under the translations.  No orbit
-    representative (c3 = c4 = 0) is touched, so the representatives' rows,
-    from which the translation blocks are built, stay as they were."""
+    symmetric, but no longer invariant under the (c3, c4) translations.  No
+    vertex with c3 = c4 = 0 is touched, so the shear orbits' representatives'
+    rows, from which the blocks are built, stay as they were."""
     nb, q = adj.neighbors, adj.q
 
     def free(v):
@@ -228,7 +228,7 @@ def _two_switch(adj: graphs.AdjacencyStructure) -> graphs.AdjacencyStructure:
 
 @pytest.fixture(scope="session")
 def two_switch():
-    """two_switch(adj): adj with one 2-switch that breaks translation invariance."""
+    """two_switch(adj): adj with one 2-switch that breaks (c3, c4) translation invariance."""
     return _two_switch
 
 

@@ -27,17 +27,17 @@ def test_numeric_moments(numeric, graph):
 
 @pytest.mark.parametrize("kind, q", [("gamma", q) for q in (2, 3, 4, 5, 7)]
                          + [("d4", q) for q in (2, 3, 4, 5)]
-                         + [("cayley", 3), ("cayley", 4)])
+                         + [("cayley", q) for q in (3, 4, 5, 7)])
 def test_blocks_match_dense_reference(kind, q, graph, numeric, dense_reference):
-    # p = 2 (real characters), e > 1 (digit-wise addition) and both sides of D4
+    # p = 2 (real characters), e > 1 (digit-wise addition), both sides of D4
+    # and Cay(G, S)'s shear 2*c1*c2 at odd p
     want = dense_reference(graph(kind, q))
     assert np.abs(numeric(kind, q).values - want).max() <= 1e-10
 
 
-def test_block_stack_peak_memory(graph, field):
-    # a (q^2, m, m) complex stack would be 16 n^2 / q^2 bytes; for odd q only
-    # (q + 1) / 2 of its q character rows are built, so that part, the float
-    # counts and the row-translation check (in row blocks) stay under 1.4 of it
+def test_oracle_peak_memory_within_three_neighbor_matrices(graph, field):
+    # the generator check gathers 1024 rows at a time, and the (q^3, q, q)
+    # complex block stack is smaller than the uint16 neighbour matrix
     adj = graph("gamma", 11)
     field(11)
     tracemalloc.start()
@@ -46,7 +46,7 @@ def test_block_stack_peak_memory(graph, field):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * 16 * adj.n ** 2 / 11 ** 2
+    assert peak <= 3 * adj.neighbors.nbytes
 
 
 def test_untranslatable_graph_is_refused(graph, two_switch):
@@ -69,8 +69,8 @@ def test_untranslatable_graph_is_refused_under_O(graph, two_switch, tmp_path):
 
 
 def test_asymmetric_translation_invariant_graph_is_refused():
-    # v -> tau_(1,0) v: every row is the translate of its representative's,
-    # but the counts are not symmetric
+    # v -> v + (0, 0, 1, 0), the shear by x = 1: every shear of K maps rows onto
+    # rows, but the counts are not symmetric
     v = np.arange(81)
     nb = (v % 9 + 9 * ((v // 9 + 1) % 3) + 27 * (v // 27)).astype(np.int32)
     adj = graphs.AdjacencyStructure("GAMMA4", 3, 81, nb[:, None])
@@ -78,13 +78,132 @@ def test_asymmetric_translation_invariant_graph_is_refused():
         oracle.numeric_spectrum(adj)
 
 
-def test_translation_orbits_are_a_bijection(graph, field):
-    for kind, q in (("gamma", 4), ("d4", 3), ("cayley", 5)):
-        adj, q2 = graph(kind, q), q * q
-        orbit, h = graphs.translation_orbits(adj, field(q))
-        assert sorted(orbit * q2 + h) == list(range(adj.n))
-        # h = 0 exactly on the orbit representatives, c3 = c4 = 0
-        assert np.array_equal(h == 0, np.arange(adj.n) % q ** 4 < q2)
+def test_shear_orbits_are_a_bijection(graph, field):
+    for kind, q in (("gamma", 4), ("gamma", 9), ("d4", 3), ("cayley", 5), ("cayley", 8)):
+        adj, q3 = graph(kind, q), q ** 3
+        orbit, k = oracle.shear_orbits(adj, field(q))
+        assert sorted(orbit * q3 + k) == list(range(adj.n))
+        # k = 0 exactly on the orbit representatives, c2 = c3 = c4 = 0
+        assert np.array_equal(k == 0, np.arange(adj.n) % q ** 4 < q)
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_cayley_shear_is_right_multiplication(q, graph, field):
+    # vertex g of Cay(G, S) is g(c1, 0, 0, 0) * g(0, b, x, y), k = (b, x, y)
+    spec = field(q)
+    orbit, k = oracle.shear_orbits(graph("cayley", q), spec)
+    for i in range(q ** 4):
+        rep = graphs.group_elem_from_index(spec, int(orbit[i]))
+        shear = graphs.group_elem_from_index(spec, q * int(k[i]))
+        assert graphs.group_elem_index(graphs.group_mul(rep, shear)) == i
+
+
+def _sheared(adj, spec, f):
+    """adj with every vertex (c1, c2, c3, c4) renamed (c1, c2, c3 + f(c2), c4):
+    isomorphic and still invariant under the (c3, c4) translations, but for
+    nonlinear f no longer under the c2 shear of the built coordinates."""
+    q = spec.q
+    v = np.arange(adj.n)
+    c2, c3 = v // q % q, v // q ** 2 % q
+    rename = v + q * q * (spec.add(c3, f(c2)) - c3)
+    nb = np.empty_like(adj.neighbors)
+    nb[rename] = rename[adj.neighbors]
+    nb.sort(axis=1)
+    out = graphs.AdjacencyStructure(adj.name, q, adj.n, nb)
+    assert out.validate()
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_unshearable_graph_is_refused(q, graph, field):
+    spec = field(q)
+    mutant = _sheared(graph("gamma", q), spec, lambda c2: spec.mul(c2, c2))
+    with pytest.raises(oracle.VerificationError, match="not automorphisms"):
+        oracle.numeric_spectrum(mutant)
+
+
+def _shear_is_automorphism(adj, spec, h):
+    """True iff the shear by h = (b, x, y) in K permutes adj's rows."""
+    q, q3 = spec.q, spec.q ** 3
+    orbit, k = oracle.shear_orbits(adj, spec)
+    vertex = np.empty(adj.n, dtype=np.int64)
+    vertex[orbit * q3 + k] = np.arange(adj.n)
+    pi = vertex[orbit * q3 + sum(q ** i * spec.add(k // q ** i % q, h[i]) for i in range(3))]
+    return np.array_equal(np.sort(pi[adj.neighbors], axis=1), adj.neighbors[pi])
+
+
+def test_second_digit_shear_mutant_is_refused(graph, field):
+    # f = d1^2, d1 the base-3 digit of c2 at weight 3: the weight-1 generators
+    # commute with the renaming, the weight-3 one on the b axis does not (and,
+    # f being even, neither does the count symmetry)
+    spec = field(9)
+    mutant = _sheared(graph("gamma", 9), spec, lambda c2: (c2 // 3 % 3) ** 2 % 3)
+    assert all(_shear_is_automorphism(mutant, spec, h)
+               for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert not _shear_is_automorphism(mutant, spec, (3, 0, 0))
+    with pytest.raises(oracle.VerificationError, match="not automorphisms"):
+        oracle.numeric_spectrum(mutant)
+
+
+def _coset_switch(adj, spec):
+    """adj with the 2-switch a-b, c-d -> a-c, b-d made at h(a), h(b), h(c), h(d)
+    for every h in H = F_p^3, the shears whose digits all have weight 1.  No
+    representative is in the four H-cosets, so their rows stay as they were."""
+    q, q3, p = spec.q, spec.q ** 3, spec.p
+    orbit, k = oracle.shear_orbits(adj, spec)
+    vertex = np.empty(adj.n, dtype=np.int64)
+    vertex[orbit * q3 + k] = np.arange(adj.n)
+    hs = [(b, x, y) for b in range(p) for x in range(p) for y in range(p)]
+
+    def coset(v):
+        return [int(vertex[orbit[v] * q3 + sum(q ** i * spec.add(int(k[v]) // q ** i % q, h[i])
+                                               for i in range(3))]) for h in hs]
+
+    def far(*vs):  # pairwise distinct H-cosets, none holding a representative
+        return len({frozenset(coset(v)) for v in vs}) == len(vs) and all(
+            max(int(k[v]) // q ** i % q for i in range(3)) >= p for v in vs)
+
+    nb = adj.neighbors
+    a = adj.n - 1
+    b = next(b for b in nb[a].tolist() if far(a, b))
+    c, d = next((c, d) for c in range(adj.n) for d in nb[c].tolist()
+                if c not in nb[a] and d not in nb[b] and far(a, b, c, d))
+    rows = [set(r) for r in nb.tolist()]
+    for ha, hb, hc, hd in zip(coset(a), coset(b), coset(c), coset(d)):
+        for u, old, new in ((ha, hb, hc), (hb, ha, hd), (hc, hd, ha), (hd, hc, hb)):
+            rows[u].remove(old)
+            rows[u].add(new)
+    out = graphs.AdjacencyStructure(adj.name, adj.q, adj.n,
+                                    np.array([sorted(r) for r in rows], dtype=np.int32))
+    assert out.validate()
+    return out
+
+
+def test_weight_one_shear_invariant_graph_is_refused(graph, field):
+    # every generator of weight 1 is an automorphism and the representatives'
+    # counts are Gamma's: only a generator of weight 3 can refuse this graph
+    spec, adj = field(9), graph("gamma", 9)
+    mutant = _coset_switch(adj, spec)
+    assert all(_shear_is_automorphism(mutant, spec, h)
+               for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert np.array_equal(mutant.neighbors[:9], adj.neighbors[:9])
+    with pytest.raises(oracle.VerificationError, match="not automorphisms"):
+        oracle.numeric_spectrum(mutant)
+
+
+def test_unshearable_graph_is_refused_under_O(graph, field, tmp_path):
+    spec = field(3)
+    path = tmp_path / "sheared.npy"
+    np.save(path, _sheared(graph("gamma", 3), spec, lambda c2: spec.mul(c2, c2)).neighbors)
+    code = ("import numpy as np\n"
+            "from luspec import graphs, oracle\n"
+            f"nb = np.load({str(path)!r})\n"
+            "oracle.numeric_spectrum(graphs.AdjacencyStructure('GAMMA4', 3, 81, nb))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "VerificationError" in proc.stderr and "not automorphisms" in proc.stderr
 
 
 def test_budget_exceeded(graph):
