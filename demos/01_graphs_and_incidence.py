@@ -24,12 +24,12 @@ for qq in (2, 3, 4, 5):
     count, sizes = graphs.connected_components(g)
     print(f"Gamma(4,{qq}) components: {count} {sizes if count > 1 else ''}")
 
-# the defining equations, on concrete coordinates
-P = graphs.PointCoords(*(spec.element(c) for c in (0, 0, 0, 0)))
-S = graphs.connection_set(spec)
-img = graphs.act_point(P, S[0])
+# the defining equations, on concrete coordinates (field elements are indices)
+P = graphs.PointCoords(0, 0, 0, 0)
+S = graphs.connection_set(spec)  # index columns (t, u, v, w)
+img = graphs.act_point(spec, P, [int(c[0]) for c in S])
 print("origin under the first connection-set element:",
-      tuple(x.i for x in img), "collinear with origin:", graphs.collinear(P, img))
+      tuple(img), "collinear with origin:", graphs.collinear(spec, P, img))
 
 # no short cycles: D(4,q) has girth >= 8 at desk scale
 print("D(4,3) free of 4- and 6-cycles:", graphs.girth_at_least(d4, 8))

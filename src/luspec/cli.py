@@ -368,3 +368,7 @@ def main(argv=None) -> int:
 
 def main_entry():  # console-script wrapper
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

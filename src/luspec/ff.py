@@ -2,10 +2,12 @@
 
 A field is described by a :class:`FieldSpec` holding the characteristic p,
 the extension degree e, and a fixed monic irreducible modulus of degree e
-over F_p.  Elements are residues of degree < e, stored by the index
-``sum(c_i * p**i)`` of their coefficient vector ``(c_0, ..., c_{e-1})``;
-index order is the canonical element order used everywhere (vertex labels,
-the "smallest" primitive element, array layouts).
+over F_p.  Elements are residues of degree < e, and an element is nothing
+but the index ``sum(c_i * p**i)`` of its coefficient vector
+``(c_0, ..., c_{e-1})`` (``index_coeffs`` gives the vector back): 0 is zero,
+1 is one, and there is no element object.  Index order is the canonical
+element order used everywhere (vertex labels, the "smallest" primitive
+element, array layouts).
 
 The modulus is chosen deterministically: the lexicographically smallest
 monic irreducible polynomial of degree e, comparing coefficient tuples
@@ -22,7 +24,8 @@ Every field, up to ``DEFAULT_MAX_Q``, has one representation of O(q) size:
 
 The operations ``add, sub, neg, mul, inv, pow, tr`` work elementwise on an
 integer ndarray of indices or on a single Python int, which gives a Python
-int back.  The polynomial helpers below build the arrays and serve as the
+int back, so one formula written with them serves a scalar and a whole
+coordinate array alike.  The polynomial helpers below build the arrays and serve as the
 reference the tests compare them against.
 
 The root-count profiles that ``verify`` checks the arithmetic with are plain
@@ -62,7 +65,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict[int, int]:
+def _factorize(n: int) -> dict[int, int]:
     """Trial-division factorization, {prime: exponent}."""
     out: dict[int, int] = {}
     d = 2
@@ -76,11 +79,11 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def prime_power(q: int):
+def _prime_power(q: int):
     """Return (p, e) with q = p**e, or None if q is not a prime power."""
     if q < 2:
         return None
-    f = factorize(q)
+    f = _factorize(q)
     if len(f) != 1:
         return None
     [(p, e)] = f.items()
@@ -144,7 +147,7 @@ def _pgcd(a, b, p):
     return a
 
 
-def is_irreducible(modulus, p: int) -> bool:
+def _is_irreducible(modulus, p: int) -> bool:
     """Monic polynomial irreducibility over F_p.
 
     Uses the standard criterion: x^(p^e) == x mod f, and for every prime
@@ -159,7 +162,7 @@ def is_irreducible(modulus, p: int) -> bool:
         t = _ppow(t, p, modulus, p)
     if t != x:
         return False
-    for r in factorize(e):
+    for r in _factorize(e):
         t = x
         for _ in range(e // r):
             t = _ppow(t, p, modulus, p)
@@ -171,14 +174,14 @@ def is_irreducible(modulus, p: int) -> bool:
     return True
 
 
-def smallest_irreducible(p: int, e: int):
+def _smallest_irreducible(p: int, e: int):
     """Lexicographically smallest monic irreducible of degree e over F_p
     (low-degree coefficients compared first)."""
     # for e >= 2 a zero constant term means the factor x: skip those candidates
     constant = range(1, p) if e > 1 else range(p)
     for low in itertools.product(constant, *[range(p)] * (e - 1)):
         cand = low + (1,)
-        if is_irreducible(cand, p):
+        if _is_irreducible(cand, p):
             return cand
     raise RuntimeError(f"no irreducible polynomial of degree {e} over F_{p}")
 
@@ -190,69 +193,10 @@ def _out(x):
     return x if isinstance(x, np.ndarray) else int(x)
 
 
-class FieldElem:
-    """Immutable element of GF(p^e), identified by its index in the spec."""
-
-    __slots__ = ("spec", "i")
-
-    def __init__(self, spec: "FieldSpec", i: int):
-        self.spec = spec
-        self.i = i
-
-    @property
-    def coeffs(self):
-        return self.spec.index_coeffs(self.i)
-
-    def _other(self, other):
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"cannot combine FieldElem with {type(other).__name__}")
-        if other.spec.key != self.spec.key:
-            raise ValueError("mismatched field specs")
-        return other
-
-    def __add__(self, other):
-        o = self._other(other)
-        return FieldElem(self.spec, self.spec.add(self.i, o.i))
-
-    def __sub__(self, other):
-        o = self._other(other)
-        return FieldElem(self.spec, self.spec.sub(self.i, o.i))
-
-    def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg(self.i))
-
-    def __mul__(self, other):
-        o = self._other(other)
-        return FieldElem(self.spec, self.spec.mul(self.i, o.i))
-
-    def __truediv__(self, other):
-        o = self._other(other)
-        return FieldElem(self.spec, self.spec.mul(self.i, self.spec.inv(o.i)))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.pow(self.i, n))
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElem)
-                and other.spec.key == self.spec.key and other.i == self.i)
-
-    def __hash__(self):
-        return hash((self.spec.key, self.i))
-
-    def __bool__(self):
-        return self.i != 0
-
-    def __repr__(self):
-        return f"F{self.spec.q}({self.i})"
-
-
 class FieldSpec:
     """GF(p^e) with a fixed defining polynomial; immutable and shareable."""
 
-    __slots__ = ("p", "e", "q", "modulus", "key", "exp", "log", "trace",
-                 "_weights")
+    __slots__ = ("p", "e", "q", "modulus", "exp", "log", "trace", "_weights")
 
     def __init__(self, p: int, e: int):
         if not is_prime(p):
@@ -263,8 +207,7 @@ class FieldSpec:
         if q > DEFAULT_MAX_Q:
             raise SizeBudgetError(f"q={q} exceeds the size bound {DEFAULT_MAX_Q}")
         self.p, self.e, self.q = p, e, q
-        self.modulus = smallest_irreducible(p, e)
-        self.key = (p, e, self.modulus)
+        self.modulus = _smallest_irreducible(p, e)
         self._weights = [p ** j for j in range(e)]
         self._build()
 
@@ -277,38 +220,6 @@ class FieldSpec:
             i, r = divmod(i, p)
             out.append(r)
         return tuple(out)
-
-    def coeffs_index(self, coeffs) -> int:
-        p = self.p
-        i = 0
-        for c in reversed(list(coeffs)):
-            i = i * p + (c % p)
-        return i
-
-    def element(self, x) -> FieldElem:
-        if isinstance(x, FieldElem):
-            if x.spec.key != self.key:
-                raise ValueError("mismatched field specs")
-            return x
-        if isinstance(x, (int, np.integer)):
-            if self.e == 1:
-                return FieldElem(self, int(x) % self.p)
-            if 0 <= x < self.q:
-                return FieldElem(self, int(x))
-            raise ValueError(f"index {x} out of range for GF({self.q}); "
-                             "pass a coefficient sequence instead")
-        return FieldElem(self, self.coeffs_index(x))
-
-    @property
-    def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
-
-    @property
-    def one(self) -> FieldElem:
-        return FieldElem(self, 1)
-
-    def elements(self):
-        return (FieldElem(self, i) for i in range(self.q))
 
     # -- construction
 
@@ -377,7 +288,7 @@ class FieldSpec:
     def _find_generator(self) -> int:
         if self.q == 2:
             return 1
-        order_facts = list(factorize(self.q - 1))
+        order_facts = list(_factorize(self.q - 1))
         for i in range(1, self.q):
             a = _ptrim(self.index_coeffs(i))
             if all(_ppow(a, (self.q - 1) // r, self.modulus, self.p) != (1,)
@@ -456,16 +367,11 @@ def ff_make(p: int, e: int) -> FieldSpec:
 
 def field_for(q: int) -> FieldSpec:
     """Field of order q; rejects non prime powers."""
-    pe = prime_power(q)
+    pe = _prime_power(q)
     if pe is None:
         raise ValueError(f"q={q} is not a prime power; the graphs are defined "
                          "over the finite field GF(q)")
     return ff_make(*pe)
-
-
-def trace(a: FieldElem) -> int:
-    """Absolute trace GF(p^e) -> F_p, as an integer in [0, p)."""
-    return a.spec.tr(a.i)
 
 
 def _root_profile(spec: FieldSpec, t: np.ndarray, lead: np.ndarray) -> dict:

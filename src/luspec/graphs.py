@@ -3,7 +3,7 @@
 Vertices carry coordinate 4-tuples over GF(q).  A tuple (c1, c2, c3, c4) of
 element indices is encoded base q with c1 least significant:
 
-    index = c1 + c2*q + c3*q^2 + c4*q^3
+    index = c1 + c2*q + c3*q^2 + c4*q^3     (vertex_index; vertex_coords inverts it)
 
 Points of D(4,q) occupy indices 0 .. q^4-1 and lines q^4 .. 2*q^4-1.  The
 point P(p1..p4) and line L(l1..l4) are incident iff
@@ -35,13 +35,14 @@ S's (t, r) order, so sigma carries Cay(G, S)'s rows onto Gamma's column for colu
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .ff import FieldElem, FieldSpec, SizeBudgetError
+from .ff import FieldSpec, SizeBudgetError
 
 DEFAULT_MAX_GRAPH_Q = 13
 # every vertex index is below 2*q^4 <= 2*13^4 = 57,122 < 2^16 (see _check_size)
@@ -50,111 +51,112 @@ _CHUNK = 1 << 16  # entries per chunk: BFS neighbour gathers, girth walk ends an
 
 
 class PointCoords(NamedTuple):
-    p1: FieldElem
-    p2: FieldElem
-    p3: FieldElem
-    p4: FieldElem
+    p1: int
+    p2: int
+    p3: int
+    p4: int
 
 
 class LineCoords(NamedTuple):
-    l1: FieldElem
-    l2: FieldElem
-    l3: FieldElem
-    l4: FieldElem
+    l1: int
+    l2: int
+    l3: int
+    l4: int
 
 
 class GroupElem(NamedTuple):
-    t: FieldElem
-    u: FieldElem
-    v: FieldElem
-    w: FieldElem
-
-
-def incident(P: PointCoords, L: LineCoords) -> bool:
-    return (P.p2 + L.l2 == P.p1 * L.l1
-            and P.p3 + L.l3 == P.p1 * L.l2
-            and P.p4 + L.l4 == P.p2 * L.l1)
-
-
-def collinear(P: PointCoords, Q: PointCoords) -> bool:
-    if P.p1 == Q.p1:
-        return False
-    d2 = P.p2 - Q.p2
-    return ((P.p1 - Q.p1) * (P.p4 - Q.p4) == d2 * d2
-            and P.p3 - Q.p3 == P.p2 * Q.p1 - P.p1 * Q.p2)
+    t: int
+    u: int
+    v: int
+    w: int
 
 
 # ----------------------------------------------------------------------
-# group law
+# the paper's definitions, written with spec ops on element indices, so that
+# each coordinate may be an int or an array (broadcast elementwise)
 
-def _two(spec: FieldSpec) -> FieldElem:
-    return spec.element([2 % spec.p] + [0] * (spec.e - 1))
+def incident(spec: FieldSpec, P, L):
+    (p1, p2, p3, p4), (l1, l2, l3, l4) = P, L
+    add, mul = spec.add, spec.mul
+    return ((add(p2, l2) == mul(p1, l1)) & (add(p3, l3) == mul(p1, l2))
+            & (add(p4, l4) == mul(p2, l1)))
+
+
+def collinear(spec: FieldSpec, P, Q):
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = P, Q
+    sub, mul = spec.sub, spec.mul
+    d2 = sub(p2, q2)
+    return ((p1 != q1) & (mul(sub(p1, q1), sub(p4, q4)) == mul(d2, d2))
+            & (sub(p3, q3) == sub(mul(p2, q1), mul(p1, q2))))
 
 
 def group_identity(spec: FieldSpec) -> GroupElem:
-    z = spec.zero
-    return GroupElem(z, z, z, z)
+    return GroupElem(0, 0, 0, 0)
 
 
-def group_mul(g: GroupElem, h: GroupElem) -> GroupElem:
-    two = _two(g.t.spec)
-    return GroupElem(g.t + h.t, g.u + h.u,
-                     g.v + h.v - two * g.t * h.u, g.w + h.w)
+def group_mul(spec: FieldSpec, g, h) -> GroupElem:
+    (t, u, v, w), (t2, u2, v2, w2) = g, h
+    add, mul = spec.add, spec.mul
+    return GroupElem(add(t, t2), add(u, u2),
+                     spec.sub(add(v, v2), mul(2 % spec.p, mul(t, u2))), add(w, w2))
 
 
-def group_inv(g: GroupElem) -> GroupElem:
-    two = _two(g.t.spec)
-    return GroupElem(-g.t, -g.u, -g.v - two * g.t * g.u, -g.w)
-
-
-def group_commutator(g: GroupElem, h: GroupElem) -> GroupElem:
-    return group_mul(group_mul(group_inv(g), group_inv(h)), group_mul(g, h))
-
-
-def group_matrix(g: GroupElem):
-    """The literal 5x5 unitriangular matrix of g, rows of FieldElems."""
-    spec = g.t.spec
-    z, o = spec.zero, spec.one
+def group_inv(spec: FieldSpec, g) -> GroupElem:
     t, u, v, w = g
-    return ((o, t, u, v + t * u, w),
-            (z, o, z, -u, z),
-            (z, z, o, t, z),
-            (z, z, z, o, z),
-            (z, z, z, z, o))
+    neg = spec.neg
+    return GroupElem(neg(t), neg(u), spec.sub(neg(v), spec.mul(2 % spec.p, spec.mul(t, u))),
+                     neg(w))
 
 
-def matrix_mul(A, B):
+def group_commutator(spec: FieldSpec, g, h) -> GroupElem:
+    return group_mul(spec, group_mul(spec, group_inv(spec, g), group_inv(spec, h)),
+                     group_mul(spec, g, h))
+
+
+def group_matrix(spec: FieldSpec, g):
+    """The literal 5x5 unitriangular matrix of g, rows of element indices."""
+    t, u, v, w = g
+    return ((1, t, u, spec.add(v, spec.mul(t, u)), w),
+            (0, 1, 0, spec.neg(u), 0),
+            (0, 0, 1, t, 0),
+            (0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1))
+
+
+def matrix_mul(spec: FieldSpec, A, B):
     n = len(A)
-    spec = A[0][0].spec
     return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(n)), spec.zero)
+        tuple(functools.reduce(spec.add, [spec.mul(A[i][k], B[k][j]) for k in range(n)])
               for j in range(n))
         for i in range(n))
 
 
-def act_point(P: PointCoords, g: GroupElem) -> PointCoords:
+def act_point(spec: FieldSpec, P, g) -> PointCoords:
     """Right action of G on points: the row vector (1, p1..p4) times g."""
-    t, u, v, w = g
-    return PointCoords(P.p1 + t, P.p2 + u,
-                       P.p3 + v + t * u - P.p1 * u + P.p2 * t, P.p4 + w)
+    (p1, p2, p3, p4), (t, u, v, w) = P, g
+    add, sub, mul = spec.add, spec.sub, spec.mul
+    return PointCoords(add(p1, t), add(p2, u),
+                       add(p3, sub(add(add(v, mul(t, u)), mul(p2, t)), mul(p1, u))), add(p4, w))
 
 
-def connection_set(spec: FieldSpec) -> list[GroupElem]:
-    """S = {g(t, r*t, -r*t^2, r^2*t) : r in F, t != 0}, in (t, r) scan order."""
-    out = []
-    for ti in range(1, spec.q):
-        t = FieldElem(spec, ti)
-        for ri in range(spec.q):
-            r = FieldElem(spec, ri)
-            out.append(GroupElem(t, r * t, -(r * t * t), r * r * t))
-    return out
-
-
-def _connection_indices(spec: FieldSpec):
-    """S's index columns (t, u, v, w), in connection_set's (t, r) scan order."""
+def connection_set(spec: FieldSpec):
+    """S = {g(t, r*t, -r*t^2, r^2*t) : r in F, t != 0} as its index columns
+    (t, u, v, w), in (t, r) scan order."""
     t, r = np.divmod(np.arange(spec.q, spec.q * spec.q), spec.q)
     u = spec.mul(r, t)
     return t, u, spec.neg(spec.mul(u, t)), spec.mul(spec.mul(r, r), t)
+
+
+def vertex_index(q: int, coords):
+    """The base-q index c1 + q*c2 + q^2*c3 + q^3*c4 of coordinates (c1, c2, c3, c4),
+    ints or arrays."""
+    c1, c2, c3, c4 = coords
+    return c1 + q * c2 + q * q * c3 + q ** 3 * c4
+
+
+def vertex_coords(q: int, i):
+    """The coordinates (c1, c2, c3, c4) of the base-q index i, an int or an array."""
+    return tuple(i // q ** k % q for k in range(4))
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +219,8 @@ def _encode(q: int, c1, c2, c3, c4) -> np.ndarray:
     No caller's c1..c3 spans the c4 axis, so the low digits sum on a grid
     q times smaller; both digit grids take INDEX_DTYPE there, and one ufunc
     pass writes the full grid in it."""
-    low = (c1 + q * c2 + q * q * c3).astype(INDEX_DTYPE)
-    high = (q ** 3 * c4).astype(INDEX_DTYPE)
+    low = vertex_index(q, (c1, c2, c3, 0)).astype(INDEX_DTYPE)
+    high = vertex_index(q, (0, 0, 0, c4)).astype(INDEX_DTYPE)
     out = np.empty(np.broadcast_shapes(low.shape, high.shape), dtype=INDEX_DTYPE)
     np.add(low, high, out=out)
     return out.reshape(q ** 4, -1)
@@ -238,7 +240,7 @@ def gamma_slabs(spec: FieldSpec):
     _check_size(spec)
     q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
     P1, P2 = (c[0] for c in _coord_axes(q)[:2])  # on the (c3, c2, c1, column) axes
-    (d, rd, _, r2d), c = _connection_indices(spec), np.arange(q)[:, None]
+    (d, rd, _, r2d), c = connection_set(spec), np.arange(q)[:, None]
     x = sub(mul(d, P2), mul(rd, P1))[0]  # P2*Q1 - P1*Q2 on the (c2, c1, column) axes
     glow = np.take((q * q * sub(c, c.T)).astype(INDEX_DTYPE), x, axis=1)  # q^2*(P3 - x)
     glow += (add(P1, d) + q * add(P2, rd)).astype(INDEX_DTYPE)
@@ -283,7 +285,7 @@ def cayley_slabs(spec: FieldSpec):
     _check_size(spec)
     q, add, sub, mul = spec.q, spec.add, spec.sub, spec.mul
     T, U = (c[0] for c in _coord_axes(q)[:2])  # on the (c3, c2, c1, column) axes
-    (ts, us, vs, ws), c = _connection_indices(spec), np.arange(q)[:, None]
+    (ts, us, vs, ws), c = connection_set(spec), np.arange(q)[:, None]
     y = sub(vs, mul(2 % spec.p, mul(ts, U)))[0]  # V2 = V + y, y on the (c2, c1, column) axes
     low = np.take((q * q * add(c, c.T)).astype(INDEX_DTYPE), y, axis=1)  # q^2*V2, free of c1
     low = low + (add(T, ts) + q * add(U, us)).astype(INDEX_DTYPE)  # broadcast over c1
@@ -297,15 +299,10 @@ def build_cayley(spec: FieldSpec) -> AdjacencyStructure:
     return AdjacencyStructure("CAYLEY4", spec.q, spec.q ** 4, nb)
 
 
-def action_permutation(spec: FieldSpec, g: GroupElem) -> np.ndarray:
-    """The permutation P -> P*g of point indices, vectorized over all points."""
+def action_permutation(spec: FieldSpec, g) -> np.ndarray:
+    """The permutation P -> P*g of point indices: act_point on the coordinate axes."""
     _check_size(spec)
-    q = spec.q
-    add, sub, mul = spec.add, spec.sub, spec.mul
-    P1, P2, P3, P4 = _coord_axes(q)
-    t, u, v, w = g.t.i, g.u.i, g.v.i, g.w.i
-    Q3 = add(P3, sub(add(add(v, mul(t, u)), mul(P2, t)), mul(P1, u)))
-    return _encode(q, add(P1, t), add(P2, u), Q3, add(P4, w)).ravel()
+    return _encode(spec.q, *act_point(spec, _coord_axes(spec.q), g)).ravel()
 
 
 def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
@@ -318,28 +315,6 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     q = spec.q
     T, U, V, W = _coord_axes(q)
     return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
-
-
-def point_index(P: PointCoords) -> int:
-    q = P.p1.spec.q
-    return P.p1.i + q * P.p2.i + q * q * P.p3.i + q ** 3 * P.p4.i
-
-
-def point_from_index(spec: FieldSpec, i: int) -> PointCoords:
-    q = spec.q
-    return PointCoords(FieldElem(spec, i % q), FieldElem(spec, (i // q) % q),
-                       FieldElem(spec, (i // q ** 2) % q), FieldElem(spec, i // q ** 3))
-
-
-def group_elem_index(g: GroupElem) -> int:
-    q = g.t.spec.q
-    return g.t.i + q * g.u.i + q * q * g.v.i + q ** 3 * g.w.i
-
-
-def group_elem_from_index(spec: FieldSpec, i: int) -> GroupElem:
-    q = spec.q
-    return GroupElem(FieldElem(spec, i % q), FieldElem(spec, (i // q) % q),
-                     FieldElem(spec, (i // q ** 2) % q), FieldElem(spec, i // q ** 3))
 
 
 # ----------------------------------------------------------------------
@@ -431,20 +406,11 @@ def write_edge_list(adj: AdjacencyStructure, fp, timestamp: str | None = None):
         fp.write(f"{u} {v}\n")
 
 
-def coordinate_dict(adj: AdjacencyStructure) -> dict:
-    """Vertex index -> coordinate 4-tuple (points first; D4 lines follow)."""
-    q = adj.q
-    n4 = q ** 4
-    coords = {}
-    for i in range(adj.n):
-        j = i - n4 if i >= n4 else i
-        coords[str(i)] = [j % q, (j // q) % q, (j // q ** 2) % q, j // q ** 3]
-    return coords
-
-
 def write_coordinate_dict(adj: AdjacencyStructure, fp, timestamp: str | None = None):
+    """JSON with each vertex index's coordinate 4-tuple (points first; D4 lines follow)."""
+    coords = np.stack(vertex_coords(adj.q, np.arange(adj.n) % adj.q ** 4), axis=1).tolist()
     doc = {"graph": adj.name, "q": adj.q, "vertices": adj.n,
-           "indexing": "base-q", "coords": coordinate_dict(adj)}
+           "indexing": "base-q", "coords": {str(i): c for i, c in enumerate(coords)}}
     if timestamp:
         doc["generated"] = timestamp
     json.dump(doc, fp, indent=None, separators=(",", ":"))

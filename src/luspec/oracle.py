@@ -65,7 +65,7 @@ def shear_orbits(adj: AdjacencyStructure, spec: ff.FieldSpec):
     lines after points."""
     q = spec.q
     side, j = np.divmod(np.arange(adj.n), q ** 4)
-    c1, c2, c3, c4 = (j // q ** i % q for i in range(4))
+    c1, c2, c3, c4 = graphs.vertex_coords(q, j)
     shear = spec.mul(c1, c2)
     if adj.name == "CAYLEY4":
         shear = spec.add(shear, shear)

@@ -20,16 +20,17 @@ p = 3 matrix entries live in conductor 9 with zeta_3 = zeta_9^3.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, cyclo, ff, graphs
+from . import closedform, cyclo, graphs
 from .cyclo import CycInt, cyc_spec
 from .cyclo import exp_sum_field  # noqa: F401 -- perfbench/tracer.py wraps reps.exp_sum_field
 from .closedform import SpectrumMultiset
-from .ff import FieldElem, FieldSpec
+from .ff import FieldSpec
 
 
 def _char_spec(spec: FieldSpec) -> tuple[cyclo.CycSpec, int]:
@@ -51,51 +52,43 @@ class CharValue:
     root_count: int | None = None
 
 
-def linear_char_value(alpha: FieldElem, beta: FieldElem, gamma: FieldElem) -> CharValue:
+def linear_char_value(spec: FieldSpec, alpha: int, beta: int, gamma: int) -> CharValue:
     """Character sum over S for odd q: (m-1)*q with m = #roots of
     alpha + beta*r + gamma*r^2 (m = q for the trivial character)."""
-    spec = alpha.spec
     if spec.q % 2 == 0:
         raise ValueError("linear_char_value is the odd-q form")
-    m = 0
-    for r in spec.elements():
-        if alpha + beta * r + gamma * r * r == spec.zero:
-            m += 1
-    return CharValue((alpha.i, beta.i, gamma.i), (m - 1) * spec.q, m)
+    r = np.arange(spec.q)
+    m = int(np.count_nonzero(spec.add(alpha, spec.mul(r, spec.add(beta, spec.mul(gamma, r))))
+                             == 0))
+    return CharValue((alpha, beta, gamma), (m - 1) * spec.q, m)
 
 
-def linear_char_sum_direct(alpha: FieldElem, beta: FieldElem,
-                           gamma: FieldElem) -> CycInt:
+def _trace_over_s(spec: FieldSpec, *weights) -> np.ndarray:
+    """tr(w1*t + w2*u + w3*v + w4*w) at every element (t, u, v, w) of S."""
+    return spec.tr(functools.reduce(spec.add, map(spec.mul, weights, graphs.connection_set(spec))))
+
+
+def linear_char_sum_direct(spec: FieldSpec, alpha: int, beta: int, gamma: int) -> CycInt:
     """The same sum evaluated literally over S (cross-check path)."""
-    spec = alpha.spec
     cspec, scale = _char_spec(spec)
-    hist = [0] * cspec.n
-    for g in graphs.connection_set(spec):
-        k = ff.trace(alpha * g.t + beta * g.u + gamma * g.w)
-        hist[(scale * k) % cspec.n] += 1
-    return CycInt.from_histogram(cspec, hist)
+    hist = np.bincount(scale * _trace_over_s(spec, alpha, beta, 0, gamma) % cspec.n,
+                       minlength=cspec.n)
+    return CycInt.from_histogram(cspec, hist.tolist())
 
 
-def even_char_value(alpha: FieldElem, beta: FieldElem, gamma: FieldElem,
-                    eta: FieldElem) -> CharValue:
+def even_char_value(spec: FieldSpec, alpha: int, beta: int, gamma: int, eta: int) -> CharValue:
     """Even-q character sum over S, computed directly and verified against
     the reduced form q * sum_{t != 0, beta^2 t + gamma^2 t^3 = eta} (-1)^tr(alpha*t)."""
-    spec = alpha.spec
     q = spec.q
     if q % 2:
         raise ValueError("even_char_value needs even q")
-    total = 0
-    for g in graphs.connection_set(spec):
-        k = ff.trace(alpha * g.t + beta * g.u + gamma * g.v + eta * g.w)
-        total += 1 if k == 0 else -1
-    reduced = 0
-    b2, g2 = beta * beta, gamma * gamma
-    for t in spec.elements():
-        if t.i and b2 * t + g2 * t * t * t == eta:
-            reduced += 1 if ff.trace(alpha * t) == 0 else -1
+    total = int(np.sum(1 - 2 * _trace_over_s(spec, alpha, beta, gamma, eta)))
+    t, mul = np.arange(1, q), spec.mul
+    t = t[spec.add(mul(mul(beta, beta), t), mul(mul(gamma, gamma), spec.pow(t, 3))) == eta]
+    reduced = int(np.sum(1 - 2 * spec.tr(mul(alpha, t))))
     if total != q * reduced:
         raise RuntimeError("direct and reduced character sums disagree")
-    return CharValue((alpha.i, beta.i, gamma.i, eta.i), total)
+    return CharValue((alpha, beta, gamma, eta), total)
 
 
 # ----------------------------------------------------------------------
@@ -148,56 +141,54 @@ def _scatter(spec: FieldSpec, cols: np.ndarray, k: np.ndarray) -> RepMatrix:
     return RepMatrix(cspec, np.bincount(flat.ravel(), minlength=q * q * n).reshape(q, q, n))
 
 
-def _rep_sum(alpha: FieldElem, beta: FieldElem, t, u, v, w) -> RepMatrix:
+def _rep_sum(spec: FieldSpec, alpha: int, beta: int, t, u, v, w) -> RepMatrix:
     """Sum of M[alpha,beta](g) over the elements g with index columns (t, u, v, w):
     row i of M(g) holds zeta^tr(alpha*(v - 2*i*u) + beta*w) at column i + t."""
-    spec = alpha.spec
     add, mul = spec.add, spec.mul
     i = np.arange(spec.q)[:, None]
-    k = spec.tr(add(mul(alpha.i, spec.sub(v, mul(2 % spec.p, mul(i, u)))), mul(beta.i, w)))
+    k = spec.tr(add(mul(alpha, spec.sub(v, mul(2 % spec.p, mul(i, u)))), mul(beta, w)))
     return _scatter(spec, add(i, t), k)
 
 
-def rep_matrix(alpha: FieldElem, beta: FieldElem, g: graphs.GroupElem) -> RepMatrix:
+def rep_matrix(spec: FieldSpec, alpha: int, beta: int, g: graphs.GroupElem) -> RepMatrix:
     """M[alpha,beta](g) for a single group element."""
-    return _rep_sum(alpha, beta, *(np.array([x.i]) for x in g))
+    return _rep_sum(spec, alpha, beta, *(np.array([x]) for x in g))
 
 
-def build_M(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
+def build_M(spec: FieldSpec, alpha: int, beta: int) -> RepMatrix:
     """M[alpha,beta](S) = sum over the connection set, exact."""
     if spec.q % 2 == 0:
         raise ValueError("the degree-q representations need odd q")
-    if alpha.i == 0:
+    if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    return _rep_sum(alpha, beta, *graphs._connection_indices(spec))
+    return _rep_sum(spec, alpha, beta, *graphs.connection_set(spec))
 
 
-def build_U(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
+def build_U(spec: FieldSpec, alpha: int, beta: int) -> RepMatrix:
     """U[alpha,beta][i,j] = zeta^tr(alpha*i^2*j - beta*i*j^2)."""
     mul = spec.mul
     i, j = np.arange(spec.q)[:, None], np.arange(spec.q)
     ij = mul(i, j)
-    k = spec.tr(spec.sub(mul(alpha.i, mul(ij, i)), mul(beta.i, mul(ij, j))))
+    k = spec.tr(spec.sub(mul(alpha, mul(ij, i)), mul(beta, mul(ij, j))))
     return _scatter(spec, j, k)
 
 
-def m_from_u(alpha: FieldElem, beta: FieldElem, spec: FieldSpec) -> RepMatrix:
+def m_from_u(spec: FieldSpec, alpha: int, beta: int) -> RepMatrix:
     """U * U^adj - q*I, the factored form of M[alpha,beta](S)."""
-    u = build_U(alpha, beta, spec)
+    u = build_U(spec, alpha, beta)
     prod = u @ u.conj_transpose()
     d = np.arange(spec.q)
     prod.hist[d, d, 0] -= spec.q
     return prod
 
 
-def psi_value(alpha: FieldElem, beta: FieldElem, g: graphs.GroupElem) -> CycInt:
+def psi_value(spec: FieldSpec, alpha: int, beta: int, g: graphs.GroupElem) -> CycInt:
     """Character of M[alpha,beta]: q * zeta^tr(alpha v + beta w) on the
     centre (t = u = 0), zero elsewhere."""
-    spec = alpha.spec
-    cspec, _ = _char_spec(spec)
-    if g.t.i or g.u.i:
-        return CycInt.integer(cspec, 0)
-    return spec.q * _zeta_pow(spec, ff.trace(alpha * g.v + beta * g.w))
+    t, u, v, w = g
+    if t or u:
+        return CycInt.integer(_char_spec(spec)[0], 0)
+    return spec.q * _zeta_pow(spec, spec.tr(spec.add(spec.mul(alpha, v), spec.mul(beta, w))))
 
 
 def _psi_exponents(spec: FieldSpec):
@@ -229,20 +220,20 @@ def psi_orthogonality(spec: FieldSpec) -> bool:
     return True
 
 
-def eigen_via_epsilon(alpha: FieldElem, beta: FieldElem) -> SpectrumMultiset:
+def eigen_via_epsilon(orbits: closedform.EpsilonOrbits, alpha: int,
+                      beta: int) -> SpectrumMultiset:
     """Exact eigenvalue multiset {eps_f^2 - q} of M[alpha,beta](S): the
-    ``closedform.eps_classes`` of the orbits of the positions (a', c), c in F."""
-    spec = alpha.spec
+    ``closedform.eps_classes`` of the orbits of the positions (a', c), c in F,
+    read from the table ``orbits = closedform.epsilon_orbits(spec)``, which
+    every block of one q shares."""
+    spec = orbits.spec
     q = spec.q
-    if spec.p == 2:
-        raise ValueError("no degree-q representations for p = 2")
-    if alpha.i == 0 or beta.i == 0:
+    if alpha == 0 or beta == 0:
         raise ValueError("the eps route needs alpha*beta != 0")
-    a = 1 if spec.p == 3 else spec.inv(spec.mul(3, spec.mul(alpha.i, beta.i)))
-    orbits = closedform.epsilon_orbits(spec)
+    a = 1 if spec.p == 3 else spec.inv(spec.mul(3, spec.mul(alpha, beta)))
     counts = Counter(orbits.ids(a, np.arange(q)).tolist())  # orbit -> positions, in c order
     pairs = closedform.eps_classes(orbits, list(counts), list(counts.values()))
-    return SpectrumMultiset.assemble(f"M[{alpha.i},{beta.i}]", q, pairs, expected_total=q)
+    return SpectrumMultiset.assemble(f"M[{alpha},{beta}]", q, pairs, expected_total=q)
 
 
 def conjugacy_class_data(spec: FieldSpec):

@@ -86,7 +86,7 @@ def _teichmueller_matrices(e: int) -> dict:
     teich = {0: np.zeros((e, e), dtype=np.int64)}
     x = np.eye(e, dtype=np.int64)
     for _ in range(q - 1):
-        teich[F.coeffs_index(x[:, 0] % 3)] = x  # column 0: the coefficients of x
+        teich[int(x[:, 0] % 3 @ 3 ** np.arange(e))] = x  # column 0: the coefficients of x
         x = x @ beta % 9
     assert len(teich) == q and np.array_equal(x, np.eye(e, dtype=np.int64))
     return teich
@@ -235,7 +235,7 @@ def two_switch():
 def _swapped_field(q: int) -> ff.FieldSpec:
     """An uncached GF(q) whose powers g^1 and g^2 trade places in ``exp``
     (both copies), so that ``mul`` is wrong while every table keeps its size."""
-    spec = ff.FieldSpec(*ff.prime_power(q))
+    spec = ff.FieldSpec(*ff._prime_power(q))
     n = q - 1
     for i, j in (1, 2), (n + 1, n + 2):
         spec.exp[[i, j]] = spec.exp[[j, i]]

@@ -3,7 +3,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -529,3 +533,14 @@ def test_one_parser_serves_every_call_without_leaking_values(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
     for argv, want in zip(calls * 2, fresh * 2):
         assert run(capsys, argv) == want, argv
+
+
+def test_module_run_has_the_console_script_exit_codes():
+    # `python -m luspec.cli` must run main_entry, not import the module and exit 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv, code, stream, text in (
+            (["spectrum", "--q", "6"], 2, "stderr", "not a prime power"),
+            (["verify", "--q", "2", "--no-timestamp"], 0, "stdout", "all checks passed")):
+        proc = subprocess.run([sys.executable, "-m", "luspec.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == code and text in getattr(proc, stream), (argv, proc.stderr)

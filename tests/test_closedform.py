@@ -254,7 +254,7 @@ def test_exact_moments(q):
 
 
 def _odd_prime_powers(limit):
-    return [q for q in range(3, limit + 1, 2) if ff.prime_power(q)]
+    return [q for q in range(3, limit + 1, 2) if ff._prime_power(q)]
 
 
 def _base_squares(orbits):

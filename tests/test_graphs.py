@@ -10,48 +10,33 @@ from luspec import ff, graphs
 from luspec.graphs import (GroupElem, LineCoords, PointCoords, act_point,
                            collinear, connection_set, group_commutator,
                            group_identity, group_inv, group_matrix, group_mul,
-                           incident, matrix_mul)
-
-
-def P(spec, *coords):
-    return PointCoords(*(spec.element(c) for c in coords))
-
-
-def L(spec, *coords):
-    return LineCoords(*(spec.element(c) for c in coords))
-
-
-def G(spec, *coords):
-    return GroupElem(*(spec.element(c) for c in coords))
+                           incident, matrix_mul, vertex_coords, vertex_index)
 
 
 def test_incident_examples():
     F3 = ff.ff_make(3, 1)
-    assert incident(P(F3, 0, 0, 0, 0), L(F3, 0, 0, 0, 0))
-    assert not incident(P(F3, 1, 1, 0, 1), L(F3, 1, 0, 1, 2))
+    assert incident(F3, PointCoords(0, 0, 0, 0), LineCoords(0, 0, 0, 0))
+    assert not incident(F3, PointCoords(1, 1, 0, 1), LineCoords(1, 0, 1, 2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_each_point_meets_q_lines(q):
     spec = ff.field_for(q)
-    pts = [graphs.point_from_index(spec, i) for i in range(q ** 4)]
-    lines = [LineCoords(*graphs.point_from_index(spec, i)) for i in range(q ** 4)]
-    for pt in random.Random(7).sample(pts, 10):
-        assert sum(incident(pt, ln) for ln in lines) == q
+    lines = LineCoords(*vertex_coords(q, np.arange(q ** 4)))  # every line, as arrays
+    for i in random.Random(7).sample(range(q ** 4), 10):
+        assert np.count_nonzero(incident(spec, vertex_coords(q, i), lines)) == q
 
 
 def test_collinear_examples():
     F3 = ff.ff_make(3, 1)
-    assert not collinear(P(F3, 0, 0, 0, 0), P(F3, 0, 1, 0, 0))
-    assert collinear(P(F3, 0, 0, 0, 0), P(F3, 1, 1, 0, 1))
+    assert not collinear(F3, PointCoords(0, 0, 0, 0), PointCoords(0, 1, 0, 0))
+    assert collinear(F3, PointCoords(0, 0, 0, 0), PointCoords(1, 1, 0, 1))
 
 
 def test_collinear_symmetric_q3():
     F3 = ff.ff_make(3, 1)
-    pts = [graphs.point_from_index(F3, i) for i in range(81)]
-    for a in pts:
-        for b in pts:
-            assert collinear(a, b) == collinear(b, a)
+    a, b = vertex_coords(3, np.arange(81)[:, None]), vertex_coords(3, np.arange(81))
+    assert np.array_equal(collinear(F3, a, b), collinear(F3, b, a))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -166,8 +151,7 @@ def test_cayley_slabs_tile_build_cayley(q, builders_reference):
         slab = low + n3 * high[w]
         assert np.array_equal(np.sort(slab, axis=1), want[w * n3:(w + 1) * n3])
     # the identity's row is S itself, in connection_set order
-    assert (low[0] + n3 * high[0]).tolist() == [graphs.group_elem_index(s)
-                                                for s in connection_set(spec)]
+    assert (low[0] + n3 * high[0]).tolist() == vertex_index(q, connection_set(spec)).tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
@@ -205,13 +189,17 @@ def test_size_budget():
 
 # ---- group law ----
 
+def _equal_matrices(A, B):
+    return all(np.array_equal(*np.broadcast_arrays(x, y))
+               for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+
+
 def test_group_law_matches_matrices_exhaustive_q3():
+    # every pair (g, h) at once: g runs down the rows, h along the columns
     F3 = ff.ff_make(3, 1)
-    els = [graphs.group_elem_from_index(F3, i) for i in range(81)]
-    for g in els:
-        mg = group_matrix(g)
-        for h in els:
-            assert group_matrix(group_mul(g, h)) == matrix_mul(mg, group_matrix(h))
+    g, h = vertex_coords(3, np.arange(81)[:, None]), vertex_coords(3, np.arange(81))
+    assert _equal_matrices(group_matrix(F3, group_mul(F3, g, h)),
+                           matrix_mul(F3, group_matrix(F3, g), group_matrix(F3, h)))
 
 
 @pytest.mark.parametrize("q", [2, 4, 5])
@@ -221,84 +209,81 @@ def test_group_law_matches_matrices_sampled(q):
     idx = [rng.randrange(q ** 4) for _ in range(40)]
     for i in idx:
         for j in idx[:10]:
-            g = graphs.group_elem_from_index(spec, i)
-            h = graphs.group_elem_from_index(spec, j)
-            assert group_matrix(group_mul(g, h)) == \
-                matrix_mul(group_matrix(g), group_matrix(h))
+            g, h = vertex_coords(q, i), vertex_coords(q, j)
+            assert group_matrix(spec, group_mul(spec, g, h)) == \
+                matrix_mul(spec, group_matrix(spec, g), group_matrix(spec, h))
 
 
 def test_identity_and_commutator():
     F5 = ff.ff_make(5, 1)
-    g = G(F5, 1, 2, 3, 4)
-    assert group_mul(g, group_identity(F5)) == g
-    c = group_commutator(G(F5, 1, 0, 0, 0), G(F5, 0, 1, 0, 0))
-    assert c == G(F5, 0, 0, -2, 0)
+    g = GroupElem(1, 2, 3, 4)
+    assert group_mul(F5, g, group_identity(F5)) == g
+    c = group_commutator(F5, GroupElem(1, 0, 0, 0), GroupElem(0, 1, 0, 0))
+    assert c == GroupElem(0, 0, F5.neg(2), 0)
 
 
 def test_commutator_formula_random():
     # [g, h] = g(0, 0, 2*(t_h*u_g - t_g*u_h), 0)
     F7 = ff.ff_make(7, 1)
     rng = random.Random(3)
-    two = F7.element(2)
     for _ in range(50):
-        g = graphs.group_elem_from_index(F7, rng.randrange(7 ** 4))
-        h = graphs.group_elem_from_index(F7, rng.randrange(7 ** 4))
-        want = GroupElem(F7.zero, F7.zero,
-                         two * (h.t * g.u - g.t * h.u), F7.zero)
-        assert group_commutator(g, h) == want
+        g = GroupElem(*vertex_coords(7, rng.randrange(7 ** 4)))
+        h = GroupElem(*vertex_coords(7, rng.randrange(7 ** 4)))
+        want = GroupElem(0, 0, F7.mul(2, F7.sub(F7.mul(h.t, g.u), F7.mul(g.t, h.u))), 0)
+        assert group_commutator(F7, g, h) == want
 
 
 def test_even_q_elementary_abelian():
     F4 = ff.ff_make(2, 2)
-    g = G(F4, 1, 0, 1, 0)
-    assert group_mul(g, g) == group_identity(F4)
-    h = G(F4, 2, 3, 1, 2)
-    assert group_mul(g, h) == group_mul(h, g)
+    g = GroupElem(1, 0, 1, 0)
+    assert group_mul(F4, g, g) == group_identity(F4)
+    h = GroupElem(2, 3, 1, 2)
+    assert group_mul(F4, g, h) == group_mul(F4, h, g)
 
 
 def test_inverse_exhaustive_q3():
     F3 = ff.ff_make(3, 1)
     e = group_identity(F3)
     for i in range(81):
-        g = graphs.group_elem_from_index(F3, i)
-        assert group_mul(g, group_inv(g)) == e
-        assert group_mul(group_inv(g), g) == e
+        g = vertex_coords(3, i)
+        assert group_mul(F3, g, group_inv(F3, g)) == e
+        assert group_mul(F3, group_inv(F3, g), g) == e
 
 
 # ---- connection set / Cayley ----
+
+def _elements(cols):
+    """The (t, u, v, w) tuples of index columns."""
+    return list(zip(*(c.tolist() for c in cols)))
+
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_connection_set_properties(q):
     spec = ff.field_for(q)
     S = connection_set(spec)
-    assert len(S) == q * (q - 1)
-    assert len(set(S)) == q * (q - 1)
-    assert group_identity(spec) not in S
-    sset = set(S)
-    for s in S:
-        assert group_inv(s) in sset
+    sset = set(_elements(S))
+    assert len(_elements(S)) == q * (q - 1)
+    assert len(sset) == q * (q - 1)
+    assert group_identity(spec) not in sset
+    assert set(_elements(group_inv(spec, S))) == sset
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_connection_indices_follow_connection_set(q, builders_reference):
+    # S's index columns, against S's definition as a loop over (t, r)
     spec = ff.field_for(q)
-    cols = graphs._connection_indices(spec)
-    got = list(zip(*(c.tolist() for c in cols)))
-    assert got == [tuple(x.i for x in s) for s in connection_set(spec)]
-    assert got == builders_reference.connection_index_tuples(spec)
+    assert _elements(connection_set(spec)) == builders_reference.connection_index_tuples(spec)
 
 
 def test_connection_set_contains_example():
     F3 = ff.ff_make(3, 1)
-    assert G(F3, 1, 1, -1, 1) in connection_set(F3)
+    assert GroupElem(1, 1, F3.neg(1), 1) in _elements(connection_set(F3))
 
 
 def test_connection_set_is_origin_neighborhood():
     F5 = ff.ff_make(5, 1)
-    origin = P(F5, 0, 0, 0, 0)
-    S = connection_set(F5)
-    for s in S:
-        assert collinear(origin, act_point(origin, s))
+    origin = PointCoords(0, 0, 0, 0)
+    assert np.all(collinear(F5, origin, act_point(F5, origin, connection_set(F5))))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -314,7 +299,7 @@ def test_cayley_isomorphic_to_gamma(q, graph):
 def test_cayley_identity_neighbors_are_s():
     F5 = ff.ff_make(5, 1)
     cay = graphs.build_cayley(F5)
-    want = sorted(graphs.group_elem_index(s) for s in connection_set(F5))
+    want = sorted(vertex_index(5, connection_set(F5)).tolist())
     assert [int(x) for x in cay.neighbors[0]] == want
 
 
@@ -322,7 +307,7 @@ def test_action_preserves_adjacency_exhaustive_q3(graph):
     F3 = ff.ff_make(3, 1)
     gam = graph("gamma", 3)
     for i in range(81):
-        pi = graphs.action_permutation(F3, graphs.group_elem_from_index(F3, i))
+        pi = graphs.action_permutation(F3, vertex_coords(3, i))
         assert np.array_equal(np.sort(pi[gam.neighbors], axis=1),
                               gam.neighbors[pi])
 
@@ -333,8 +318,7 @@ def test_action_preserves_adjacency_sampled(q, graph):
     gam = graph("gamma", q)
     rng = random.Random(13)
     for _ in range(8):
-        g = graphs.group_elem_from_index(spec, rng.randrange(q ** 4))
-        pi = graphs.action_permutation(spec, g)
+        pi = graphs.action_permutation(spec, vertex_coords(q, rng.randrange(q ** 4)))
         assert np.array_equal(np.sort(pi[gam.neighbors], axis=1),
                               gam.neighbors[pi])
 
@@ -343,12 +327,11 @@ def test_action_matches_act_point():
     F5 = ff.ff_make(5, 1)
     rng = random.Random(17)
     for _ in range(20):
-        g = graphs.group_elem_from_index(F5, rng.randrange(625))
+        g = vertex_coords(5, rng.randrange(625))
         pi = graphs.action_permutation(F5, g)
         assert pi.dtype == graphs.INDEX_DTYPE
         i = rng.randrange(625)
-        pt = graphs.point_from_index(F5, i)
-        assert graphs.point_index(act_point(pt, g)) == pi[i]
+        assert vertex_index(5, act_point(F5, vertex_coords(5, i), g)) == pi[i]
 
 
 # ---- components / girth / exports ----

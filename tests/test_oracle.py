@@ -93,9 +93,9 @@ def test_cayley_shear_is_right_multiplication(q, graph, field):
     spec = field(q)
     orbit, k = oracle.shear_orbits(graph("cayley", q), spec)
     for i in range(q ** 4):
-        rep = graphs.group_elem_from_index(spec, int(orbit[i]))
-        shear = graphs.group_elem_from_index(spec, q * int(k[i]))
-        assert graphs.group_elem_index(graphs.group_mul(rep, shear)) == i
+        rep = graphs.vertex_coords(q, int(orbit[i]))
+        shear = graphs.vertex_coords(q, q * int(k[i]))
+        assert graphs.vertex_index(q, graphs.group_mul(spec, rep, shear)) == i
 
 
 def _sheared(adj, spec, f):

@@ -14,11 +14,11 @@ def F(q):
 
 def test_linear_char_examples():
     F5 = F(5)
-    assert reps.linear_char_value(F5.zero, F5.zero, F5.zero).value == 20
+    assert reps.linear_char_value(F5, 0, 0, 0).value == 20
     # alpha + r^2 with -alpha a nonresidue: no roots, value -q
-    assert reps.linear_char_value(F5.element(2), F5.zero, F5.one).value == -5
+    assert reps.linear_char_value(F5, 2, 0, 1).value == -5
     # gamma = 0, beta != 0: unique root, value 0
-    assert reps.linear_char_value(F5.one, F5.element(2), F5.zero).value == 0
+    assert reps.linear_char_value(F5, 1, 2, 0).value == 0
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -27,18 +27,16 @@ def test_linear_char_direct_agreement(q):
     for a in range(q):
         for b in range(q):
             for g in range(q):
-                want = reps.linear_char_value(
-                    spec.element(a), spec.element(b), spec.element(g))
-                direct = reps.linear_char_sum_direct(
-                    spec.element(a), spec.element(b), spec.element(g))
+                want = reps.linear_char_value(spec, a, b, g)
+                direct = reps.linear_char_sum_direct(spec, a, b, g)
                 assert direct.is_rational and direct.as_int == want.value
                 assert want.value in (-q, 0, q, q * (q - 1))
 
 
 def test_even_char_examples():
     F2, F4 = F(2), F(4)
-    assert reps.even_char_value(F2.zero, F2.zero, F2.zero, F2.one).value == 0
-    assert reps.even_char_value(F4.zero, F4.zero, F4.zero, F4.zero).value == 12
+    assert reps.even_char_value(F2, 0, 0, 0, 1).value == 0
+    assert reps.even_char_value(F4, 0, 0, 0, 0).value == 12
 
 
 def test_even_char_multiset_matches_closed_form():
@@ -48,8 +46,7 @@ def test_even_char_multiset_matches_closed_form():
         for b in range(4):
             for g in range(4):
                 for h in range(4):
-                    got[reps.even_char_value(F4.element(a), F4.element(b),
-                                             F4.element(g), F4.element(h)).value] += 1
+                    got[reps.even_char_value(F4, a, b, g, h).value] += 1
     want = Counter({e.value.ival: e.multiplicity
                     for e in closedform.spectrum_even(F4).entries})
     assert got == want
@@ -57,7 +54,7 @@ def test_even_char_multiset_matches_closed_form():
 
 def test_build_u_q3_display():
     F3 = F(3)
-    u = reps.build_U(F3.one, F3.one, F3)
+    u = reps.build_U(F3, 1, 1)
     c9 = cyc_spec(9)
     z = zeta(c9, 3)  # zeta_3 inside the conductor-9 lattice
     one = CycInt.integer(c9, 1)
@@ -68,7 +65,7 @@ def test_build_u_q3_display():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_uustar_diagonal_is_q(q):
     spec = F(q)
-    u = reps.build_U(spec.one, spec.element(2 % q if q > 3 else 1), spec)
+    u = reps.build_U(spec, 1, 2 % q if q > 3 else 1)
     prod = u @ u.conj_transpose()
     for i in range(q):
         assert prod.entry(i, i) == q
@@ -79,14 +76,15 @@ def test_u_reindexing_similarity_q5():
     spec = F(5)
     rng = random.Random(5)
     for _ in range(4):
-        a, b = spec.element(rng.randrange(1, 5)), spec.element(rng.randrange(1, 5))
-        c, d = spec.element(rng.randrange(1, 5)), spec.element(rng.randrange(1, 5))
-        u1 = reps.build_U(a, b, spec)
-        u2 = reps.build_U(c * c * d * a, c * d * d * b, spec)
+        a, b = rng.randrange(1, 5), rng.randrange(1, 5)
+        c, d = rng.randrange(1, 5), rng.randrange(1, 5)
+        mul = spec.mul
+        u1 = reps.build_U(spec, a, b)
+        u2 = reps.build_U(spec, mul(mul(mul(c, c), d), a), mul(mul(mul(c, d), d), b))
         for i in range(5):
             for j in range(5):
-                ci = spec.mul(c.i, i)
-                dj = spec.mul(d.i, j)
+                ci = spec.mul(c, i)
+                dj = spec.mul(d, j)
                 assert u2.entry(i, j) == u1.entry(ci, dj)
 
 
@@ -95,9 +93,8 @@ def test_m_factorization_and_shape(q):
     spec = F(q)
     for ai in range(1, q):
         for bi in range(q):
-            a, b = spec.element(ai), spec.element(bi)
-            m = reps.build_M(a, b, spec)
-            assert m == reps.m_from_u(a, b, spec)
+            m = reps.build_M(spec, ai, bi)
+            assert m == reps.m_from_u(spec, ai, bi)
             assert m.is_hermitian()
             tr = m.trace_sum()
             assert tr.is_rational and tr.as_int == 0
@@ -106,49 +103,44 @@ def test_m_factorization_and_shape(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_build_m_is_the_sum_over_the_connection_set(q):
     spec = F(q)
-    S = graphs.connection_set(spec)
-    for ai, bi in [(1, 0), (1, 1), (q - 1, 2)]:
-        a, b = spec.element(ai), spec.element(bi)
-        want = sum(reps.rep_matrix(a, b, s).hist for s in S)
-        assert np.array_equal(reps.build_M(a, b, spec).hist, want)
+    S = list(zip(*(c.tolist() for c in graphs.connection_set(spec))))
+    for a, b in [(1, 0), (1, 1), (q - 1, 2)]:
+        want = sum(reps.rep_matrix(spec, a, b, s).hist for s in S)
+        assert np.array_equal(reps.build_M(spec, a, b).hist, want)
 
 
 def test_build_m_rejects():
     F5 = F(5)
     with pytest.raises(ValueError):
-        reps.build_M(F5.zero, F5.one, F5)
+        reps.build_M(F5, 0, 1)
     with pytest.raises(ValueError):
-        reps.build_M(F(4).one, F(4).one, F(4))
+        reps.build_M(F(4), 1, 1)
 
 
 def test_homomorphism_exhaustive_q3():
     F3 = F(3)
-    a, b = F3.one, F3.one
-    mats = [reps.rep_matrix(a, b, graphs.group_elem_from_index(F3, i))
-            for i in range(81)]
+    mats = [reps.rep_matrix(F3, 1, 1, graphs.vertex_coords(3, i)) for i in range(81)]
     for i in range(81):
-        g = graphs.group_elem_from_index(F3, i)
+        g = graphs.vertex_coords(3, i)
         for j in range(81):
-            h = graphs.group_elem_from_index(F3, j)
-            gh = graphs.group_mul(g, h)
-            assert (mats[i] @ mats[j]) == mats[graphs.group_elem_index(gh)]
+            gh = graphs.group_mul(F3, g, graphs.vertex_coords(3, j))
+            assert (mats[i] @ mats[j]) == mats[graphs.vertex_index(3, gh)]
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_homomorphism_sampled(q):
     spec = F(q)
-    a, b = spec.one, spec.element(2)
     rng = random.Random(q)
     for _ in range(12):
-        g = graphs.group_elem_from_index(spec, rng.randrange(q ** 4))
-        h = graphs.group_elem_from_index(spec, rng.randrange(q ** 4))
-        lhs = reps.rep_matrix(a, b, g) @ reps.rep_matrix(a, b, h)
-        assert lhs == reps.rep_matrix(a, b, graphs.group_mul(g, h))
+        g = graphs.vertex_coords(q, rng.randrange(q ** 4))
+        h = graphs.vertex_coords(q, rng.randrange(q ** 4))
+        lhs = reps.rep_matrix(spec, 1, 2, g) @ reps.rep_matrix(spec, 1, 2, h)
+        assert lhs == reps.rep_matrix(spec, 1, 2, graphs.group_mul(spec, g, h))
 
 
 def test_identity_maps_to_identity():
     F5 = F(5)
-    m = reps.rep_matrix(F5.one, F5.element(3), graphs.group_identity(F5))
+    m = reps.rep_matrix(F5, 1, 3, graphs.group_identity(F5))
     for i in range(5):
         for j in range(5):
             assert m.entry(i, j) == (1 if i == j else 0)
@@ -156,18 +148,16 @@ def test_identity_maps_to_identity():
 
 def test_psi_closed_form_vs_trace_exhaustive_q3():
     F3 = F(3)
-    a, b = F3.one, F3.element(2)
     for i in range(81):
-        g = graphs.group_elem_from_index(F3, i)
-        assert reps.rep_matrix(a, b, g).trace_sum() == reps.psi_value(a, b, g)
+        g = graphs.vertex_coords(3, i)
+        assert reps.rep_matrix(F3, 1, 2, g).trace_sum() == reps.psi_value(F3, 1, 2, g)
 
 
 def test_psi_examples():
     F3 = F(3)
     gid = graphs.group_identity(F3)
-    assert reps.psi_value(F3.one, F3.zero, gid) == 3
-    g = graphs.GroupElem(F3.one, F3.zero, F3.zero, F3.zero)
-    assert reps.psi_value(F3.one, F3.zero, g) == 0
+    assert reps.psi_value(F3, 1, 0, gid) == 3
+    assert reps.psi_value(F3, 1, 0, graphs.GroupElem(1, 0, 0, 0)) == 0
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -179,15 +169,14 @@ def test_psi_orthogonality(q):
 def test_psi_exponent_table_matches_psi_value(q):
     spec = F(q)
     labels, K = reps._psi_exponents(spec)
-    elems = [graphs.group_elem_from_index(spec, i) for i in range(q ** 4)]
+    elems = [graphs.GroupElem(*graphs.vertex_coords(q, i)) for i in range(q ** 4)]
     for (a, b), row in zip(labels, K.tolist()):
-        alpha, beta = spec.element(a), spec.element(b)
         for g in elems:
-            if g.t.i or g.u.i:
-                assert reps.psi_value(alpha, beta, g) == 0
+            if g.t or g.u:
+                assert reps.psi_value(spec, a, b, g) == 0
             else:
-                want = q * reps._zeta_pow(spec, row[g.v.i + q * g.w.i])
-                assert reps.psi_value(alpha, beta, g) == want
+                want = q * reps._zeta_pow(spec, row[g.v + q * g.w])
+                assert reps.psi_value(spec, a, b, g) == want
 
 
 def test_psi_orthogonality_detects_a_wrong_exponent(monkeypatch):
@@ -220,27 +209,25 @@ def test_conjugacy_classes(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_eigen_via_epsilon_matches_numeric(q):
     spec = F(q)
-    for ai in range(1, q):
-        for bi in range(1, q):
-            a, b = spec.element(ai), spec.element(bi)
-            m = reps.build_M(a, b, spec)
-            numeric = np.sort(m.eigenvalues())
-            exact = reps.eigen_via_epsilon(a, b).expand()
+    orbits = closedform.epsilon_orbits(spec)
+    for a in range(1, q):
+        for b in range(1, q):
+            numeric = np.sort(reps.build_M(spec, a, b).eigenvalues())
+            exact = reps.eigen_via_epsilon(orbits, a, b).expand()
             assert np.abs(numeric - exact).max() < 1e-9
 
 
-def _eigen_per_position(alpha, beta):
+def _eigen_per_position(spec, alpha, beta):
     """M[alpha,beta](S)'s multiset by one sum and one square per position c in F."""
-    spec = alpha.spec
     q = spec.q
     if spec.p == 3:
         ring = gr9.gr9_make(spec.e)  # Teichmueller index c -> field element g^(c-1)
         sums = [cyclo.exp_sum_gr(int(spec.exp[c - 1]) if c else 0, ring) for c in range(q)]
     else:
-        a = (spec.element([3 % spec.p] + [0] * (spec.e - 1)) * alpha * beta) ** (-1)
-        sums = [cyclo.exp_sum_field([0, c, 0, a.i], spec) for c in range(q)]
+        a = spec.pow(spec.mul(3 % spec.p, spec.mul(alpha, beta)), -1)
+        sums = [cyclo.exp_sum_field([0, c, 0, a], spec) for c in range(q)]
     pairs = [(closedform.ExactValue.eps_shift(eps, q), 1) for eps in sums]
-    return closedform.SpectrumMultiset.assemble(f"M[{alpha.i},{beta.i}]", q, pairs,
+    return closedform.SpectrumMultiset.assemble(f"M[{alpha},{beta}]", q, pairs,
                                                 expected_total=q)
 
 
@@ -248,11 +235,11 @@ def _eigen_per_position(alpha, beta):
 def test_eigen_via_epsilon_is_the_per_position_route(q):
     # exact values, serials, floats, multiplicities and order, at every block
     spec = F(q)
-    for ai in range(1, q):
-        for bi in range(1, q):
-            a, b = spec.element(ai), spec.element(bi)
-            got = reps.eigen_via_epsilon(a, b).to_json_dict()
-            assert got == _eigen_per_position(a, b).to_json_dict(), (ai, bi)
+    orbits = closedform.epsilon_orbits(spec)
+    for a in range(1, q):
+        for b in range(1, q):
+            got = reps.eigen_via_epsilon(orbits, a, b).to_json_dict()
+            assert got == _eigen_per_position(spec, a, b).to_json_dict(), (a, b)
 
 
 @pytest.mark.parametrize("q", [7, 11, 13, 61])
@@ -271,21 +258,22 @@ def test_eigen_via_epsilon_makes_one_sum_and_one_square_per_galois_orbit(q, monk
     for module in (cyclo, closedform, reps):
         monkeypatch.setattr(module, "exp_sum_field", counted_sum)
     monkeypatch.setattr(cyclo.CycInt, "__mul__", counted_mul)
-    spec = F(q)
-    reps.eigen_via_epsilon(spec.element(2), spec.element(q - 1))
-    assert calls == {"sum": 3, "mul": 3}
+    orbits = closedform.epsilon_orbits(F(q))
+    assert calls == {"sum": 3, "mul": 0}  # the table: one sum per Galois orbit
+    reps.eigen_via_epsilon(orbits, 2, q - 1)
+    assert calls == {"sum": 3, "mul": 3}  # the first block: one square per Galois orbit
+    reps.eigen_via_epsilon(orbits, 1, 1)
+    assert calls == {"sum": 3, "mul": 3}  # later blocks reuse the table's squares
 
 
 def test_eigen_via_epsilon_c0_rule():
     # q = 2 mod 3: the c = 0 cubic permutes the field, eps = 0, eigenvalue -q
-    F5 = F(5)
-    s = reps.eigen_via_epsilon(F5.one, F5.one)
+    s = reps.eigen_via_epsilon(closedform.epsilon_orbits(F(5)), 1, 1)
     assert s.multiplicity_of(closedform.ExactValue.integer(-5)) >= 1
 
 
 def test_eigen_via_epsilon_rejects():
+    with pytest.raises(ValueError):  # no cubic family, so no table, for p = 2
+        reps.eigen_via_epsilon(closedform.epsilon_orbits(F(4)), 1, 1)
     with pytest.raises(ValueError):
-        reps.eigen_via_epsilon(F(4).one, F(4).one)
-    F5 = F(5)
-    with pytest.raises(ValueError):
-        reps.eigen_via_epsilon(F5.zero, F5.one)
+        reps.eigen_via_epsilon(closedform.epsilon_orbits(F(5)), 0, 1)

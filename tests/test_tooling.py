@@ -73,6 +73,45 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+# Public names of ff.py and graphs.py that no package module, demo or benchmark
+# file reads: the paper's definitions that the tests compare the builders against.
+_PAPER_REFERENCES = {
+    "incident": "D(4,q)'s incidence equations, which the tests check each point's q lines with",
+    "LineCoords": "the line coordinates (l1, l2, l3, l4) that incident reads",
+    "group_identity": "the identity of G, which the tests check inverses and S against",
+}
+
+
+def _referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):  # from .graphs import AdjacencyStructure
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # perfbench/tracer.py names the attributes it wraps
+
+
+def test_public_names_have_a_reader():
+    # a public function or class that only the tests read is a test helper in the package
+    root = SRC.parents[1]
+    files = [*SRC.glob("*.py"), *(root / "demos").glob("*.py"),
+             *(p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
+    unread = []
+    for module in ("ff.py", "graphs.py"):
+        read = set()
+        for path in files:
+            if path != SRC / module:
+                read.update(_referenced_names(ast.parse(path.read_text())))
+        tree = ast.parse((SRC / module).read_text())
+        unread += [node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and node.name not in read]
+    assert sorted(unread) == sorted(_PAPER_REFERENCES)
+
+
 _COMMANDS = [["spectrum", "--q", "7"], ["epsilons", "--q", "7"],
              ["ramanujan", "--q", "5"],
              ["verify", "--q", "2,3,4,5", "--max-dense-n", "2401"]]
