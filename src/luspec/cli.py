@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -161,14 +162,11 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
 
     orbits = None
     if q % 2 == 1:
-        # positions on one scaling orbit share their sum: one margin per orbit,
-        # 64 orbits' rows at a time; 1e-9 forgives the float error of |eps|
+        # positions on one scaling orbit share their sum: one margin per orbit, from
+        # the rows the closed form reads too; 1e-9 forgives the float error of |eps|
         orbits = closedform.epsilon_orbits(spec)
-        cspec = orbits.bases[0].spec
-        worst = min(cyclo.weil_check(cspec, cyclo.reduce_rows(cspec, orbits.permute(
-            orbits.base_hist, slice(lo, lo + 64))), q).min()
-            for lo in range(0, len(orbits.mults), 64))
-        check("Weil bound over the cubic family", worst >= -1e-9)
+        check("Weil bound over the cubic family",
+              cyclo.weil_check(orbits.bases[0].spec, orbits.eps, q).min() >= -1e-9)
 
     s = closedform.spectrum_closed(spec, orbits)
     check("closed-form degree conservation", s.total == q ** 4)
@@ -230,10 +228,8 @@ def cmd_epsilons(args) -> int:
     if q % 2 == 0:
         raise UsageError(f"q={q}: the cubic-sum tables exist for odd q only")
     table = closedform.epsilon_orbits(spec)
-    cspec = table.bases[0].spec
     # every orbit's eps and eps^2: sigma_j permutes a base's square as it does the base
-    eps, squares = (cyclo.reduce_rows(cspec, table.permute(h))
-                    for h in (table.base_hist, table.squares))
+    cspec, eps, squares = table.bases[0].spec, table.eps, table.square_rows(slice(None))
     prime_field = spec.e == 1 and spec.p >= 5
     reps_set = closedform.representatives(spec.p) if prime_field else None
     orbits = []
@@ -269,15 +265,13 @@ def cmd_epsilons(args) -> int:
             x.ljust(w) for x, w in zip(o[1:], widths[1:])) + "\n") for o in orbits]
     a_text, c_text = ([str(x).ljust(w) for x in range(q)] for w in (wa, wc))
     # epsilon_family walks the orbit grid row by row, so each position meets its orbit k
-    family = closedform.epsilon_family(spec, table)
-    rows = [header] + [f"{head}{a_text[a]}{sep}{c_text[c]}{tail}"
-                       for ((a, c), _, _), k in zip(family, table.orbit.ravel().tolist())
-                       for head, tail in [cells[k]]]
-    text = "".join(rows)
+    rows = (f"{head}{a_text[a]}{sep}{c_text[c]}{tail}" for ((a, c), _, _), k in zip(
+        closedform.epsilon_family(table), itertools.chain.from_iterable(
+            row.tolist() for row in table.orbit)) for head, tail in [cells[k]])
     stamp = _stamp(args)
-    if stamp and args.format == "csv":
-        text = f"# generated={stamp}\n" + text
-    _write(args, text)
+    header = (f"# generated={stamp}\n" if stamp and args.format == "csv" else "") + header
+    blocks = iter(lambda: "".join(itertools.islice(rows, 1024)), "")  # until one is empty
+    _write(args, itertools.chain([header], blocks))  # streamed: never the whole table at once
     return 0
 
 

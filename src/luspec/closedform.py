@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cyclo, ff, gr9
-from .cyclo import CycInt, embed, exp_sum_field, exp_sum_gr, trace_histogram
+from .cyclo import CycInt, exp_sum_field, exp_sum_gr, trace_histogram
 
 
 class ExactValue:
@@ -66,24 +66,14 @@ class ExactValue:
         self.radicand = radicand
         self.text = text
 
-    @property
-    def eps(self) -> CycInt | None:
-        return None if self.row is None else CycInt(self.cspec, self.row.tolist())
-
     @staticmethod
     def integer(n: int) -> "ExactValue":
         return ExactValue("int", ("int", n), float(n), ival=n)
 
     @staticmethod
-    def eps_shift(eps: CycInt, q: int) -> "ExactValue":
-        """The value eps^2 - q; collapses to an integer when eps^2 is rational."""
-        e2 = eps * eps
-        return ExactValue.eps2q(eps.spec, np.array(eps.coeffs, dtype=np.int64),
-                                np.array(e2.coeffs, dtype=np.int64), embed(e2).real, q)
-
-    @staticmethod
     def eps2q(cspec: cyclo.CycSpec, row, sq, x: float, q: int) -> "ExactValue":
-        """eps^2 - q from the int64 rows of eps and eps^2 and x = embed(eps^2).real."""
+        """eps^2 - q from the int64 rows of eps and eps^2 and x = embed(eps^2).real;
+        an integer when eps^2 is rational."""
         if not sq[1:].any():  # eps^2 is rational
             return ExactValue.integer(int(sq[0]) - q)
         return ExactValue("eps2q", ("eps2q", cspec.n, sq.tobytes(), q), x - q,
@@ -155,11 +145,9 @@ class SpectrumMultiset:
         return out
 
     def expand(self) -> np.ndarray:
-        """All eigenvalues as a float array in ascending order."""
-        vals = np.concatenate([
-            np.full(e.multiplicity, e.approx) for e in self.entries])
-        vals.sort()
-        return vals
+        """All eigenvalues, ascending: each entry (held descending) is a run of slots."""
+        return np.repeat([e.approx for e in reversed(self.entries)],
+                         [e.multiplicity for e in reversed(self.entries)])
 
     def multiplicity_of(self, value: ExactValue) -> int:
         for e in self.entries:
@@ -209,8 +197,9 @@ class EpsilonOrbits:
     Position (a, c) lies on orbit ``ids(a, c)`` (first-seen order over the
     positions (rows[i], c), c = 0 .. q-1).  Orbit k has multiplicity ``mults[k]``
     (``position_mult`` per position) and sum sigma_j(``bases[slot[k]]``), j^-1 =
-    ``jinv[k]``, whose histogram is row k of ``permute(base_hist)``.
-    ``first`` holds the arrays a and c of each orbit's first position (a, c)."""
+    ``jinv[k]``, whose histogram is row k of ``permute(base_hist)`` and whose
+    reduced row is ``eps[k]``.  ``first`` holds the arrays a and c of each
+    orbit's first position (a, c)."""
 
     spec: ff.FieldSpec
     rows: tuple
@@ -237,11 +226,24 @@ class EpsilonOrbits:
         return base_hist[self.slot[ks, None], np.arange(n) * self.jinv[ks, None] % n]
 
     @cached_property
+    def eps(self) -> np.ndarray:
+        """Every orbit's reduced eps row, gathered once per table."""
+        cspec = self.bases[0].spec
+        eps = np.empty((len(self.mults), cspec.phi), np.int64)
+        for lo in range(0, len(eps), 64):  # no full-size gather index or histogram is held
+            eps[lo:lo + 64] = cyclo.reduce_rows(cspec, self.permute(self.base_hist,
+                                                                    slice(lo, lo + 64)))
+        return eps
+
+    @cached_property
     def squares(self) -> np.ndarray:
-        """The bases' squares as histograms: sigma_j(eps^2) = sigma_j(eps)^2, so
-        ``permute(squares, ks)`` gives the orbits' squares."""
+        """The bases' squares as histograms: sigma_j(eps^2) = sigma_j(eps)^2."""
         return cyclo.histogram_rows(self.bases[0].spec, [(e * e).coeffs for e in self.bases],
                                     self.spec.q ** 2)
+
+    def square_rows(self, ks) -> np.ndarray:
+        """The reduced eps^2 rows of the orbits ks, from the bases' squares."""
+        return cyclo.reduce_rows(self.bases[0].spec, self.permute(self.squares, ks))
 
 
 def _raw_id(spec: ff.FieldSpec, a, c):
@@ -303,42 +305,42 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     return orbits
 
 
-def epsilon_family(spec: ff.FieldSpec, orbits: EpsilonOrbits | None = None):
+def epsilon_family(orbits: EpsilonOrbits):
     """The (eps, multiplicity) classes carried by the odd-q spectrum.
 
-    Yields ((a, c) label, eps, multiplicity) for each position of ``orbits``
-    (``epsilon_orbits(spec)`` unless the caller has it); for p = 3 the label's c
-    is the Teichmueller index of the GR(9,e) family t^3 + 3*c*t.  Every position
-    of an orbit yields that orbit's CycInt object.
+    Yields ((a, c) label, eps, multiplicity) for each position of ``orbits``, row
+    by row of its position grid; for p = 3 the label's c is the Teichmueller index
+    of the GR(9,e) family t^3 + 3*c*t.  Every position of an orbit yields that
+    orbit's CycInt object, built from its row of ``orbits.eps``.
     """
-    if orbits is None:
-        orbits = epsilon_orbits(spec)
     cspec, mult = orbits.bases[0].spec, orbits.position_mult
-    sums = [CycInt(cspec, e) for e in cyclo.reduce_rows(cspec, orbits.permute(
-        orbits.base_hist)).tolist()]
+    sums = [CycInt(cspec, e) for e in orbits.eps.tolist()]
     for a, row in zip(orbits.rows, orbits.orbit):
         for c, k in enumerate(row.tolist()):
             yield (a, c), sums[k], mult
 
 
 def eps_classes(orbits: EpsilonOrbits, ks, mults) -> list:
-    """(eps^2 - q, multiplicity) pairs of the orbits ``ks``, orbit ks[i] carrying mults[i].
+    """(eps^2 - q, multiplicity) pairs of the orbits ``ks`` (a slice or a list of
+    orbit ids), orbit ks[i] carrying mults[i].
 
     Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
     eps = +-eps': the orbit rows are merged on +-eps first, and each group, in
-    first-seen order with its first eps, takes its row of the bases' squares.
+    first-seen order with its first eps, takes its row of ``square_rows``.
     """
     cspec, q, pairs = orbits.bases[0].spec, orbits.spec.q, []
+    rows = orbits.eps[ks]  # a view for a slice, one gather for a list
+    ids = range(len(orbits.mults))[ks] if isinstance(ks, slice) else ks
     groups = {}  # +-eps, first nonzero coefficient > 0, as bytes -> [orbit, its eps, mult]
-    for lo in range(0, len(ks), 64):  # 64 orbits' rows at a time
-        eps = cyclo.reduce_rows(cspec, orbits.permute(orbits.base_hist, ks[lo:lo + 64]))
+    for lo in range(0, len(ids), 64):  # 64 orbits' rows at a time
+        eps = rows[lo:lo + 64]
         sign = np.sign(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)])[:, None]
-        for k, e, key, mult in zip(ks[lo:lo + 64], eps, map(bytes, eps * sign), mults[lo:]):
+        for k, e, key, mult in zip(ids[lo:lo + 64], eps, map(bytes, eps * sign), mults[lo:]):
             groups.setdefault(key, [k, e, 0])[2] += mult
-    firsts, eps, mults = map(list, zip(*groups.values()))  # eps: int64 rows of the blocks
+    firsts, eps, mults = map(list, zip(*groups.values()))  # eps: rows of ``rows``
     del groups  # the groups' byte copies
     for lo in range(0, len(firsts), 64):  # 64 groups' squares at a time
-        sq = cyclo.reduce_rows(cspec, orbits.permute(orbits.squares, firsts[lo:lo + 64]))
+        sq = orbits.square_rows(firsts[lo:lo + 64])
         for m, e, s, x in zip(mults[lo:], eps[lo:], sq, cyclo.embed_rows(cspec, sq).tolist()):
             pairs.append((ExactValue.eps2q(cspec, e, s, x, q), m))
     return pairs
@@ -359,7 +361,7 @@ def spectrum_odd(spec: ff.FieldSpec,
         (ExactValue.integer(q), q * (q - 1) ** 2),
         (ExactValue.integer(0), 3 * q * (q - 1)),
         (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
-    ] + eps_classes(orbits, range(len(orbits.mults)), orbits.mults)
+    ] + eps_classes(orbits, slice(None), orbits.mults)
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 

@@ -237,5 +237,7 @@ def weil_check(spec: CycSpec, rows: np.ndarray, q: int) -> np.ndarray:
     """2*sqrt(q) - |eps| of each coefficient row eps: Weil's bound for a cubic f
     holds where the margin is >= 0, up to float error.  eps is summed left to
     right, as ``embed`` sums, so each |eps| is ``abs(embed(CycInt(spec, row)))``."""
-    z = np.cumsum(rows * np.array(spec.roots[:spec.phi]), axis=-1)[..., -1]
-    return 2 * float(q) ** 0.5 - np.abs(z)
+    roots, size = np.array(spec.roots[:spec.phi]), np.empty(len(rows))
+    for lo in range(0, len(rows), 64):  # the complex temporaries stay 64 rows small
+        size[lo:lo + 64] = np.abs(np.cumsum(rows[lo:lo + 64] * roots, axis=-1)[:, -1])
+    return 2 * float(q) ** 0.5 - size

@@ -161,7 +161,8 @@ class CompareReport:
 
 def compare_spectra(exact: SpectrumMultiset, numeric: NumericSpectrum,
                     tol: float = 1e-6) -> CompareReport:
-    """Greedy sorted matching; per-entry tolerance tol * max(1, |lambda|)."""
+    """Greedy sorted matching; per-entry tolerance tol * max(1, |lambda|).  Each exact
+    entry owns its run of slots in ``expand()`` and counts the partners within it."""
     if exact.total != numeric.n:
         raise TotalMismatchError(
             f"total mismatch {exact.total} vs {numeric.n}")
@@ -171,11 +172,11 @@ def compare_spectra(exact: SpectrumMultiset, numeric: NumericSpectrum,
     rel = devs / scale
     worst = int(np.argmax(rel))
     passed = bool(rel[worst] <= tol)
-    mismatches = []
-    for e in exact.entries:
-        window = tol * max(1.0, abs(e.approx))
-        observed = int(np.count_nonzero(
-            np.abs(numeric.values - e.approx) <= window))
+    within = np.concatenate([[0], np.cumsum(rel <= tol)])  # matched slots below each slot
+    mismatches, end = [], exact.total
+    for e in exact.entries:  # descending, so their runs end where the last one began
+        observed = int(within[end] - within[end - e.multiplicity])
+        end -= e.multiplicity
         if observed != e.multiplicity:
             mismatches.append(ClusterMismatch(e.approx, e.multiplicity, observed))
     return CompareReport(passed=passed, n=numeric.n,

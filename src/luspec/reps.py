@@ -239,16 +239,15 @@ def eigen_via_epsilon(orbits: closedform.EpsilonOrbits, alpha: int,
 def conjugacy_class_data(spec: FieldSpec):
     """(class count, size histogram) of G by exhaustive orbit computation."""
     q = spec.q
-    n = q ** 4
-    idx = np.arange(n, dtype=np.int64)
-    T, U, V, W = idx % q, (idx // q) % q, (idx // q ** 2) % q, idx // q ** 3
+    idx = np.arange(q ** 4, dtype=np.int64)
+    T, U, V, W = graphs.vertex_coords(q, idx)
     two = 2 % spec.p
     orbmin = idx.copy()
     # h g h^-1 = g(t, u, v + 2*(t*uh - u*th), w) depends on h only through (th, uh)
     for th in range(q):
         for uh in range(q):
             shift = spec.mul(two, spec.sub(spec.mul(T, uh), spec.mul(U, th)))
-            conj = T + q * U + q * q * spec.add(V, shift) + q ** 3 * W
+            conj = graphs.vertex_index(q, (T, U, spec.add(V, shift), W))
             np.minimum(orbmin, conj, out=orbmin)
     classes, sizes = np.unique(orbmin, return_counts=True)
     hist: dict[int, int] = {}

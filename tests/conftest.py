@@ -347,6 +347,20 @@ def builders_reference():
         connection_index_tuples=_connection_index_tuples)
 
 
+def _eps2q(eps: CycInt, q: int) -> closedform.ExactValue:
+    """The value eps^2 - q of one CycInt eps, squared by CycInt arithmetic."""
+    e2 = eps * eps
+    return closedform.ExactValue.eps2q(eps.spec, np.array(eps.coeffs, dtype=np.int64),
+                                       np.array(e2.coeffs, dtype=np.int64),
+                                       cyclo.embed(e2).real, q)
+
+
+@pytest.fixture(scope="session")
+def eps2q():
+    """eps2q(eps, q): ExactValue.eps2q of a CycInt eps and its CycInt square."""
+    return _eps2q
+
+
 # The epsilons table as one dict per row, written by csv.DictWriter: every
 # cell of every row formatted and CSV-quoted at that row.
 
@@ -357,7 +371,7 @@ def _epsilons_reference(q: int, fmt: str) -> str:
     reps_set = closedform.representatives(spec.p) if prime_field else None
     rows = []
     columns: dict = {}  # eps -> its columns, shared by the positions of an orbit
-    for (a, c), eps, _mult in closedform.epsilon_family(spec):
+    for (a, c), eps, _mult in closedform.epsilon_family(closedform.epsilon_orbits(spec)):
         cols = columns.get(eps)
         if cols is None:
             cols = columns[eps] = {
@@ -365,7 +379,7 @@ def _epsilons_reference(q: int, fmt: str) -> str:
                 if reps_set is not None else "a*t^3+c*t",
                 "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
                 "eps_float": f"{cyclo.embed(eps).real:.10g}",
-                "eps_sq_minus_q": closedform.ExactValue.eps_shift(eps, q).serial(),
+                "eps_sq_minus_q": _eps2q(eps, q).serial(),
                 "weil_margin": f"{2 * float(q) ** 0.5 - abs(cyclo.embed(eps)):.10g}",
                 "fiber_profile": "|".join(
                     str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))

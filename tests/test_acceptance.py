@@ -76,7 +76,7 @@ def test_criterion_4_q7_and_q9(graph):
     _report(4, "q=7 (13 distinct roots) and q=9 (GR(9,2) route) vs oracle", t0)
 
 
-def test_criterion_5_exponent_arbitration_q5(numeric):
+def test_criterion_5_exponent_arbitration_q5(numeric, eps2q):
     t0 = time.time()
     q = 5
     spec = ff.ff_make(5, 1)
@@ -91,7 +91,7 @@ def test_criterion_5_exponent_arbitration_q5(numeric):
              (ExactValue.integer(-q), (q - 1) * (2 * q * q - 2 * q + 1))]
     for c in range(1, q):
         eps = cyclo.exp_sum_field([0, c, 0, 1], spec)
-        pairs.append((ExactValue.eps_shift(eps, q), q * (q - 1)))
+        pairs.append((eps2q(eps, q), q * (q - 1)))
     displayed = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=385)
     assert displayed.total == 385
     with pytest.raises(oracle.TotalMismatchError, match="385 vs 625"):

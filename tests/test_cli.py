@@ -157,7 +157,7 @@ def test_verify_fails_a_sum_outside_the_weil_bound(capsys, monkeypatch):
 
 
 def test_verify_checks_the_weil_bound_without_per_orbit_sums(capsys, monkeypatch):
-    # the margins come from the table's rows in blocks: no embed, and CycInts
+    # the margins come from the table's rows in one call: no embed, and CycInts
     # only for each Galois base's sum and its square
     table = closedform.epsilon_orbits(ff.field_for(967))
     calls = {"__init__": 0, "embed": 0}
@@ -169,8 +169,7 @@ def test_verify_checks_the_weil_bound_without_per_orbit_sums(capsys, monkeypatch
         return wrapper
 
     monkeypatch.setattr(cyclo.CycInt, "__init__", counted(cyclo.CycInt.__init__))
-    for owner in (cyclo, closedform):
-        monkeypatch.setattr(owner, "embed", counted(cyclo.embed))
+    monkeypatch.setattr(cyclo, "embed", counted(cyclo.embed))  # closedform reaches it only here
     code, out, _ = run(capsys, ["verify", "--q", "967", "--no-timestamp"])
     assert code == 0 and out.endswith("all checks passed\n")
     assert len(table.mults) == 967 + 2
@@ -323,6 +322,20 @@ def test_epsilons_match_row_loop(q, fmt, capsys, epsilons_reference):
     assert code == 0 and out == epsilons_reference(q, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_epsilons_file_is_written_in_blocks_of_rows(fmt, tmp_path):
+    # the rows go to the file a block at a time: the table is never one string
+    closedform.epsilon_orbits(ff.field_for(169))  # the cached field and cyclotomic spec
+    path = tmp_path / f"eps.{fmt}"
+    tracemalloc.start()
+    try:
+        assert cli.main(["epsilons", "--q", "169", "--format", fmt, "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
 def test_epsilons_out_file_with_timestamp(tmp_path, capsys):
     _, stdout, _ = run(capsys, ["epsilons", "--q", "13", "--no-timestamp"])
     path = tmp_path / "eps.csv"
@@ -337,8 +350,8 @@ def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
     # fiber profile per orbit, one square per Galois base, no per-orbit sums and
     # one bulk Weil check
     table = closedform.epsilon_orbits(ff.field_for(61))
-    calls = {"representative_of": 0, "fiber_profile": 0, "__mul__": 0,
-             "eps_shift": 0, "embed": 0, "weil_check": 0}
+    calls = {"representative_of": 0, "fiber_profile": 0, "__mul__": 0, "embed": 0,
+             "weil_check": 0}
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -350,16 +363,12 @@ def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
                         counted(closedform.RepresentativeSet.representative_of))
     monkeypatch.setattr(closedform, "fiber_profile", counted(closedform.fiber_profile))
     monkeypatch.setattr(cyclo.CycInt, "__mul__", counted(cyclo.CycInt.__mul__))
-    monkeypatch.setattr(closedform.ExactValue, "eps_shift",
-                        staticmethod(counted(closedform.ExactValue.eps_shift)))
-    for owner in (cyclo, closedform):
-        monkeypatch.setattr(owner, "embed", counted(cyclo.embed))
+    monkeypatch.setattr(cyclo, "embed", counted(cyclo.embed))  # closedform reaches it only here
     monkeypatch.setattr(cyclo, "weil_check", counted(cyclo.weil_check))
     code, out, _ = run(capsys, ["epsilons", "--q", "61", "--no-timestamp"])
     assert code == 0 and len(table.mults) == 61 + 2
     assert calls == {"representative_of": 61 + 2, "fiber_profile": 61 + 2,
-                     "__mul__": len(table.bases), "eps_shift": 0, "embed": 0,
-                     "weil_check": 1}
+                     "__mul__": len(table.bases), "embed": 0, "weil_check": 1}
     assert out.count("\r\n") == 1 + 60 * 61
 
 

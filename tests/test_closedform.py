@@ -31,18 +31,23 @@ def elementary_symmetric(values):
     return es[1:]
 
 
+def eps_of(v):
+    """The CycInt eps of an eps^2 - q or +-|eps| value, from its row."""
+    return cyclo.CycInt(v.cspec, v.row.tolist())
+
+
 def shifted_values(entries):
-    return [e.value.eps * e.value.eps - e.value.q for e in entries]
+    return [eps_of(e.value) * eps_of(e.value) - e.value.q for e in entries]
 
 
-def test_exact_value_normalization():
+def test_exact_value_normalization(eps2q):
     assert ExactValue.sqrt(1, 9) == ExactValue.integer(3)
     assert ExactValue.sqrt(-1, 0) == ExactValue.integer(0)
     assert ExactValue.sqrt(1, 10) != ExactValue.sqrt(-1, 10)
     c5 = cyclo.cyc_spec(5)
     root5 = -(cyclo.CycInt.integer(c5, 1) + 2 * cyclo.zeta(c5, 2)
               + 2 * cyclo.zeta(c5, 3))  # sqrt(5) as a cyclotomic integer
-    assert ExactValue.eps_shift(root5, 5) == ExactValue.integer(0)
+    assert eps2q(root5, 5) == ExactValue.integer(0)
     _, neg = next(_abs_eps_pairs(c5, [root5.coeffs]))
     assert neg.kind == "eps" and neg.approx == pytest.approx(-math.sqrt(5))
 
@@ -115,7 +120,7 @@ def test_spectrum_q5_explicit():
 
 def test_spectrum_q9_structure():
     spec = ff.field_for(9)
-    fam = list(closedform.epsilon_family(spec))
+    fam = list(closedform.epsilon_family(closedform.epsilon_orbits(spec)))
     assert len(fam) == 9  # one class per Teichmueller parameter
     s = spectrum_odd(spec)
     assert s.total == 9 ** 4
@@ -126,7 +131,7 @@ def test_spectrum_q9_structure():
 @pytest.mark.parametrize("q", [7, 13, 19, 25, 31, 49])
 def test_epsilon_family_is_the_literal_sum_at_every_position(q):
     spec = ff.field_for(q)
-    fam = list(closedform.epsilon_family(spec))
+    fam = list(closedform.epsilon_family(closedform.epsilon_orbits(spec)))
     want = [((a, c), cyclo.exp_sum_field([0, c, 0, a], spec), q * (q - 1))
             for a in range(1, q) for c in range(q)]
     assert fam == want
@@ -162,7 +167,7 @@ def test_position_grid_is_built_on_first_read(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 31])
-def test_spectrum_odd_matches_one_square_per_position(q):
+def test_spectrum_odd_matches_one_square_per_position(q, eps2q):
     # the +-eps merge must give what squaring every position's eps gives,
     # down to the eps each entry prints
     spec = ff.field_for(q)
@@ -170,8 +175,8 @@ def test_spectrum_odd_matches_one_square_per_position(q):
              (ExactValue.integer(q), q * (q - 1) ** 2),
              (ExactValue.integer(0), 3 * q * (q - 1)),
              (ExactValue.integer(-q), (q - 1) * (q * q - q + 1))]
-    pairs += [(ExactValue.eps_shift(eps, q), mult)
-              for _, eps, mult in closedform.epsilon_family(spec)]
+    pairs += [(eps2q(eps, q), mult)
+              for _, eps, mult in closedform.epsilon_family(closedform.epsilon_orbits(spec))]
     want = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
     assert spectrum_odd(spec).to_json_dict() == want.to_json_dict()
 
@@ -182,7 +187,7 @@ def test_weil_envelope(q):
     s = spectrum_odd(ff.field_for(q))
     for e in s.entries:
         if e.value.kind == "eps2q":
-            assert abs(cyclo.embed(e.value.eps)) <= 2 * math.sqrt(q) + 1e-9
+            assert abs(cyclo.embed(eps_of(e.value))) <= 2 * math.sqrt(q) + 1e-9
     trivially_ok = {q * (q - 1), q, 0, -q}
     for e in s.entries:
         if e.value.kind == "int" and e.value.ival not in trivially_ok:
@@ -190,7 +195,7 @@ def test_weil_envelope(q):
             assert abs(e.value.ival + q) <= 4 * q + 1e-9
 
 
-def prime_spectrum_pairs(p, gr_sum_reference):
+def prime_spectrum_pairs(p, gr_sum_reference, eps2q):
     """The Gamma(4,p) classes assembled independently of epsilon_family:
     from the representative cubics for p >= 5, from literal GR(9,1)
     arithmetic for p = 3."""
@@ -201,19 +206,19 @@ def prime_spectrum_pairs(p, gr_sum_reference):
     spec = ff.ff_make(p, 1)
     if p == 3:
         for c in range(3):
-            pairs.append((ExactValue.eps_shift(gr_sum_reference(c, 1), 3), 12))
+            pairs.append((eps2q(gr_sum_reference(c, 1), 3), 12))
         return pairs
     for a, c in closedform.representatives(p).members:
         eps = cyclo.exp_sum_field([0, c, 0, a], spec)
         mult = p * (p - 1) ** 2 // (3 if c == 0 and p % 3 == 1 else 1)
-        pairs.append((ExactValue.eps_shift(eps, p), mult))
+        pairs.append((eps2q(eps, p), mult))
     return pairs
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_spectrum_prime_consistent_with_odd(p, gr_sum_reference):
+def test_spectrum_prime_consistent_with_odd(p, gr_sum_reference, eps2q):
     want = SpectrumMultiset.assemble("GAMMA4", p,
-                                     prime_spectrum_pairs(p, gr_sum_reference),
+                                     prime_spectrum_pairs(p, gr_sum_reference, eps2q),
                                      expected_total=p ** 4)
     assert entries_dict(spectrum_odd(ff.ff_make(p, 1))) == entries_dict(want)
 
@@ -245,7 +250,7 @@ def test_exact_moments(q):
     moments = [0, 0, 0, 0]
     for e in spectrum_closed(ff.field_for(q)).entries:
         v = e.value
-        lam = v.ival if v.kind == "int" else v.eps * v.eps - v.q
+        lam = v.ival if v.kind == "int" else eps_of(v) * eps_of(v) - v.q
         power = 1
         for k in range(4):
             moments[k] = moments[k] + e.multiplicity * power
@@ -512,7 +517,7 @@ def test_lift_negation_symmetry():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13, 25, 27, 61, 125])
-def test_lift_round_trip(q):
+def test_lift_round_trip(q, eps2q):
     # lambda -> lambda^2 - q, in exact arithmetic, takes D(4,q) back to
     # Gamma(4,q): each +- pair, and 0 at doubled multiplicity, gives 2m
     gam = spectrum_closed(ff.field_for(q))
@@ -524,7 +529,7 @@ def test_lift_round_trip(q):
         elif v.kind == "sqrt":
             image = ExactValue.integer(v.radicand - q)
         else:  # +-|eps|: |eps| squared from its row
-            image = ExactValue.eps_shift(v.eps, q)
+            image = eps2q(eps_of(v), q)
         back[image.key] = back.get(image.key, 0) + e.multiplicity
     assert back == {key: 2 * m for key, m in entries_dict(gam).items()}
 
@@ -544,8 +549,8 @@ def test_lifted_pair_shares_one_row_and_one_text(q):
         assert plus.row is minus.row
         assert plus.serial()[1:] == minus.serial()[1:]  # "+|eps|, ..." and "-|eps|, ..."
         assert plus.text is minus.text
-        assert plus.text == str(list(plus.eps.coeffs))
-        assert cyclo.embed(plus.eps).real == pytest.approx(plus.approx)
+        assert plus.text == str(list(eps_of(plus).coeffs))
+        assert cyclo.embed(eps_of(plus)).real == pytest.approx(plus.approx)
 
 
 def test_d4_spectrum_builds_no_cyc_int_per_class(monkeypatch):
@@ -578,7 +583,7 @@ def test_lift_rejects():
         lift_to_bipartite(corrupted, 3)  # eigenvalue below -q
 
 
-def test_exponent_variant_fails_degree_count():
+def test_exponent_variant_fails_degree_count(eps2q):
     # the per-class exponent q(q-1) instead of q(q-1)^2 undercounts: 385 != 625
     q = 5
     spec = ff.ff_make(5, 1)
@@ -588,7 +593,7 @@ def test_exponent_variant_fails_degree_count():
              (ExactValue.integer(-q), (q - 1) * (2 * q * q - 2 * q + 1))]
     for c in range(1, q):
         eps = cyclo.exp_sum_field([0, c, 0, 1], spec)
-        pairs.append((ExactValue.eps_shift(eps, q), q * (q - 1)))
+        pairs.append((eps2q(eps, q), q * (q - 1)))
     bad = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=385)
     assert bad.total == 385
     with pytest.raises(ValueError):

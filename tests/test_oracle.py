@@ -245,6 +245,21 @@ def test_compare_detects_wrong_multiplicity(numeric):
     assert rep.text().startswith("FAIL")
 
 
+def test_compare_matches_each_class_to_its_own_slots():
+    # the windows 1e-6 * 10^6 = 1 of 10^6 and 10^6 + 1 each hold both numeric
+    # values, but each class observes only the partners of its own slot
+    exact = SpectrumMultiset.assemble("GAMMA4", 2, [(ExactValue.integer(10 ** 6), 1),
+                                                    (ExactValue.integer(10 ** 6 + 1), 1)],
+                                      expected_total=2)
+    rep = oracle.compare_spectra(exact, oracle.NumericSpectrum(np.array([1e6, 1e6 + 1])),
+                                 tol=1e-6)
+    assert rep.passed and rep.mismatches == ()
+    swapped = oracle.compare_spectra(exact, oracle.NumericSpectrum(np.array([1e6, 1e6 + 3])),
+                                     tol=1e-6)
+    assert not swapped.passed
+    assert [(m.value, m.expected, m.observed) for m in swapped.mismatches] == [(1e6 + 1, 1, 0)]
+
+
 def test_bipartite_numeric_symmetry(numeric):
     ns = numeric("d4", 3)
     assert np.allclose(ns.values, -ns.values[::-1], atol=1e-9)

@@ -217,7 +217,7 @@ def test_eigen_via_epsilon_matches_numeric(q):
             assert np.abs(numeric - exact).max() < 1e-9
 
 
-def _eigen_per_position(spec, alpha, beta):
+def _eigen_per_position(spec, alpha, beta, eps2q):
     """M[alpha,beta](S)'s multiset by one sum and one square per position c in F."""
     q = spec.q
     if spec.p == 3:
@@ -226,20 +226,20 @@ def _eigen_per_position(spec, alpha, beta):
     else:
         a = spec.pow(spec.mul(3 % spec.p, spec.mul(alpha, beta)), -1)
         sums = [cyclo.exp_sum_field([0, c, 0, a], spec) for c in range(q)]
-    pairs = [(closedform.ExactValue.eps_shift(eps, q), 1) for eps in sums]
+    pairs = [(eps2q(eps, q), 1) for eps in sums]
     return closedform.SpectrumMultiset.assemble(f"M[{alpha},{beta}]", q, pairs,
                                                 expected_total=q)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
-def test_eigen_via_epsilon_is_the_per_position_route(q):
+def test_eigen_via_epsilon_is_the_per_position_route(q, eps2q):
     # exact values, serials, floats, multiplicities and order, at every block
     spec = F(q)
     orbits = closedform.epsilon_orbits(spec)
     for a in range(1, q):
         for b in range(1, q):
             got = reps.eigen_via_epsilon(orbits, a, b).to_json_dict()
-            assert got == _eigen_per_position(spec, a, b).to_json_dict(), (a, b)
+            assert got == _eigen_per_position(spec, a, b, eps2q).to_json_dict(), (a, b)
 
 
 @pytest.mark.parametrize("q", [7, 11, 13, 61])

@@ -11,6 +11,8 @@ import sys
 import tokenize
 from pathlib import Path
 
+import numpy as np
+
 import luspec
 from luspec import cli, closedform, cyclo
 
@@ -59,6 +61,45 @@ def test_modules_stay_under_the_parser_token_step():
         with path.open("rb") as f:
             counts[path.name] = sum(t.type not in skip for t in tokenize.tokenize(f.readline))
     assert {name: n for name, n in counts.items() if n >= 4096} == {}
+
+
+# EpsilonOrbits' histogram fields and the Galois permutation that reads them
+_TABLE_HISTOGRAMS = {"base_hist", "permute", "squares", "slot", "jinv"}
+
+
+def test_only_closedform_reads_the_orbit_table_histograms():
+    # the table's histogram format is closedform's own: the other modules read its
+    # reduced rows (EpsilonOrbits.eps, square_rows), and cli reduces no histogram
+    found = []
+    for name, node in _nodes():
+        read = getattr(node, "attr", None) or getattr(node, "id", None)  # x.read or read
+        if (name != "closedform.py" and isinstance(node, ast.Attribute)
+                and read in _TABLE_HISTOGRAMS or name == "cli.py" and read == "reduce_rows"):
+            found.append(f"{name}:{node.lineno} {read}")
+    assert found == []
+
+
+def test_each_orbit_row_is_gathered_once(monkeypatch):
+    # verify and epsilons read every eps row from the table's one gather; the
+    # only other rows gathered are the construction guard's, one per base
+    gathered, tables = [], []
+    real_permute, real_orbits = closedform.EpsilonOrbits.permute, closedform.epsilon_orbits
+
+    def permute(self, hist, ks=slice(None)):
+        if hist is self.base_hist:
+            gathered.append(np.arange(len(self.mults))[ks].size)
+        return real_permute(self, hist, ks)
+
+    monkeypatch.setattr(closedform.EpsilonOrbits, "permute", permute)
+    monkeypatch.setattr(closedform, "epsilon_orbits",
+                        lambda spec: tables.append(real_orbits(spec)) or tables[-1])
+    for argv in (["verify", "--q", "61"], ["epsilons", "--q", "61"]):
+        gathered.clear()
+        tables.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--no-timestamp"]) == 0, argv
+        (table,) = tables
+        assert sum(gathered) == len(table.mults) + len(table.bases) == 63 + 3, argv
 
 
 def test_traced_functions_exist():
