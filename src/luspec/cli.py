@@ -264,10 +264,9 @@ def cmd_epsilons(args) -> int:
         cells = [(o[0].ljust(widths[0]) + "  ", "  " + "  ".join(
             x.ljust(w) for x, w in zip(o[1:], widths[1:])) + "\n") for o in orbits]
     a_text, c_text = ([str(x).ljust(w) for x in range(q)] for w in (wa, wc))
-    # epsilon_family walks the orbit grid row by row, so each position meets its orbit k
-    rows = (f"{head}{a_text[a]}{sep}{c_text[c]}{tail}" for ((a, c), _, _), k in zip(
-        closedform.epsilon_family(table), itertools.chain.from_iterable(
-            row.tolist() for row in table.orbit)) for head, tail in [cells[k]])
+    # each position (a, c), row by row, between the cells of its orbit k
+    rows = (f"{head}{a_text[a]}{sep}{c_text[c]}{tail}"
+            for (a, c), k in closedform.epsilon_family(table) for head, tail in [cells[k]])
     stamp = _stamp(args)
     header = (f"# generated={stamp}\n" if stamp and args.format == "csv" else "") + header
     blocks = iter(lambda: "".join(itertools.islice(rows, 1024)), "")  # until one is empty

@@ -20,7 +20,7 @@ that conservation laws and the numeric oracle rule out:
 For p >= 5, Gal(Q(zeta_p)/Q) = F_p^* acts by sigma_j(eps_{a,c}) = eps_{ja,jc}, i.e.
 h'[j*s mod p] = h[s] on histograms (Washington, *Introduction to Cyclotomic Fields*,
 ch. 2), so one sum and one exact square serve each Galois orbit.  RuntimeError guards
-(kept under -O): one (base, j) per orbit; totals q, q^2; one row per base rechecked.
+(kept under -O): every orbit met, with one (base, j); totals q, q^2; a row per base rechecked.
 
 Values are merged by exact equality of canonical cyclotomic forms, never by
 float proximity.  The bipartite lift sends an eigenvalue m of Gamma to the
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cyclo, ff, gr9
-from .cyclo import CycInt, exp_sum_field, exp_sum_gr, trace_histogram
+from .cyclo import exp_sum_field, exp_sum_gr, trace_histogram
 
 
 class ExactValue:
@@ -215,11 +215,6 @@ class EpsilonOrbits:
     def ids(self, a, c) -> np.ndarray:
         return self.rank[_raw_id(self.spec, a, c)]
 
-    @cached_property
-    def orbit(self) -> np.ndarray:
-        """The (rows x q) grid of orbit ids, built when first read."""
-        return self.ids(np.array(self.rows)[:, None], np.arange(self.spec.q))
-
     def permute(self, base_hist, ks=slice(None)) -> np.ndarray:
         """Rows ks from one histogram h per base: sigma_j(h)[s] = h[j^-1 * s]."""
         n = base_hist.shape[1]
@@ -269,16 +264,21 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
     q = spec.q
     if q % 2 == 0:
         raise ValueError("the cubic family exists for odd q only")
-    if q % 3 == 1:
+    if q % 3 == 1:  # positions per raw id: q - 1 per (g^k, 1), (q - 1)/3 per (g^i, 0)
         rows, position_mult = tuple(range(1, q)), q * (q - 1)
+        counts = np.repeat([q - 1, (q - 1) // 3], [q - 1, 3])
+    else:  # one position per c
+        rows, position_mult, counts = (1,), q * (q - 1) ** 2, np.ones(q, int)
+    first, cs = np.full(len(counts), -1), np.arange(q)  # each raw id's first position
+    for i, row in enumerate(rows):  # row a meets the ids of a's cube coset only
+        ids, at = np.unique(_raw_id(spec, row, cs), return_index=True)
+        first[ids] = np.where(first[ids] < 0, i * q + at, first[ids])  # met before: kept
+        if first.min() >= 0:  # every raw id met: at most 41 rows for a prime q < 30000
+            break
     else:
-        rows, position_mult = (1,), q * (q - 1) ** 2
-    raw = _raw_id(spec, np.array(rows)[:, None], np.arange(q)[None, :])
-    counts = np.bincount(raw.ravel())
-    first = np.full(len(counts), raw.size)  # each raw id's first position
-    np.minimum.at(first, raw.ravel(), np.arange(raw.size))
-    perm = np.argsort(first)  # raw ids in first-seen order, then the ids never seen
-    order, rank = perm[:np.count_nonzero(counts)], np.argsort(perm)
+        raise RuntimeError(f"q={q}: a scaling orbit is met at no position")
+    order = np.argsort(first)  # raw ids in first-seen order
+    rank = np.argsort(order)
     a, c = np.divmod(first[order] + q, q)  # each orbit's first position (a, c)
     base = list(range(len(order))) if spec.p == 3 else [-1] * len(order)
     j, js = [1] * len(order), np.arange(1, spec.p)  # p = 3: j = 1
@@ -306,18 +306,12 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
 
 
 def epsilon_family(orbits: EpsilonOrbits):
-    """The (eps, multiplicity) classes carried by the odd-q spectrum.
-
-    Yields ((a, c) label, eps, multiplicity) for each position of ``orbits``, row
-    by row of its position grid; for p = 3 the label's c is the Teichmueller index
-    of the GR(9,e) family t^3 + 3*c*t.  Every position of an orbit yields that
-    orbit's CycInt object, built from its row of ``orbits.eps``.
-    """
-    cspec, mult = orbits.bases[0].spec, orbits.position_mult
-    sums = [CycInt(cspec, e) for e in orbits.eps.tolist()]
-    for a, row in zip(orbits.rows, orbits.orbit):
-        for c, k in enumerate(row.tolist()):
-            yield (a, c), sums[k], mult
+    """((a, c), k) for each position of ``orbits``, row by row: (a, c) lies on orbit k.
+    For p = 3, c is the Teichmueller index of the GR(9,e) family t^3 + 3*c*t."""
+    cs = np.arange(orbits.spec.q)
+    for a in orbits.rows:
+        for c, k in enumerate(orbits.ids(a, cs).tolist()):
+            yield (a, c), k
 
 
 def eps_classes(orbits: EpsilonOrbits, ks, mults) -> list:

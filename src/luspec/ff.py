@@ -50,6 +50,11 @@ class SizeBudgetError(ValueError):
     """Raised when a construction exceeds its size bound."""
 
 
+def _check_size(q: int) -> None:
+    if q > DEFAULT_MAX_Q:
+        raise SizeBudgetError(f"q={q} exceeds the size bound {DEFAULT_MAX_Q}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -199,13 +204,12 @@ class FieldSpec:
     __slots__ = ("p", "e", "q", "modulus", "exp", "log", "trace", "_weights")
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
         q = p ** e
-        if q > DEFAULT_MAX_Q:
-            raise SizeBudgetError(f"q={q} exceeds the size bound {DEFAULT_MAX_Q}")
+        _check_size(q)  # before is_prime(p), which trial-divides
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         self.p, self.e, self.q = p, e, q
         self.modulus = _smallest_irreducible(p, e)
         self._weights = [p ** j for j in range(e)]
@@ -367,6 +371,7 @@ def ff_make(p: int, e: int) -> FieldSpec:
 
 def field_for(q: int) -> FieldSpec:
     """Field of order q; rejects non prime powers."""
+    _check_size(q)  # before _prime_power(q), which trial-divides
     pe = _prime_power(q)
     if pe is None:
         raise ValueError(f"q={q} is not a prime power; the graphs are defined "

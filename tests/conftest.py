@@ -361,6 +361,17 @@ def eps2q():
     return _eps2q
 
 
+def _orbit_grid(orbits: closedform.EpsilonOrbits) -> np.ndarray:
+    """The (rows x q) grid of orbit ids: row i, column c holds ``ids(rows[i], c)``."""
+    return orbits.ids(np.array(orbits.rows)[:, None], np.arange(orbits.spec.q))
+
+
+@pytest.fixture(scope="session")
+def orbit_grid():
+    """orbit_grid(orbits): the orbit id of every position of an orbit table."""
+    return _orbit_grid
+
+
 # The epsilons table as one dict per row, written by csv.DictWriter: every
 # cell of every row formatted and CSV-quoted at that row.
 
@@ -371,7 +382,9 @@ def _epsilons_reference(q: int, fmt: str) -> str:
     reps_set = closedform.representatives(spec.p) if prime_field else None
     rows = []
     columns: dict = {}  # eps -> its columns, shared by the positions of an orbit
-    for (a, c), eps, _mult in closedform.epsilon_family(closedform.epsilon_orbits(spec)):
+    orbits = closedform.epsilon_orbits(spec)
+    for (a, c), k in closedform.epsilon_family(orbits):
+        eps = CycInt(orbits.bases[0].spec, orbits.eps[k])
         cols = columns.get(eps)
         if cols is None:
             cols = columns[eps] = {

@@ -553,3 +553,14 @@ def test_module_run_has_the_console_script_exit_codes():
         proc = subprocess.run([sys.executable, "-m", "luspec.cli", *argv], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == code and text in getattr(proc, stream), (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("q", [1000000000063000000000931,  # 81769 times a 20-digit cofactor
+                               4611686014132420609,  # (2^31 - 1)^2, a prime power
+                               (2 ** 61 - 1) ** 2])
+def test_huge_q_exits_2_before_any_factoring(q):
+    # the size bound is checked before q or p is trial-divided, which would not end
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "luspec.cli", "spectrum", "--q", str(q)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2 and "size bound" in proc.stderr, proc.stderr

@@ -2,6 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,39 +136,27 @@ def test_spectrum_q9_structure():
 @pytest.mark.parametrize("q", [7, 13, 19, 25, 31, 49])
 def test_epsilon_family_is_the_literal_sum_at_every_position(q):
     spec = ff.field_for(q)
-    fam = list(closedform.epsilon_family(closedform.epsilon_orbits(spec)))
+    orbits = closedform.epsilon_orbits(spec)
+    cspec = orbits.bases[0].spec
+    fam = [((a, c), cyclo.CycInt(cspec, orbits.eps[k]), orbits.position_mult)
+           for (a, c), k in closedform.epsilon_family(orbits)]
     want = [((a, c), cyclo.exp_sum_field([0, c, 0, a], spec), q * (q - 1))
             for a in range(1, q) for c in range(q)]
     assert fam == want
     # one sum per scaling orbit: (b, 1) for b != 0 and three cube cosets
-    assert len(closedform.epsilon_orbits(spec).mults) == q + 2
+    assert len(orbits.mults) == q + 2
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27, 31])
-def test_epsilon_orbits_in_first_seen_order(q):
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27, 31, 49, 121, 169, 343])
+def test_epsilon_orbits_in_first_seen_order(q, orbit_grid):
+    # the closed-form counts against a count over every position's orbit id
     orbits = closedform.epsilon_orbits(ff.field_for(q))
-    flat = orbits.orbit.ravel().tolist()
+    flat = orbit_grid(orbits).ravel()
     k = len(orbits.mults)
-    assert list(dict.fromkeys(flat)) == list(range(k))
-    assert list(orbits.mults) == [flat.count(i) * orbits.position_mult
-                                  for i in range(k)]
+    assert list(dict.fromkeys(flat.tolist())) == list(range(k))
+    assert list(orbits.mults) == (np.bincount(flat) * orbits.position_mult).tolist()
     # the eps classes fill what the four integer eigenvalues leave of q^4
     assert sum(orbits.mults) == q ** 2 * (q - 1) ** 2
-
-
-def test_position_grid_is_built_on_first_read(monkeypatch):
-    spec = ff.field_for(61)
-    orbits = closedform.epsilon_orbits(spec)
-    lift_to_bipartite(spectrum_odd(spec, orbits), 61)
-    assert "orbit" not in vars(orbits)
-    assert orbits.orbit.shape == (60, 61) and "orbit" in vars(orbits)
-
-    def no_grid(self):
-        raise AssertionError("the position grid was read")
-
-    monkeypatch.setattr(closedform.EpsilonOrbits, "orbit", property(no_grid))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "--q", "3,5,7,61", "--no-timestamp"]) == 0
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 31])
@@ -171,12 +164,13 @@ def test_spectrum_odd_matches_one_square_per_position(q, eps2q):
     # the +-eps merge must give what squaring every position's eps gives,
     # down to the eps each entry prints
     spec = ff.field_for(q)
+    orbits = closedform.epsilon_orbits(spec)
     pairs = [(ExactValue.integer(q * (q - 1)), 1),
              (ExactValue.integer(q), q * (q - 1) ** 2),
              (ExactValue.integer(0), 3 * q * (q - 1)),
              (ExactValue.integer(-q), (q - 1) * (q * q - q + 1))]
-    pairs += [(eps2q(eps, q), mult)
-              for _, eps, mult in closedform.epsilon_family(closedform.epsilon_orbits(spec))]
+    pairs += [(eps2q(cyclo.CycInt(orbits.bases[0].spec, orbits.eps[k]), q),
+               orbits.position_mult) for _, k in closedform.epsilon_family(orbits)]
     want = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
     assert spectrum_odd(spec).to_json_dict() == want.to_json_dict()
 
@@ -269,13 +263,13 @@ def _base_squares(orbits):
                                 [(e * e).coeffs for e in orbits.bases], q * q)
 
 
-def _check_orbit_table(q):
+def _check_orbit_table(q, orbit_grid):
     """Each orbit's permuted eps and eps^2 rows against its own sum, taken
     directly at the first position the family meets it, and that sum's CycInt
     square."""
     spec = ff.field_for(q)
     orbits = closedform.epsilon_orbits(spec)
-    flat = orbits.orbit.ravel()
+    flat = orbit_grid(orbits).ravel()
     _, first = np.unique(flat, return_index=True)  # orbit k first meets (a, c)
     a, c = orbits.first
     assert np.array_equal(np.divmod(first + q, q), (a, c))
@@ -300,14 +294,14 @@ def _check_orbit_table(q):
 
 
 @pytest.mark.parametrize("q", _odd_prime_powers(343))
-def test_orbit_table_matches_direct_sums(q):
-    _check_orbit_table(q)
+def test_orbit_table_matches_direct_sums(q, orbit_grid):
+    _check_orbit_table(q, orbit_grid)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("q", [q for q in _odd_prime_powers(1000) if q > 343])
-def test_orbit_table_matches_direct_sums_to_1000(q):
-    _check_orbit_table(q)
+def test_orbit_table_matches_direct_sums_to_1000(q, orbit_grid):
+    _check_orbit_table(q, orbit_grid)
 
 
 @pytest.mark.parametrize("q", [13, 81, 125, 257, 967])
@@ -376,6 +370,50 @@ def test_orbit_table_guards_the_galois_assignment(monkeypatch):
         closedform.epsilon_orbits(spec)
 
 
+_UNSEEN_ID = """
+import numpy as np
+from luspec import closedform, ff
+real = closedform._raw_id
+closedform._raw_id = lambda spec, a, c: np.maximum(real(spec, a, c), 1)  # never id 0
+closedform.epsilon_orbits(ff.field_for({q}))
+"""
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_orbit_table_guards_an_unseen_orbit(q):
+    # if the rows run out before every scaling orbit is met, the table raises,
+    # also with asserts stripped
+    env = {**os.environ, "PYTHONPATH": str(Path(closedform.__file__).resolve().parents[1])}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _UNSEEN_ID.format(q=q)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, (flags, proc.stderr)
+        assert "RuntimeError: q=%d: a scaling orbit is met at no position" % q in proc.stderr
+
+
+def _table_peak(q):
+    """The tracemalloc peak of ``epsilon_orbits(GF(q))``, in MiB."""
+    spec = ff.field_for(q)
+    closedform.epsilon_orbits(spec)  # the field's and cyclotomic caches are built outside
+    tracemalloc.start()
+    try:
+        closedform.epsilon_orbits(spec)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_table_holds_no_position_grid():
+    # a q(q-1) grid of int64 ids alone is 128 MiB at q = 4093
+    assert _table_peak(4093) < 16
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [29929, 29989])  # 173^2 meets every orbit only in row 174
+def test_orbit_table_holds_no_position_grid_below_30000(q):
+    assert _table_peak(q) < 64
+
+
 # ---- representatives / fibers ----
 
 def test_representatives_sizes():
@@ -405,12 +443,12 @@ def test_representatives_rejects():
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])
-def test_representative_labels_the_orbits(p):
+def test_representative_labels_the_orbits(p, orbit_grid):
     # one label per orbit of the table, and distinct orbits get distinct labels
     reps_set = closedform.representatives(p)
     orbits = closedform.epsilon_orbits(ff.ff_make(p, 1))
     labels = {}
-    for a, row in zip(orbits.rows, orbits.orbit):
+    for a, row in zip(orbits.rows, orbit_grid(orbits)):
         for c, k in enumerate(row.tolist()):
             label = reps_set.representative_of(a, c)
             assert labels.setdefault(k, label) == label
@@ -471,14 +509,14 @@ def test_bounded_fiber_cubics_p7():
         assert closedform.fiber_profile([0, c, 0, 1], F7) == (1, 0, 2, 1, 1, 2, 0)
 
 
-def test_orbit_rows_are_scale_invariant():
+def test_orbit_rows_are_scale_invariant(orbit_grid):
     # eps_{f(lambda t)} == eps_f: every position (a, c) of the family and its
     # scalings (a*l^3, c*l) have the trace histogram of their orbit's row
     for q in (5, 7, 13, 25):
         spec = ff.field_for(q)
         orbits = closedform.epsilon_orbits(spec)
         eps = orbits.permute(orbits.base_hist)
-        for a, row in zip(orbits.rows, orbits.orbit):
+        for a, row in zip(orbits.rows, orbit_grid(orbits)):
             for c, k in enumerate(row.tolist()):
                 for lam in (1, 2, 3, q - 1):
                     f = [0, spec.mul(c, lam), 0, spec.mul(a, spec.pow(lam, 3))]
