@@ -1,6 +1,7 @@
 """Command-line front door: build, spectrum, verify, epsilons, ramanujan.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
+(an unwritable --out included).
 Every command takes --q, --out and --no-timestamp; the parser adds the other
 flags only to the commands that read them.  Outputs are deterministic: build,
 spectrum json and epsilons csv carry a timestamp unless --no-timestamp is
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     except oracle.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

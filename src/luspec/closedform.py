@@ -199,7 +199,8 @@ class EpsilonOrbits:
     (``position_mult`` per position) and sum sigma_j(``bases[slot[k]]``), j^-1 =
     ``jinv[k]``, whose histogram is row k of ``permute(base_hist)`` and whose
     reduced row is ``eps[k]``.  ``first`` holds the arrays a and c of each
-    orbit's first position (a, c)."""
+    orbit's first position (a, c), which lies in the first row of a's cube coset:
+    row a meets exactly the orbits of that coset."""
 
     spec: ff.FieldSpec
     rows: tuple
@@ -269,17 +270,14 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
         counts = np.repeat([q - 1, (q - 1) // 3], [q - 1, 3])
     else:  # one position per c
         rows, position_mult, counts = (1,), q * (q - 1) ** 2, np.ones(q, int)
-    first, cs = np.full(len(counts), -1), np.arange(q)  # each raw id's first position
-    for i, row in enumerate(rows):  # row a meets the ids of a's cube coset only
-        ids, at = np.unique(_raw_id(spec, row, cs), return_index=True)
-        first[ids] = np.where(first[ids] < 0, i * q + at, first[ids])  # met before: kept
-        if first.min() >= 0:  # every raw id met: at most 41 rows for a prime q < 30000
-            break
-    else:
+    rows_a = np.array(rows)  # row a meets exactly the ids of a's cube coset: read its least a
+    lead = rows_a[np.sort(np.unique(spec.log[rows_a] % 3, return_index=True)[1])]
+    ids, at = np.unique(_raw_id(spec, lead[:, None], np.arange(q)), return_index=True)
+    if len(ids) < len(counts):
         raise RuntimeError(f"q={q}: a scaling orbit is met at no position")
-    order = np.argsort(first)  # raw ids in first-seen order
+    order = np.argsort(at)  # raw ids in first-seen order
     rank = np.argsort(order)
-    a, c = np.divmod(first[order] + q, q)  # each orbit's first position (a, c)
+    a, c = lead[at[order] // q], at[order] % q  # each orbit's first position (a, c)
     base = list(range(len(order))) if spec.p == 3 else [-1] * len(order)
     j, js = [1] * len(order), np.arange(1, spec.p)  # p = 3: j = 1
     for k in range(len(order)):
@@ -315,27 +313,17 @@ def epsilon_family(orbits: EpsilonOrbits):
 
 
 def eps_classes(orbits: EpsilonOrbits, ks, mults) -> list:
-    """(eps^2 - q, multiplicity) pairs of the orbits ``ks`` (a slice or a list of
-    orbit ids), orbit ks[i] carrying mults[i].
-
-    Z[zeta] is an integral domain, so eps^2 = eps'^2 exactly when
-    eps = +-eps': the orbit rows are merged on +-eps first, and each group, in
-    first-seen order with its first eps, takes its row of ``square_rows``.
+    """One (eps^2 - q, multiplicity) pair per orbit of ``ks`` (a slice or a list of
+    orbit ids), orbit ks[i] carrying mults[i], from 64 orbits' ``eps`` and
+    ``square_rows`` at a time.  The eps^2 classes merge once, in
+    ``SpectrumMultiset.assemble``, which keeps each class's first eps row.
     """
     cspec, q, pairs = orbits.bases[0].spec, orbits.spec.q, []
-    rows = orbits.eps[ks]  # a view for a slice, one gather for a list
-    ids = range(len(orbits.mults))[ks] if isinstance(ks, slice) else ks
-    groups = {}  # +-eps, first nonzero coefficient > 0, as bytes -> [orbit, its eps, mult]
-    for lo in range(0, len(ids), 64):  # 64 orbits' rows at a time
-        eps = rows[lo:lo + 64]
-        sign = np.sign(eps[np.arange(len(eps)), (eps != 0).argmax(axis=1)])[:, None]
-        for k, e, key, mult in zip(ids[lo:lo + 64], eps, map(bytes, eps * sign), mults[lo:]):
-            groups.setdefault(key, [k, e, 0])[2] += mult
-    firsts, eps, mults = map(list, zip(*groups.values()))  # eps: rows of ``rows``
-    del groups  # the groups' byte copies
-    for lo in range(0, len(firsts), 64):  # 64 groups' squares at a time
-        sq = orbits.square_rows(firsts[lo:lo + 64])
-        for m, e, s, x in zip(mults[lo:], eps[lo:], sq, cyclo.embed_rows(cspec, sq).tolist()):
+    rows, ids = orbits.eps[ks], np.arange(len(orbits.mults))[ks]  # rows: a view for a slice
+    for lo in range(0, len(ids), 64):
+        sq = orbits.square_rows(ids[lo:lo + 64])
+        for m, e, s, x in zip(mults[lo:], rows[lo:lo + 64], sq,
+                              cyclo.embed_rows(cspec, sq).tolist()):
             pairs.append((ExactValue.eps2q(cspec, e, s, x, q), m))
     return pairs
 
@@ -404,8 +392,7 @@ def fiber_profile(f, spec: ff.FieldSpec):
     """|f^-1(s)| for s = 0..p-1; prime fields only (where it determines eps)."""
     if spec.e != 1:
         raise ValueError("fiber profiles characterize sums over prime fields only")
-    values = spec.eval_poly([int(c) % spec.p for c in f], np.arange(spec.p))
-    return tuple(np.bincount(values, minlength=spec.p).tolist())
+    return tuple(trace_histogram([int(c) % spec.p for c in f], spec).tolist())  # tr = id
 
 
 # ----------------------------------------------------------------------

@@ -419,6 +419,16 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2 and out == "" and "argument --tol" in err, tol
 
 
+@pytest.mark.parametrize("argv", [["verify", "--q", "5"], ["spectrum", "--q", "5"],
+                                  ["epsilons", "--q", "5"], ["build", "--q", "3"]])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    # a file that cannot be opened is a usage error: for verify, 1 would read as a FAIL
+    for target in (tmp_path / "missing" / "x", tmp_path):  # no such directory; a directory
+        code, out, err = run(capsys, argv + ["--out", str(target), "--no-timestamp"])
+        assert code == 2 and out == "" and err.startswith("error: "), (target, err)
+        assert "Traceback" not in err
+
+
 def test_deterministic_output(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for path in (a, b):

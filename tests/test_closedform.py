@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -161,8 +162,8 @@ def test_epsilon_orbits_in_first_seen_order(q, orbit_grid):
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27, 31])
 def test_spectrum_odd_matches_one_square_per_position(q, eps2q):
-    # the +-eps merge must give what squaring every position's eps gives,
-    # down to the eps each entry prints
+    # assemble's eps^2 merge of the orbit pairs must give what squaring every
+    # position's eps gives, down to the eps each entry prints
     spec = ff.field_for(q)
     orbits = closedform.epsilon_orbits(spec)
     pairs = [(ExactValue.integer(q * (q - 1)), 1),
@@ -391,6 +392,47 @@ def test_orbit_table_guards_an_unseen_orbit(q):
         assert "RuntimeError: q=%d: a scaling orbit is met at no position" % q in proc.stderr
 
 
+@pytest.mark.parametrize("q", [121, 343])
+def test_orbit_table_reads_each_cube_cosets_first_row_only(q, monkeypatch):
+    # row a meets exactly the orbits of a's cube coset, so the table reads at most
+    # 3 full rows (a, arange(q)), each coset's first; a scan to the last new orbit
+    # reads 14 rows at q = 121 and 11 at q = 343
+    real, full_rows, galois_calls = closedform._raw_id, [], []
+
+    def counted(spec, a, c):
+        if np.shape(c) == (q,) and (np.asarray(c) == np.arange(q)).all():
+            full_rows.append(np.broadcast(a, c).size // q)
+        else:  # the Galois loop's images of one orbit
+            galois_calls.append(np.size(c))
+        return real(spec, a, c)
+
+    monkeypatch.setattr(closedform, "_raw_id", counted)
+    orbits = closedform.epsilon_orbits(ff.field_for(q))
+    assert 0 < sum(full_rows) <= 3
+    assert galois_calls and set(galois_calls) == {ff.field_for(q).p - 1}
+    assert len(orbits.mults) == q + 2
+
+
+# sha256 of json.dumps(spectrum_odd(GF(q)).to_json_dict()), recorded while eps_classes
+# still merged on +-eps before assemble merged on eps^2
+_SPECTRUM_ODD_DIGESTS = {
+    81: "6a6578d53942a87841d889e08613c50f3473d1b0f0ddafa3d944ae6611c3782e",
+    125: "1252bb32271d851cd4d05bca833442b79964df8c1d2bd70252de9f548ae62138",
+    169: "a53ba0cc0199aea12d41a6da3ce4051a90952ecb8c0d133a90eb8eefe616ac49",
+}
+
+
+@pytest.mark.parametrize("q", sorted(_SPECTRUM_ODD_DIGESTS))
+def test_eps_classes_leave_the_merge_to_assemble(q):
+    # one pair per orbit: eps^2 = eps'^2 exactly when eps = +-eps', so assemble's
+    # eps^2 merge alone gives the classes, first eps rows and entry order
+    spec = ff.field_for(q)
+    orbits = closedform.epsilon_orbits(spec)
+    assert len(closedform.eps_classes(orbits, slice(None), orbits.mults)) == len(orbits.mults)
+    doc = json.dumps(spectrum_odd(spec, orbits).to_json_dict()).encode()
+    assert hashlib.sha256(doc).hexdigest() == _SPECTRUM_ODD_DIGESTS[q]
+
+
 def _table_peak(q):
     """The tracemalloc peak of ``epsilon_orbits(GF(q))``, in MiB."""
     spec = ff.field_for(q)
@@ -409,7 +451,7 @@ def test_orbit_table_holds_no_position_grid():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("q", [29929, 29989])  # 173^2 meets every orbit only in row 174
+@pytest.mark.parametrize("q", [29929, 29989])  # 173^2: cube cosets lead at rows 1, 173, 174
 def test_orbit_table_holds_no_position_grid_below_30000(q):
     assert _table_peak(q) < 64
 
