@@ -5,7 +5,7 @@ Submodules:
   gr9         the Galois ring GR(9,e) as the traces of its Teichmueller set
   cyclo       exact cyclotomic integers and exponential sums, Weil checks
   graphs      D(4,q), Gamma(4,q), the vertex group, Cayley realization
-  reps        characters and degree-q representations of the vertex group
+  reps        the vertex group's degree-q characters and conjugacy classes
   closedform  exact spectrum multisets, representatives, bipartite lift
   oracle      dense numeric spectra, multiset comparison, expansion reports
   cli         the `luspec` command-line tool

@@ -1,7 +1,7 @@
 """Command-line front door: build, spectrum, verify, epsilons, ramanujan.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage/config error
-(an unwritable --out included).
+(an unwritable --out included: it is opened before the command computes).
 Every command takes --q, --out and --no-timestamp; the parser adds the other
 flags only to the commands that read them.  Outputs are deterministic: build,
 spectrum json and epsilons csv carry a timestamp unless --no-timestamp is
@@ -66,12 +66,12 @@ def _stamp(args) -> str | None:
 
 
 def _write(args, text, echo: bool = False):
-    """Write text (a str or str chunks) to --out, else to stdout; with echo, to both."""
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fp:
-        sinks = [fp, sys.stdout] if echo and args.out else [fp]
-        for chunk in [text] if isinstance(text, str) else text:
-            for sink in sinks:
-                sink.write(chunk)
+    """Write text (a str or str chunks) to the open --out, else to stdout; with
+    echo, to both."""
+    sinks = [args.out, sys.stdout] if echo and args.out else [args.out or sys.stdout]
+    for chunk in [text] if isinstance(text, str) else text:
+        for sink in sinks:
+            sink.write(chunk)
 
 
 def _spectrum_json(s: closedform.SpectrumMultiset, stamp: str | None):
@@ -97,11 +97,9 @@ def cmd_build(args) -> int:
     stamp = _stamp(args)
     # streamed: joining the edge list into one string would raise peak RSS
     if args.out:
-        with open(args.out, "w") as fp:
-            graphs.write_edge_list(adj, fp, timestamp=stamp)
-        with open(args.out + ".coords.json", "w") as fp:
-            graphs.write_coordinate_dict(adj, fp, timestamp=stamp)
-        print(f"wrote {adj.num_edges} edges to {args.out} "
+        graphs.write_edge_list(adj, args.out, timestamp=stamp)
+        graphs.write_coordinate_dict(adj, args.coords, timestamp=stamp)
+        print(f"wrote {adj.num_edges} edges to {args.out.name} "
               f"(+ coordinate dictionary)")
     else:
         graphs.write_edge_list(adj, sys.stdout, timestamp=stamp)
@@ -210,7 +208,7 @@ def cmd_verify(args) -> int:
     try:
         for q in args.q:
             all_ok &= _verify_one(q, args, lines)
-    except oracle.VerificationError:
+    except closedform.VerificationError:
         # report the checks that already ran before the failure propagates
         _write(args, "".join(lines), echo=True)
         raise
@@ -351,8 +349,13 @@ def main(argv=None) -> int:
             raise UsageError(f"{args.command} expects a single q")
         if getattr(args, "max_dense_n", 0) < 0:  # 0 is a budget that admits no graph
             raise UsageError(f"--max-dense-n {args.max_dense_n} is negative")
-        return args.handler(args)
-    except oracle.VerificationError as exc:
+        with contextlib.ExitStack() as files:
+            if args.out:  # opened before the command computes: a bad path costs nothing
+                args.out = files.enter_context(open(args.out, "w"))
+                if args.command == "build":
+                    args.coords = files.enter_context(open(args.out.name + ".coords.json", "w"))
+            return args.handler(args)
+    except closedform.VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UsageError, ValueError, OSError) as exc:  # OSError: an unwritable --out

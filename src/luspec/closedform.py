@@ -23,8 +23,10 @@ ch. 2), so one sum and one exact square serve each Galois orbit.  RuntimeError g
 (kept under -O): every orbit met, with one (base, j); totals q, q^2; a row per base rechecked.
 
 Values are merged by exact equality of canonical cyclotomic forms, never by
-float proximity.  The bipartite lift sends an eigenvalue m of Gamma to the
-pair +-sqrt(q+m) of D(4,q), with -q mapping to 0 at doubled multiplicity.
+float proximity; a multiset whose total is not its degree count raises
+VerificationError.  The bipartite lift sends an eigenvalue m of Gamma to the
+pair +-sqrt(q+m) of D(4,q), with -q mapping to 0 at doubled multiplicity (a
+value below -q raises VerificationError).
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ import numpy as np
 
 from . import cyclo, ff, gr9
 from .cyclo import exp_sum_field, exp_sum_gr, trace_histogram
+
+
+class VerificationError(ValueError):
+    """A computed spectrum failed a check; the CLI exits 1, not 2, on it."""
 
 
 class ExactValue:
@@ -141,7 +147,7 @@ class SpectrumMultiset:
         entries = [SpectrumEntry(v, m) for v, m in merged.values()]
         out = cls(graph, q, entries)
         if out.total != expected_total:
-            raise ValueError(f"multiset totals {out.total}, expected {expected_total}")
+            raise VerificationError(f"multiset totals {out.total}, expected {expected_total}")
         return out
 
     def expand(self) -> np.ndarray:
@@ -312,17 +318,15 @@ def epsilon_family(orbits: EpsilonOrbits):
             yield (a, c), k
 
 
-def eps_classes(orbits: EpsilonOrbits, ks, mults) -> list:
-    """One (eps^2 - q, multiplicity) pair per orbit of ``ks`` (a slice or a list of
-    orbit ids), orbit ks[i] carrying mults[i], from 64 orbits' ``eps`` and
-    ``square_rows`` at a time.  The eps^2 classes merge once, in
-    ``SpectrumMultiset.assemble``, which keeps each class's first eps row.
+def eps_classes(orbits: EpsilonOrbits) -> list:
+    """One (eps^2 - q, ``mults[k]``) pair per orbit k, in orbit order, from 64
+    orbits' ``eps`` and ``square_rows`` at a time.  The eps^2 classes merge once,
+    in ``SpectrumMultiset.assemble``, which keeps each class's first eps row.
     """
     cspec, q, pairs = orbits.bases[0].spec, orbits.spec.q, []
-    rows, ids = orbits.eps[ks], np.arange(len(orbits.mults))[ks]  # rows: a view for a slice
-    for lo in range(0, len(ids), 64):
-        sq = orbits.square_rows(ids[lo:lo + 64])
-        for m, e, s, x in zip(mults[lo:], rows[lo:lo + 64], sq,
+    for lo in range(0, len(orbits.mults), 64):
+        sq = orbits.square_rows(slice(lo, lo + 64))
+        for m, e, s, x in zip(orbits.mults[lo:lo + 64], orbits.eps[lo:lo + 64], sq,
                               cyclo.embed_rows(cspec, sq).tolist()):
             pairs.append((ExactValue.eps2q(cspec, e, s, x, q), m))
     return pairs
@@ -343,7 +347,7 @@ def spectrum_odd(spec: ff.FieldSpec,
         (ExactValue.integer(q), q * (q - 1) ** 2),
         (ExactValue.integer(0), 3 * q * (q - 1)),
         (ExactValue.integer(-q), (q - 1) * (q * q - q + 1)),
-    ] + eps_classes(orbits, slice(None), orbits.mults)
+    ] + eps_classes(orbits)
     return SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=q ** 4)
 
 
@@ -427,7 +431,7 @@ def lift_to_bipartite(s: SpectrumMultiset, q: int) -> SpectrumMultiset:
         if v.kind == "int":
             rad = q + v.ival
             if rad < 0:
-                raise ValueError("eigenvalue below -q: corrupted input")
+                raise VerificationError("eigenvalue below -q: corrupted input")
             if v.ival == -q:
                 pairs.append((ExactValue.integer(0), 2 * m))
             else:

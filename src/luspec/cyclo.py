@@ -156,12 +156,6 @@ class CycInt:
         return f"CycInt(n={self.spec.n}, {list(self.coeffs)})"
 
 
-def zeta(spec: CycSpec, k: int = 1) -> CycInt:
-    hist = [0] * spec.n
-    hist[k % spec.n] = 1
-    return CycInt.from_histogram(spec, hist)
-
-
 def embed(a: CycInt) -> complex:
     """Evaluate at exp(2*pi*i/n) in double precision.
 

@@ -57,13 +57,6 @@ class PointCoords(NamedTuple):
     p4: int
 
 
-class LineCoords(NamedTuple):
-    l1: int
-    l2: int
-    l3: int
-    l4: int
-
-
 class GroupElem(NamedTuple):
     t: int
     u: int
@@ -75,23 +68,12 @@ class GroupElem(NamedTuple):
 # the paper's definitions, written with spec ops on element indices, so that
 # each coordinate may be an int or an array (broadcast elementwise)
 
-def incident(spec: FieldSpec, P, L):
-    (p1, p2, p3, p4), (l1, l2, l3, l4) = P, L
-    add, mul = spec.add, spec.mul
-    return ((add(p2, l2) == mul(p1, l1)) & (add(p3, l3) == mul(p1, l2))
-            & (add(p4, l4) == mul(p2, l1)))
-
-
 def collinear(spec: FieldSpec, P, Q):
     (p1, p2, p3, p4), (q1, q2, q3, q4) = P, Q
     sub, mul = spec.sub, spec.mul
     d2 = sub(p2, q2)
     return ((p1 != q1) & (mul(sub(p1, q1), sub(p4, q4)) == mul(d2, d2))
             & (sub(p3, q3) == sub(mul(p2, q1), mul(p1, q2))))
-
-
-def group_identity(spec: FieldSpec) -> GroupElem:
-    return GroupElem(0, 0, 0, 0)
 
 
 def group_mul(spec: FieldSpec, g, h) -> GroupElem:

@@ -21,14 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import closedform, ff, graphs
-from .closedform import SpectrumMultiset
+from .closedform import SpectrumMultiset, VerificationError
 from .graphs import AdjacencyStructure
 
 DEFAULT_MAX_DENSE_N = 15000
-
-
-class VerificationError(ValueError):
-    """A numeric spectrum failed a check; the CLI exits 1, not 2, on it."""
 
 
 class TotalMismatchError(VerificationError):

@@ -2,6 +2,8 @@ import csv
 import functools
 import io
 import types
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import scipy.linalg
 
 from luspec import cli, closedform, cyclo, ff, graphs, oracle
 from luspec.cyclo import CycInt, cyc_spec
+from luspec.reps import _char_spec
 
 _GRAPHS: dict = {}
 _NUMERIC: dict = {}
@@ -112,6 +115,18 @@ def teichmueller():
 def gr_sum_reference():
     """gr_sum_reference(c, e): the GR(9, e) cubic sum by literal ring arithmetic."""
     return _reference_exp_sum_gr
+
+
+def _zeta(spec: cyclo.CycSpec, k: int = 1) -> CycInt:
+    hist = [0] * spec.n
+    hist[k % spec.n] = 1
+    return CycInt.from_histogram(spec, hist)
+
+
+@pytest.fixture(scope="session")
+def zeta():
+    """zeta(cspec, k=1): zeta_n^k as a CycInt."""
+    return _zeta
 
 
 def _schoolbook_mul(x: CycInt, y: CycInt) -> CycInt:
@@ -422,3 +437,187 @@ def epsilons_reference():
     """epsilons_reference(q, 'csv'|'table'): the epsilons output built one
     row dict at a time and written by csv.DictWriter."""
     return _epsilons_reference
+
+
+# The paper's derivation steps, from D(4,q)'s incidence to the eigenvalues of
+# G's degree-q representations, which the closed form and the oracle are
+# checked against.
+
+def _incident(spec: ff.FieldSpec, P, L):
+    """Point P(p1..p4) lies on line L(l1..l4): p2 + l2 = p1*l1, p3 + l3 = p1*l2,
+    p4 + l4 = p2*l1 (ints or broadcast arrays of element indices)."""
+    (p1, p2, p3, p4), (l1, l2, l3, l4) = P, L
+    add, mul = spec.add, spec.mul
+    return ((add(p2, l2) == mul(p1, l1)) & (add(p3, l3) == mul(p1, l2))
+            & (add(p4, l4) == mul(p2, l1)))
+
+
+@pytest.fixture(scope="session")
+def incident():
+    """incident(spec, P, L): D(4,q)'s incidence equations."""
+    return _incident
+
+
+def _trace_over_s(spec: ff.FieldSpec, *weights) -> np.ndarray:
+    """tr(w1*t + w2*u + w3*v + w4*w) at every element (t, u, v, w) of S."""
+    return spec.tr(functools.reduce(spec.add, map(spec.mul, weights,
+                                                  graphs.connection_set(spec))))
+
+
+def _linear_char_value(spec: ff.FieldSpec, alpha: int, beta: int, gamma: int) -> int:
+    """Character sum over S for odd q: (m-1)*q with m = #roots of
+    alpha + beta*r + gamma*r^2 (m = q for the trivial character)."""
+    if spec.q % 2 == 0:
+        raise ValueError("linear_char_value is the odd-q form")
+    r = np.arange(spec.q)
+    m = int(np.count_nonzero(spec.add(alpha, spec.mul(r, spec.add(beta, spec.mul(gamma, r))))
+                             == 0))
+    return (m - 1) * spec.q
+
+
+def _linear_char_sum_direct(spec: ff.FieldSpec, alpha: int, beta: int, gamma: int) -> CycInt:
+    """The same sum evaluated literally over S."""
+    cspec, scale = _char_spec(spec)
+    hist = np.bincount(scale * _trace_over_s(spec, alpha, beta, 0, gamma) % cspec.n,
+                       minlength=cspec.n)
+    return CycInt.from_histogram(cspec, hist.tolist())
+
+
+def _even_char_value(spec: ff.FieldSpec, alpha: int, beta: int, gamma: int, eta: int) -> int:
+    """Even-q character sum over S, computed directly and checked against the
+    reduced form q * sum_{t != 0, beta^2 t + gamma^2 t^3 = eta} (-1)^tr(alpha*t)."""
+    q = spec.q
+    if q % 2:
+        raise ValueError("even_char_value needs even q")
+    total = int(np.sum(1 - 2 * _trace_over_s(spec, alpha, beta, gamma, eta)))
+    t, mul = np.arange(1, q), spec.mul
+    t = t[spec.add(mul(mul(beta, beta), t), mul(mul(gamma, gamma), spec.pow(t, 3))) == eta]
+    reduced = int(np.sum(1 - 2 * spec.tr(mul(alpha, t))))
+    assert total == q * reduced, "direct and reduced character sums disagree"
+    return total
+
+
+@dataclass(eq=False)
+class RepMatrix:
+    """q x q matrix over Z[zeta_n], rows/cols in element order, held as
+    exponent histograms: hist[i, j, k] counts the zeta^k terms of entry (i, j)."""
+
+    cspec: cyclo.CycSpec
+    hist: np.ndarray  # int64, shape (q, q, n)
+
+    def entry(self, i: int, j: int) -> CycInt:
+        return CycInt.from_histogram(self.cspec, self.hist[i, j].tolist())
+
+    def conj_transpose(self) -> "RepMatrix":
+        n = self.cspec.n
+        return RepMatrix(self.cspec, self.hist.transpose(1, 0, 2)[..., -np.arange(n) % n])
+
+    def __matmul__(self, other: "RepMatrix") -> "RepMatrix":
+        # the zeta^s terms of self times other shift other's exponents by s
+        out = np.zeros_like(other.hist)
+        for s in range(self.cspec.n):
+            out += np.roll(np.einsum("ik,kjt->ijt", self.hist[:, :, s], other.hist), s, axis=2)
+        return RepMatrix(self.cspec, out)
+
+    def __eq__(self, other):
+        return (isinstance(other, RepMatrix) and other.cspec.n == self.cspec.n
+                and np.array_equal(cyclo.reduce_rows(self.cspec, self.hist),
+                                   cyclo.reduce_rows(other.cspec, other.hist)))
+
+    def is_hermitian(self) -> bool:
+        return self == self.conj_transpose()
+
+    def trace_sum(self) -> CycInt:
+        return CycInt.from_histogram(self.cspec, np.trace(self.hist).tolist())
+
+
+def _scatter(spec: ff.FieldSpec, cols: np.ndarray, k: np.ndarray) -> RepMatrix:
+    """Sum zeta^k[i, s] into entry (i, cols[i, s]) over all s, with one bincount."""
+    cspec, scale = _char_spec(spec)
+    q, n = spec.q, cspec.n
+    flat = (np.arange(q)[:, None] * q + cols) * n + scale * k
+    return RepMatrix(cspec, np.bincount(flat.ravel(), minlength=q * q * n).reshape(q, q, n))
+
+
+def _rep_sum(spec: ff.FieldSpec, alpha: int, beta: int, t, u, v, w) -> RepMatrix:
+    """Sum of M[alpha,beta](g) over the elements g with index columns (t, u, v, w):
+    row i of M(g) holds zeta^tr(alpha*(v - 2*i*u) + beta*w) at column i + t."""
+    add, mul = spec.add, spec.mul
+    i = np.arange(spec.q)[:, None]
+    k = spec.tr(add(mul(alpha, spec.sub(v, mul(2 % spec.p, mul(i, u)))), mul(beta, w)))
+    return _scatter(spec, add(i, t), k)
+
+
+def _rep_matrix(spec: ff.FieldSpec, alpha: int, beta: int, g) -> RepMatrix:
+    """M[alpha,beta](g) for a single group element."""
+    return _rep_sum(spec, alpha, beta, *(np.array([x]) for x in g))
+
+
+def _build_M(spec: ff.FieldSpec, alpha: int, beta: int) -> RepMatrix:
+    """M[alpha,beta](S) = sum over the connection set, exact."""
+    if spec.q % 2 == 0:
+        raise ValueError("the degree-q representations need odd q")
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    return _rep_sum(spec, alpha, beta, *graphs.connection_set(spec))
+
+
+def _build_U(spec: ff.FieldSpec, alpha: int, beta: int) -> RepMatrix:
+    """U[alpha,beta][i,j] = zeta^tr(alpha*i^2*j - beta*i*j^2)."""
+    mul = spec.mul
+    i, j = np.arange(spec.q)[:, None], np.arange(spec.q)
+    ij = mul(i, j)
+    k = spec.tr(spec.sub(mul(alpha, mul(ij, i)), mul(beta, mul(ij, j))))
+    return _scatter(spec, j, k)
+
+
+def _m_from_u(spec: ff.FieldSpec, alpha: int, beta: int) -> RepMatrix:
+    """U * U^adj - q*I, the factored form of M[alpha,beta](S)."""
+    u = _build_U(spec, alpha, beta)
+    prod = u @ u.conj_transpose()
+    d = np.arange(spec.q)
+    prod.hist[d, d, 0] -= spec.q
+    return prod
+
+
+def _zeta_pow(spec: ff.FieldSpec, k: int) -> CycInt:
+    cspec, scale = _char_spec(spec)
+    return _zeta(cspec, scale * (k % spec.p))
+
+
+def _psi_value(spec: ff.FieldSpec, alpha: int, beta: int, g) -> CycInt:
+    """Character of M[alpha,beta]: q * zeta^tr(alpha v + beta w) on the
+    centre (t = u = 0), zero elsewhere."""
+    t, u, v, w = g
+    if t or u:
+        return CycInt.integer(_char_spec(spec)[0], 0)
+    return spec.q * _zeta_pow(spec, spec.tr(spec.add(spec.mul(alpha, v), spec.mul(beta, w))))
+
+
+def _eigen_via_epsilon(orbits: closedform.EpsilonOrbits, alpha: int,
+                       beta: int) -> closedform.SpectrumMultiset:
+    """Exact eigenvalue multiset {eps_f^2 - q} of M[alpha,beta](S): the
+    ``closedform.eps_classes`` pairs of the orbits of the positions (a', c), c in F,
+    a' = 1/(3*alpha*beta) (a' = 1 for p = 3), each carrying its count of positions."""
+    spec = orbits.spec
+    q = spec.q
+    if alpha == 0 or beta == 0:
+        raise ValueError("the eps route needs alpha*beta != 0")
+    a = 1 if spec.p == 3 else spec.inv(spec.mul(3, spec.mul(alpha, beta)))
+    counts = Counter(orbits.ids(a, np.arange(q)).tolist())  # orbit -> positions, in c order
+    pairs = closedform.eps_classes(orbits)
+    return closedform.SpectrumMultiset.assemble(
+        f"M[{alpha},{beta}]", q, [(pairs[k][0], m) for k, m in counts.items()],
+        expected_total=q)
+
+
+@pytest.fixture(scope="session")
+def reps_ref():
+    """G's characters and degree-q representations by their definitions: the
+    character sums over S, the matrices M[a,b](g), M[a,b](S) and U, the
+    character psi[a,b], and M[a,b](S)'s exact eigenvalues from the orbit table."""
+    return types.SimpleNamespace(
+        linear_char_value=_linear_char_value, linear_char_sum_direct=_linear_char_sum_direct,
+        even_char_value=_even_char_value, rep_matrix=_rep_matrix, build_M=_build_M,
+        build_U=_build_U, m_from_u=_m_from_u, zeta_pow=_zeta_pow, psi_value=_psi_value,
+        eigen_via_epsilon=_eigen_via_epsilon)

@@ -165,7 +165,7 @@ def test_criterion_9_root_count_profiles():
     _report(9, "root-count profiles by enumeration match the closed forms", t0)
 
 
-def test_criterion_10_structure_suite(graph):
+def test_criterion_10_structure_suite(graph, reps_ref):
     t0 = time.time()
     # Cayley realization == collinearity graph, q <= 7
     for q in (2, 3, 4, 5, 7):
@@ -200,8 +200,8 @@ def test_criterion_10_structure_suite(graph):
         for _ in range(6):
             g = graphs.vertex_coords(q, rng.randrange(q ** 4))
             h = graphs.vertex_coords(q, rng.randrange(q ** 4))
-            assert (reps.rep_matrix(spec, a, b, g) @ reps.rep_matrix(spec, a, b, h)
-                    == reps.rep_matrix(spec, a, b, graphs.group_mul(spec, g, h)))
+            assert (reps_ref.rep_matrix(spec, a, b, g) @ reps_ref.rep_matrix(spec, a, b, h)
+                    == reps_ref.rep_matrix(spec, a, b, graphs.group_mul(spec, g, h)))
 
     # no 4- or 6-cycles in D(4,q), q <= 5
     for q in (2, 3, 4, 5):

@@ -429,6 +429,40 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def _refuse(*args):
+    raise RuntimeError("computed before --out was opened")
+
+
+@pytest.mark.parametrize("argv, owner, attr, target", [
+    (["spectrum", "--q", "5"], closedform, "spectrum_closed", "missing/x"),
+    (["verify", "--q", "5"], closedform, "epsilon_orbits", "missing/x"),
+    # the edge list can be opened, its coordinate dictionary cannot
+    (["build", "--q", "3"], graphs, "build_gamma", "x"),
+], ids=["spectrum", "verify", "build"])
+def test_out_is_opened_before_the_command_computes(argv, owner, attr, target, tmp_path,
+                                                    capsys, monkeypatch):
+    (tmp_path / "x.coords.json").mkdir()
+    monkeypatch.setattr(owner, attr, _refuse)
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path / target), "--no-timestamp"])
+    assert code == 2 and out == "" and err.startswith("error: "), err
+
+
+def test_a_wrong_closed_form_total_exits_1(capsys, monkeypatch):
+    # a spectrum that fails its degree count is a failed verification, not a usage
+    # error: verify reports the checks that ran before it and exits 1
+    real = closedform.SpectrumMultiset.assemble.__func__
+
+    def assemble(cls, graph, q, pairs, expected_total):
+        (value, mult), *rest = pairs
+        return real(cls, graph, q, [(value, mult + 1), *rest], expected_total)
+
+    monkeypatch.setattr(closedform.SpectrumMultiset, "assemble", classmethod(assemble))
+    code, out, err = run(capsys, ["verify", "--q", "3,5", "--no-timestamp"])
+    assert code == 1 and err == "error: multiset totals 82, expected 81\n"
+    assert out == ("[PASS] q=3 quadratic root-count profile\n"
+                   "[PASS] q=3 Weil bound over the cubic family\n")
+
+
 def test_deterministic_output(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for path in (a, b):
@@ -505,10 +539,10 @@ def test_spectrum_json_is_streamed_in_the_dumps_layout(q, graph, stamp, capsys, 
 
 @pytest.mark.parametrize("out", [False, True])
 def test_write_sends_every_chunk_to_every_sink(out, tmp_path, capsys):
-    # a one-shot chunk iterable reaches --out and the echo in full
+    # a one-shot chunk iterable reaches --out (opened by main) and the echo in full
     path = tmp_path / "out.txt"
-    args = argparse.Namespace(out=str(path) if out else None)
-    cli._write(args, iter(["a", "", "b\n", "c\n"]), echo=True)
+    with path.open("w") if out else contextlib.nullcontext() as fp:
+        cli._write(argparse.Namespace(out=fp), iter(["a", "", "b\n", "c\n"]), echo=True)
     assert capsys.readouterr().out == "ab\nc\n"
     assert path.exists() == out and (not out or path.read_text() == "ab\nc\n")
 

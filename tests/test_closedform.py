@@ -46,13 +46,13 @@ def shifted_values(entries):
     return [eps_of(e.value) * eps_of(e.value) - e.value.q for e in entries]
 
 
-def test_exact_value_normalization(eps2q):
+def test_exact_value_normalization(eps2q, zeta):
     assert ExactValue.sqrt(1, 9) == ExactValue.integer(3)
     assert ExactValue.sqrt(-1, 0) == ExactValue.integer(0)
     assert ExactValue.sqrt(1, 10) != ExactValue.sqrt(-1, 10)
     c5 = cyclo.cyc_spec(5)
-    root5 = -(cyclo.CycInt.integer(c5, 1) + 2 * cyclo.zeta(c5, 2)
-              + 2 * cyclo.zeta(c5, 3))  # sqrt(5) as a cyclotomic integer
+    root5 = -(cyclo.CycInt.integer(c5, 1) + 2 * zeta(c5, 2)
+              + 2 * zeta(c5, 3))  # sqrt(5) as a cyclotomic integer
     assert eps2q(root5, 5) == ExactValue.integer(0)
     _, neg = next(_abs_eps_pairs(c5, [root5.coeffs]))
     assert neg.kind == "eps" and neg.approx == pytest.approx(-math.sqrt(5))
@@ -428,7 +428,7 @@ def test_eps_classes_leave_the_merge_to_assemble(q):
     # eps^2 merge alone gives the classes, first eps rows and entry order
     spec = ff.field_for(q)
     orbits = closedform.epsilon_orbits(spec)
-    assert len(closedform.eps_classes(orbits, slice(None), orbits.mults)) == len(orbits.mults)
+    assert len(closedform.eps_classes(orbits)) == len(orbits.mults)
     doc = json.dumps(spectrum_odd(spec, orbits).to_json_dict()).encode()
     assert hashlib.sha256(doc).hexdigest() == _SPECTRUM_ODD_DIGESTS[q]
 
@@ -659,7 +659,7 @@ def test_lift_rejects():
         lift_to_bipartite(lifted, 3)  # cannot lift twice
     corrupted = SpectrumMultiset.assemble(
         "GAMMA4", 3, [(ExactValue.integer(-4), 81)], expected_total=81)
-    with pytest.raises(ValueError):
+    with pytest.raises(closedform.VerificationError):
         lift_to_bipartite(corrupted, 3)  # eigenvalue below -q
 
 
@@ -676,7 +676,7 @@ def test_exponent_variant_fails_degree_count(eps2q):
         pairs.append((eps2q(eps, q), q * (q - 1)))
     bad = SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=385)
     assert bad.total == 385
-    with pytest.raises(ValueError):
+    with pytest.raises(closedform.VerificationError):
         SpectrumMultiset.assemble("GAMMA4", q, pairs, expected_total=625)
 
 

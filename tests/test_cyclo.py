@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luspec import closedform, cyclo, ff, gr9
-from luspec.cyclo import CycInt, cyc_spec, embed, exp_sum_field, exp_sum_gr, zeta
+from luspec.cyclo import CycInt, cyc_spec, embed, exp_sum_field, exp_sum_gr
 
 
-def test_arith_examples():
+def test_arith_examples(zeta):
     c5 = cyc_spec(5)
     s = zeta(c5, 1) + zeta(c5, 2) + zeta(c5, 3) + zeta(c5, 4)
     assert s == -1
@@ -19,7 +19,7 @@ def test_arith_examples():
     assert zeta(c9, 1) * zeta(c9, 8) == 1
 
 
-def test_embed_examples():
+def test_embed_examples(zeta):
     c3 = cyc_spec(3)
     assert abs(embed(CycInt.integer(c3, 1) + zeta(c3, 1) + zeta(c3, 2))) < 1e-12
     c5 = cyc_spec(5)
@@ -34,13 +34,13 @@ def test_conductor_restricted():
         cyc_spec(15)
 
 
-def test_mixed_conductors_rejected():
+def test_mixed_conductors_rejected(zeta):
     with pytest.raises(ValueError):
         zeta(cyc_spec(5)) + zeta(cyc_spec(7))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13])
-def test_linear_sums_closed_form(q):
+def test_linear_sums_closed_form(q, zeta):
     # eps_{bt+c} = 0 for b != 0, else q * zeta^tr(c)
     spec = ff.field_for(q)
     cs = cyc_spec(spec.p)
@@ -53,7 +53,7 @@ def test_linear_sums_closed_form(q):
                 assert got == q * zeta(cs, spec.tr(c))
 
 
-def test_cubic_examples_f5():
+def test_cubic_examples_f5(zeta):
     F5 = ff.ff_make(5, 1)
     c5 = cyc_spec(5)
     assert exp_sum_field([1, 2], F5) == 0          # 2t + 1
@@ -123,7 +123,7 @@ def test_gr_sums_match_ring_arithmetic(e, gr_sum_reference):
         assert exp_sum_gr(c, R) == gr_sum_reference(c, e)
 
 
-def test_gr_sums_q3_values():
+def test_gr_sums_q3_values(zeta):
     R = gr9.gr9_make(1)
     c9 = cyc_spec(9)
     one = CycInt.integer(c9, 1)
@@ -149,7 +149,7 @@ def test_exact_sum_matches_complex_summation(q, f):
     assert abs(exact - direct) < 1e-10
 
 
-def test_histogram_reduction_n9():
+def test_histogram_reduction_n9(zeta):
     # zeta9^6 = -1 - zeta9^3 and friends
     c9 = cyc_spec(9)
     for k in range(3):
@@ -158,7 +158,7 @@ def test_histogram_reduction_n9():
         assert lhs == rhs
 
 
-def test_conductor9_embedding_cubes_to_zeta3():
+def test_conductor9_embedding_cubes_to_zeta3(zeta):
     xi = embed(zeta(cyc_spec(9), 1))
     z3 = embed(zeta(cyc_spec(3), 1))
     assert abs(xi ** 3 - z3) < 1e-14

@@ -7,22 +7,23 @@ import numpy as np
 import pytest
 
 from luspec import ff, graphs
-from luspec.graphs import (GroupElem, LineCoords, PointCoords, act_point,
-                           collinear, connection_set, group_commutator,
-                           group_identity, group_inv, group_matrix, group_mul,
-                           incident, matrix_mul, vertex_coords, vertex_index)
+from luspec.graphs import (GroupElem, PointCoords, act_point, collinear, connection_set,
+                           group_commutator, group_inv, group_matrix, group_mul,
+                           matrix_mul, vertex_coords, vertex_index)
+
+IDENTITY = GroupElem(0, 0, 0, 0)
 
 
-def test_incident_examples():
+def test_incident_examples(incident):
     F3 = ff.ff_make(3, 1)
-    assert incident(F3, PointCoords(0, 0, 0, 0), LineCoords(0, 0, 0, 0))
-    assert not incident(F3, PointCoords(1, 1, 0, 1), LineCoords(1, 0, 1, 2))
+    assert incident(F3, PointCoords(0, 0, 0, 0), (0, 0, 0, 0))
+    assert not incident(F3, PointCoords(1, 1, 0, 1), (1, 0, 1, 2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
-def test_each_point_meets_q_lines(q):
+def test_each_point_meets_q_lines(q, incident):
     spec = ff.field_for(q)
-    lines = LineCoords(*vertex_coords(q, np.arange(q ** 4)))  # every line, as arrays
+    lines = vertex_coords(q, np.arange(q ** 4))  # every line, as arrays
     for i in random.Random(7).sample(range(q ** 4), 10):
         assert np.count_nonzero(incident(spec, vertex_coords(q, i), lines)) == q
 
@@ -184,7 +185,7 @@ def test_size_budget():
     with pytest.raises(ff.SizeBudgetError):
         graphs.cayley_vertex_map(F16)
     with pytest.raises(ff.SizeBudgetError):
-        graphs.action_permutation(F16, group_identity(F16))
+        graphs.action_permutation(F16, IDENTITY)
 
 
 # ---- group law ----
@@ -217,7 +218,7 @@ def test_group_law_matches_matrices_sampled(q):
 def test_identity_and_commutator():
     F5 = ff.ff_make(5, 1)
     g = GroupElem(1, 2, 3, 4)
-    assert group_mul(F5, g, group_identity(F5)) == g
+    assert group_mul(F5, g, IDENTITY) == g
     c = group_commutator(F5, GroupElem(1, 0, 0, 0), GroupElem(0, 1, 0, 0))
     assert c == GroupElem(0, 0, F5.neg(2), 0)
 
@@ -236,18 +237,17 @@ def test_commutator_formula_random():
 def test_even_q_elementary_abelian():
     F4 = ff.ff_make(2, 2)
     g = GroupElem(1, 0, 1, 0)
-    assert group_mul(F4, g, g) == group_identity(F4)
+    assert group_mul(F4, g, g) == IDENTITY
     h = GroupElem(2, 3, 1, 2)
     assert group_mul(F4, g, h) == group_mul(F4, h, g)
 
 
 def test_inverse_exhaustive_q3():
     F3 = ff.ff_make(3, 1)
-    e = group_identity(F3)
     for i in range(81):
         g = vertex_coords(3, i)
-        assert group_mul(F3, g, group_inv(F3, g)) == e
-        assert group_mul(F3, group_inv(F3, g), g) == e
+        assert group_mul(F3, g, group_inv(F3, g)) == IDENTITY
+        assert group_mul(F3, group_inv(F3, g), g) == IDENTITY
 
 
 # ---- connection set / Cayley ----
@@ -264,7 +264,7 @@ def test_connection_set_properties(q):
     sset = set(_elements(S))
     assert len(_elements(S)) == q * (q - 1)
     assert len(sset) == q * (q - 1)
-    assert group_identity(spec) not in sset
+    assert IDENTITY not in sset
     assert set(_elements(group_inv(spec, S))) == sset
 
 
