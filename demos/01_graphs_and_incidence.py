@@ -20,8 +20,8 @@ print(f"Gamma(4,{q}): {gam.n} vertices, {gam.degree}-regular, {gam.num_edges} ed
 
 # connectivity: 4 components exactly when q is 2 or 4
 for qq in (2, 3, 4, 5):
-    g = graphs.build_gamma(ff.field_for(qq))
-    count, sizes = graphs.connected_components(g)
+    # the BFS reads Gamma's rows from its slab pair, as verify does
+    count, sizes = graphs.connected_components(graphs.gamma_slabs(ff.field_for(qq)))
     print(f"Gamma(4,{qq}) components: {count} {sizes if count > 1 else ''}")
 
 # the defining equations, on concrete coordinates (field elements are indices)

@@ -31,6 +31,8 @@ per slab and column, which slab_rows adds into rows.  Both take their q^2
 digit from a q x q uint16 table by one np.take and add the other digits in
 uint16, so neither builds a full-size int64 grid.  Gamma's columns follow
 S's (t, r) order, so sigma carries Cay(G, S)'s rows onto Gamma's column for column.
+connected_components reads rows from the slab form itself, so verify builds
+Gamma's rows only for the numeric oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ DEFAULT_MAX_GRAPH_Q = 13
 # every vertex index is below 2*q^4 <= 2*13^4 = 57,122 < 2^16 (see _check_size)
 INDEX_DTYPE = np.uint16
 _CHUNK = 1 << 16  # entries per chunk: BFS neighbour gathers, girth walk ends and counts
+_BLOCK = 1 << 10  # entries per bottom-up BFS block: few enough that little is tested twice
 
 
 class PointCoords(NamedTuple):
@@ -302,18 +305,27 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
 # ----------------------------------------------------------------------
 # connectivity / girth / exports
 
-def connected_components(adj: AdjacencyStructure):
+def connected_components(rows):
     """(component count, sizes in decreasing order) by BFS in both directions.
 
-    Rows are read as sets of neighbours, so they need not be sorted.
+    rows is an (n, degree) array of neighbour rows, or a slab pair (low, high)
+    whose row w*len(low) + j is low[j] + len(low)*high[w], as gamma_slabs gives
+    Gamma's; an array is read as the pair with one all-zero slab.  Each BFS
+    level splits its vertices into (w, j) once, and reads their rows only
+    through low[j] and high[w], so a pair is never added into rows.  Rows are
+    read as sets of neighbours, so they need not be sorted.
 
     A small frontier gathers its neighbour rows, _CHUNK entries at a time, and
     stops once every vertex is seen (top-down).  Once twice the frontier
-    outnumbers the unseen vertices, those test one neighbour column at a time
-    for a frontier neighbour, and each column drops the ones found (bottom-up)."""
-    n, nb = adj.n, adj.neighbors
+    outnumbers the unseen vertices, those test blocks of neighbour columns for
+    a frontier neighbour, and each block drops the ones found (bottom-up).  A
+    block spans about _BLOCK entries: one column while the unseen vertices are
+    many, more as they thin out, and all that are left for the last few."""
+    low, high = rows if isinstance(rows, tuple) else (rows, np.zeros_like(rows[:1]))
+    n3 = len(low)
+    n, high = n3 * len(high), n3 * high  # high: each slab's offset, in the rows' dtype
     seen = np.zeros(n, dtype=bool)
-    step = max(1, _CHUNK // adj.degree)
+    step = max(1, _CHUNK // low.shape[1])
     sizes, left = [], n  # left: the number of unseen vertices
     while left:
         frontier = np.asarray([np.argmin(seen)])  # the first unseen vertex
@@ -321,25 +333,25 @@ def connected_components(adj: AdjacencyStructure):
         start, left = left, left - 1
         while frontier.size and left:
             if 2 * frontier.size > left:
-                front, found = np.zeros(n, dtype=bool), []
+                front = np.zeros(n, dtype=bool)
                 front[frontier] = True
-                unseen = np.flatnonzero(~seen)
-                for col in nb.T:
-                    hit = front[col[unseen]]
-                    found.append(unseen[hit])
-                    unseen = unseen[~hit]
-                    if not unseen.size:
-                        break
-                frontier = np.concatenate(found)
-                seen[frontier] = True
+                w, j = np.divmod(np.flatnonzero(~seen), n3)
+                col = 0
+                while j.size and col < low.shape[1]:  # the next block of columns
+                    cols = slice(col, col + max(1, _BLOCK // j.size))
+                    miss = ~front[low[j, cols] + high[w, cols]].any(axis=1)
+                    w, j, col = w[miss], j[miss], cols.stop
+                mark = np.ones(n, dtype=bool)
+                mark[w * n3 + j] = False  # the vertices still unseen
             else:
                 mark = seen.copy()
+                w, j = np.divmod(frontier, n3)
                 for lo in range(0, frontier.size, step):
-                    mark[nb[frontier[lo:lo + step]]] = True
+                    mark[low[j[lo:lo + step]] + high[w[lo:lo + step]]] = True
                     if mark.all():  # every vertex seen: the rest adds nothing
                         break
-                frontier = np.flatnonzero(mark ^ seen)
-                seen = mark
+            frontier = np.flatnonzero(mark ^ seen)
+            seen = mark
             left -= frontier.size
         sizes.append(start - left)
     return len(sizes), sorted(sizes, reverse=True)

@@ -3,7 +3,7 @@
 The one numeric eigensolver returns full eigenvalue lists (multiset
 comparison needs every multiplicity).  Every built graph is invariant under
 the shear group K = {g(0, b, x, y)} of order q^3, which acts freely with one
-orbit per c1 and side (``shear_orbits``).  After an exact integer check that
+orbit per c1 and side (``_shear_orbits``).  After an exact integer check that
 K's 3e generators are graph automorphisms, the graph splits into q^3
 Hermitian blocks of order q (2q for D(4,q)), one per additive character of
 K, in the style of Babai (JCTB 1979).  For odd p the block of the character
@@ -51,7 +51,7 @@ class NumericSpectrum:
         return True
 
 
-def shear_orbits(adj: AdjacencyStructure, spec: ff.FieldSpec):
+def _shear_orbits(adj: AdjacencyStructure, spec: ff.FieldSpec):
     """(orbit, k) of every vertex under K, k = (b, x, y) encoded b + q*x + q^2*y.
 
     k maps a point or Gamma vertex to (c1, c2+b, c3-b*c1+x, c4+y), a Cay(G, S)
@@ -88,7 +88,7 @@ def numeric_spectrum(adj: AdjacencyStructure,
             "use the closed-form path")
     spec = ff.field_for(adj.q)
     q, q3, nb = spec.q, spec.q ** 3, adj.neighbors
-    orbit, k = shear_orbits(adj, spec)
+    orbit, k = _shear_orbits(adj, spec)
     m = adj.n // q3
     vertex = np.empty(adj.n, dtype=nb.dtype)
     vertex[orbit * q3 + k] = np.arange(adj.n)

@@ -177,7 +177,7 @@ def test_verify_checks_the_weil_bound_without_per_orbit_sums(capsys, monkeypatch
 
 
 def test_verify_untranslatable_graph_exits_1(capsys, monkeypatch, two_switch):
-    # verify builds Gamma's full rows once, with slab_rows, and sorts them itself
+    # verify builds Gamma's full rows, with slab_rows, only for the numeric oracle
     real = graphs.slab_rows
     monkeypatch.setattr(graphs, "slab_rows", lambda low, high: two_switch(
         graphs.AdjacencyStructure("GAMMA4", 3, 81, real(low, high))).neighbors)
@@ -274,8 +274,9 @@ def test_verify_fails_a_broken_field_on_its_root_profile(capsys, monkeypatch,
 
 
 def test_verify_peak_memory_is_below_two_neighbour_matrices():
-    # Gamma(4,13)'s uint16 matrix is held whole, once; Gamma and Cay(G,S) are
-    # compared as their w-free low digits and c4 digits, 0.69 MB each at q = 13
+    # no (q^4, q^2 - q) matrix above the dense budget: Gamma and Cay(G,S) are
+    # compared, and Gamma's components counted, on their w-free low digits and
+    # c4 digits, 0.69 MB each at q = 13, against the 8.9 MB of Gamma(4,13)'s rows
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -284,7 +285,19 @@ def test_verify_peak_memory_is_below_two_neighbour_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * 13 ** 4 * 156 * 2
+    assert peak <= 0.5 * 13 ** 4 * 156 * 2
+
+
+def test_verify_builds_no_rows_above_the_dense_budget(capsys, monkeypatch):
+    # the component count reads Gamma's slab pair; only the oracle needs its rows
+    def refuse(low, high):
+        raise AssertionError("slab_rows called above the dense budget")
+
+    monkeypatch.setattr(graphs, "slab_rows", refuse)
+    code, out, _ = run(capsys, ["verify", "--q", "8,9,11,13", "--max-dense-n", "2401",
+                                "--no-timestamp"])
+    assert code == 0 and out.endswith("all checks passed\n")
+    assert out.count("component count equals top multiplicity") == 4
 
 
 def test_epsilons_q5_shows_merge(capsys):
@@ -449,7 +462,8 @@ def test_out_is_opened_before_the_command_computes(argv, owner, attr, target, tm
 
 def test_a_wrong_closed_form_total_exits_1(capsys, monkeypatch):
     # a spectrum that fails its degree count is a failed verification, not a usage
-    # error: verify reports the checks that ran before it and exits 1
+    # error: the degree check prints FAIL, that q's graph checks are skipped, and
+    # verify goes on to the next q
     real = closedform.SpectrumMultiset.assemble.__func__
 
     def assemble(cls, graph, q, pairs, expected_total):
@@ -458,9 +472,71 @@ def test_a_wrong_closed_form_total_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(closedform.SpectrumMultiset, "assemble", classmethod(assemble))
     code, out, err = run(capsys, ["verify", "--q", "3,5", "--no-timestamp"])
-    assert code == 1 and err == "error: multiset totals 82, expected 81\n"
+    assert code == 1 and err == ""
     assert out == ("[PASS] q=3 quadratic root-count profile\n"
-                   "[PASS] q=3 Weil bound over the cubic family\n")
+                   "[PASS] q=3 Weil bound over the cubic family\n"
+                   "[FAIL] q=3 closed-form degree conservation"
+                   "  (multiset totals 82, expected 81)\n"
+                   "[PASS] q=5 quadratic root-count profile\n"
+                   "[PASS] q=5 Weil bound over the cubic family\n"
+                   "[FAIL] q=5 closed-form degree conservation"
+                   "  (multiset totals 626, expected 625)\n"
+                   "VERIFICATION FAILURES PRESENT\n")
+
+
+_UNSEEN_ID_VERIFY = """
+import sys
+import numpy as np
+from luspec import cli, closedform
+real = closedform._raw_id
+closedform._raw_id = lambda spec, a, c: np.maximum(real(spec, a, c), 1)  # never id 0
+sys.exit(cli.main(["verify", "--q", "2,11", "--no-timestamp"]))
+"""
+
+
+def test_a_failed_guard_exits_1_with_a_report():
+    # the orbit table's guard raises RuntimeError at q = 11 (see test_closedform's
+    # test_orbit_table_guards_an_unseen_orbit): verify prints the lines it has and
+    # the guard's message, with no traceback, also with asserts stripped
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _UNSEEN_ID_VERIFY],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, (flags, proc.stderr)
+        assert proc.stderr == "error: q=11: a scaling orbit is met at no position\n"
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "[PASS] q=11 quadratic root-count profile"
+        assert len(lines) > 1 and all(line.startswith("[PASS] q=2 ") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--q", "6"], ["epsilons", "--q", "8"],
+                                  ["build", "--q", "16"], ["verify", "--q", "5,6"]])
+def test_a_usage_error_leaves_an_existing_out_as_it_was(argv, tmp_path, capsys):
+    # --out is opened to append, and emptied only by the command's first write
+    path = tmp_path / "F"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, argv + ["--out", str(path), "--no-timestamp"])
+    assert code == 2 and out == "" and err.startswith("error: "), err
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_out_replaces_an_existing_file_and_takes_devices(tmp_path, capsys):
+    path = tmp_path / "F"
+    path.write_text("an older, longer output\n" * 100)
+    assert cli.main(["spectrum", "--q", "3", "--format", "csv", "--out", str(path),
+                     "--no-timestamp"]) == 0
+    assert cli.main(["spectrum", "--q", "3", "--format", "csv", "--out", os.devnull,
+                     "--no-timestamp"]) == 0  # a device: nothing to empty
+    assert cli.main(["spectrum", "--q", "3", "--format", "csv", "--no-timestamp"]) == 0
+    assert path.read_text() == capsys.readouterr().out
+    # build empties both of its files
+    coords = tmp_path / "F.coords.json"
+    coords.write_text("x" * 10 ** 5)
+    assert cli.main(["build", "--q", "2", "--out", str(path), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert cli.main(["build", "--q", "2", "--no-timestamp"]) == 0
+    assert path.read_text() == capsys.readouterr().out
+    assert json.loads(coords.read_text())["vertices"] == 16
 
 
 def test_deterministic_output(tmp_path, capsys):

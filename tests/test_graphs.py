@@ -338,13 +338,13 @@ def test_action_matches_act_point():
 
 @pytest.mark.parametrize("q,count", [(2, 4), (3, 1), (4, 4), (5, 1)])
 def test_component_counts(q, count, graph):
-    ncomp, sizes = graphs.connected_components(graph("gamma", q))
+    ncomp, sizes = graphs.connected_components(graph("gamma", q).neighbors)
     assert ncomp == count
     assert sum(sizes) == q ** 4
 
 
 def test_d4_components_q2(graph):
-    ncomp, sizes = graphs.connected_components(graph("d4", 2))
+    ncomp, sizes = graphs.connected_components(graph("d4", 2).neighbors)
     assert ncomp == 4 and sizes == [8, 8, 8, 8]
 
 
@@ -442,14 +442,27 @@ def test_components_match_scalar_bfs(components_reference):
     cases += [graphs.build_d4(ff.field_for(q)) for q in (2, 3, 4, 5, 7)]
     cases += [graphs.build_gamma(ff.field_for(q)) for q in (2, 3, 4, 5, 7, 8, 9)]
     for adj in cases:
-        assert graphs.connected_components(adj) == components_reference(adj)
+        assert graphs.connected_components(adj.neighbors) == components_reference(adj)
 
 
 def test_components_one_vertex_per_slice(monkeypatch, components_reference):
     monkeypatch.setattr(graphs, "_CHUNK", 1)
+    monkeypatch.setattr(graphs, "_BLOCK", 1)  # one column per bottom-up block
     for adj in (_cycles_and_paths(), graphs.build_gamma(ff.field_for(3)),
                 graphs.build_gamma(ff.field_for(4))):
-        assert graphs.connected_components(adj) == components_reference(adj)
+        assert graphs.connected_components(adj.neighbors) == components_reference(adj)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_components_of_gamma_slabs_match_scalar_bfs(q, monkeypatch, components_reference):
+    # verify's form: the BFS reads Gamma's rows through its slab pair (glow, ghigh)
+    spec = ff.field_for(q)
+    slabs = graphs.gamma_slabs(spec)
+    expected = components_reference(graphs.build_gamma(spec))
+    assert graphs.connected_components(slabs) == expected
+    monkeypatch.setattr(graphs, "_CHUNK", 1)  # one frontier vertex per gather
+    monkeypatch.setattr(graphs, "_BLOCK", 1)  # one column per bottom-up block
+    assert graphs.connected_components(slabs) == expected
 
 
 def test_edge_list_export(graph):

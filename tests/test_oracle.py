@@ -81,7 +81,7 @@ def test_asymmetric_translation_invariant_graph_is_refused():
 def test_shear_orbits_are_a_bijection(graph, field):
     for kind, q in (("gamma", 4), ("gamma", 9), ("d4", 3), ("cayley", 5), ("cayley", 8)):
         adj, q3 = graph(kind, q), q ** 3
-        orbit, k = oracle.shear_orbits(adj, field(q))
+        orbit, k = oracle._shear_orbits(adj, field(q))
         assert sorted(orbit * q3 + k) == list(range(adj.n))
         # k = 0 exactly on the orbit representatives, c2 = c3 = c4 = 0
         assert np.array_equal(k == 0, np.arange(adj.n) % q ** 4 < q)
@@ -91,7 +91,7 @@ def test_shear_orbits_are_a_bijection(graph, field):
 def test_cayley_shear_is_right_multiplication(q, graph, field):
     # vertex g of Cay(G, S) is g(c1, 0, 0, 0) * g(0, b, x, y), k = (b, x, y)
     spec = field(q)
-    orbit, k = oracle.shear_orbits(graph("cayley", q), spec)
+    orbit, k = oracle._shear_orbits(graph("cayley", q), spec)
     for i in range(q ** 4):
         rep = graphs.vertex_coords(q, int(orbit[i]))
         shear = graphs.vertex_coords(q, q * int(k[i]))
@@ -125,7 +125,7 @@ def test_unshearable_graph_is_refused(q, graph, field):
 def _shear_is_automorphism(adj, spec, h):
     """True iff the shear by h = (b, x, y) in K permutes adj's rows."""
     q, q3 = spec.q, spec.q ** 3
-    orbit, k = oracle.shear_orbits(adj, spec)
+    orbit, k = oracle._shear_orbits(adj, spec)
     vertex = np.empty(adj.n, dtype=np.int64)
     vertex[orbit * q3 + k] = np.arange(adj.n)
     pi = vertex[orbit * q3 + sum(q ** i * spec.add(k // q ** i % q, h[i]) for i in range(3))]
@@ -150,7 +150,7 @@ def _coset_switch(adj, spec):
     for every h in H = F_p^3, the shears whose digits all have weight 1.  No
     representative is in the four H-cosets, so their rows stay as they were."""
     q, q3, p = spec.q, spec.q ** 3, spec.p
-    orbit, k = oracle.shear_orbits(adj, spec)
+    orbit, k = oracle._shear_orbits(adj, spec)
     vertex = np.empty(adj.n, dtype=np.int64)
     vertex[orbit * q3 + k] = np.arange(adj.n)
     hs = [(b, x, y) for b in range(p) for x in range(p) for y in range(p)]

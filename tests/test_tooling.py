@@ -120,6 +120,11 @@ _READ_IN_THEIR_MODULE = {
     "spectrum_even": "spectrum_closed's even-q branch",
     "EpsilonOrbits": "the type epsilon_orbits returns, whose fields cli reads",
     "eps_classes": "spectrum_odd's eps^2 - q pairs, one per orbit",
+    "NumericSpectrum": "the type numeric_spectrum returns, which compare_spectra reads",
+    "CompareReport": "the type compare_spectra returns, whose fields cli reads",
+    "ClusterMismatch": "the type of CompareReport.mismatches",
+    "ExpansionReport": "the type expansion_report returns, whose methods cli calls",
+    "TotalMismatchError": "the VerificationError compare_spectra raises on unequal sizes",
 }
 
 
@@ -142,7 +147,8 @@ def test_public_names_have_a_reader():
     files = [*SRC.glob("*.py"), *(root / "demos").glob("*.py"),
              *(p for p in (root / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
     unread = []
-    for module in ("ff.py", "graphs.py", "closedform.py", "cyclo.py", "gr9.py", "reps.py"):
+    for module in ("ff.py", "graphs.py", "closedform.py", "cyclo.py", "gr9.py", "reps.py",
+                   "oracle.py"):
         read = set()
         for path in files:
             if path != SRC / module:
