@@ -31,8 +31,12 @@ img = graphs.act_point(spec, P, [int(c[0]) for c in S])
 print("origin under the first connection-set element:",
       tuple(img), "collinear with origin:", graphs.collinear(spec, P, img))
 
-# no short cycles: D(4,q) has girth >= 8 at desk scale
-print("D(4,3) free of 4- and 6-cycles:", graphs.girth_at_least(d4, 8))
+# no short cycles: the girth is the least g with a cycle of length <= g; the
+# scan walks from one root per orbit of the shear group K
+for qq in (3, 5, 7):
+    adj = graphs.build_d4(ff.field_for(qq))
+    girth = next(g for g in range(3, 14) if not graphs.girth_at_least(adj, g + 1))
+    print(f"D(4,{qq}) girth: {girth}")
 
 # edge-list export format
 buf = io.StringIO()

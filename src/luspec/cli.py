@@ -152,8 +152,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _verify_one(q: int, args, lines: list[str]) -> bool:
-    ok = True
+def _verify_one(spec: ff.FieldSpec, args, lines: list[str]) -> bool:
+    q, ok = spec.q, True
 
     def check(name: str, passed: bool, detail: str = ""):
         nonlocal ok
@@ -161,8 +161,6 @@ def _verify_one(q: int, args, lines: list[str]) -> bool:
         status = "PASS" if passed else "FAIL"
         suffix = f"  ({detail})" if detail else ""
         lines.append(f"[{status}] q={q} {name}{suffix}\n")
-
-    spec = ff.field_for(q)
 
     # the closed forms sum to q^3 - 1, the nonzero polynomials, and give even q's
     # cubics no key 2: equality also checks the total and that no cubic has 2 roots
@@ -223,8 +221,8 @@ def cmd_verify(args) -> int:
     lines: list[str] = []
     all_ok = True
     try:
-        for q in args.q:
-            all_ok &= _verify_one(q, args, lines)
+        for spec in [ff.field_for(q) for q in args.q]:  # a bad q exits 2 before any computes
+            all_ok &= _verify_one(spec, args, lines)
     except (closedform.VerificationError, RuntimeError):
         # report the checks that already ran before the failure propagates
         _write(args, "".join(lines), echo=True)

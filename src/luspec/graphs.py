@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ff import FieldSpec, SizeBudgetError
+from .ff import FieldSpec, SizeBudgetError, field_for
 
 DEFAULT_MAX_GRAPH_Q = 13
 # every vertex index is below 2*q^4 <= 2*13^4 = 57,122 < 2^16 (see _check_size)
@@ -302,6 +302,47 @@ def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
     return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
 
 
+def shear_orbits(adj: AdjacencyStructure):
+    """(orbit, k) of every vertex under the shear group K = {g(0, b, x, y)},
+    k = (b, x, y) encoded b + q*x + q^2*y, if K acts on adj; else None.
+
+    k maps a point or Gamma vertex to (c1, c2+b, c3-b*c1+x, c4+y), a Cay(G, S)
+    vertex to (c1, c2+b, c3-2b*c1+x, c4+y) (right multiplication by
+    g(0, b, x, y)) and a D(4,q) line to (c1, c2-b, c3-x, c4+b*c1-y).  v is k
+    of its orbit's vertex with c2 = c3 = c4 = 0; orbits are numbered c1, lines
+    after points.  K acts if adj is a D4, GAMMA4 or CAYLEY4 of its size and, in
+    integers, each of K's 3e generators pi: k -> k + p^i on one axis carries
+    every row onto its image's row, sort(pi[nb]) = nb[pi]."""
+    q, nb, sides = adj.q, adj.neighbors, {"D4": 2, "GAMMA4": 1, "CAYLEY4": 1}.get(adj.name)
+    if sides is None or adj.n != sides * q ** 4:
+        return None
+    spec, q3 = field_for(q), q ** 3
+    side, j = np.divmod(np.arange(adj.n), q ** 4)
+    c1, c2, c3, c4 = vertex_coords(q, j)
+    shear = spec.mul(c1, c2)
+    if adj.name == "CAYLEY4":
+        shear = spec.add(shear, shear)
+    line = side == 1
+    b = np.where(line, spec.neg(c2), c2)
+    x = np.where(line, spec.neg(c3), spec.add(c3, shear))
+    y = np.where(line, spec.neg(spec.add(c4, shear)), c4)
+    orbit, k = side * q + c1, b + q * x + q * q * y
+    vertex = np.empty(adj.n, dtype=nb.dtype)
+    vertex[orbit * q3 + k] = np.arange(adj.n)
+    gens = [vertex[orbit * q3 + k + (spec.add(digit, w) - digit) * axis]
+            for axis in (1, q, q * q) for digit in [k // axis % q]
+            for w in (spec.p ** i for i in range(spec.e))]
+    return (orbit, k) if _permutes_rows(nb, gens) else None
+
+
+def _permutes_rows(nb: np.ndarray, perms) -> bool:
+    """True iff each permutation pi in perms has sort(pi[nb]) = nb[pi], row by row;
+    in 1024-row blocks, each cast to intp once (numpy gathers faster by intp)."""
+    return all(np.array_equal(np.sort(pi[block], axis=1), nb[pi[v]])
+               for v in (slice(i, i + 1024) for i in range(0, len(nb), 1024))
+               for block in [nb[v].astype(np.intp)] for pi in perms)
+
+
 # ----------------------------------------------------------------------
 # connectivity / girth / exports
 
@@ -360,19 +401,25 @@ def connected_components(rows):
 def girth_at_least(adj: AdjacencyStructure, g: int = 8) -> bool:
     """True iff the graph has no cycle shorter than g.
 
-    From every root at once, the non-backtracking walks of length 0..R,
-    R = (g-1)//2, must end at pairwise distinct vertices (else two of them
-    close a cycle of length <= 2R); for even g the walks of length R+1 must
-    also end away from all of those (else a cycle of length <= 2R+1).  A chunk
-    of roots counts its walk ends in one table, slot root_row*n + end: no count
+    From each root, the non-backtracking walks of length 0..R, R = (g-1)//2,
+    must end at pairwise distinct vertices (else two of them close a cycle of
+    length <= 2R); for even g the walks of length R+1 must also end away from
+    all of those (else a cycle of length <= 2R+1).  Any shorter cycle through
+    the root breaks this, so one root per orbit of an automorphism group is
+    exact: an automorphism carries a short cycle through any vertex onto one
+    through its orbit's root.  The roots are K's, k = 0, if shear_orbits finds
+    that K acts (2q for D(4,q), q for Gamma), else every vertex.  A chunk of
+    roots counts its walk ends in one table, slot root_row*n + end: no count
     may exceed 1, and every length-(R+1) end must find a count of 0.  Each root
     costs n table slots, so a chunk stays within _CHUNK entries while n <= _CHUNK."""
     n, k, nb = adj.n, adj.degree, adj.neighbors
+    labels = shear_orbits(adj)
+    starts = np.arange(n) if labels is None else np.flatnonzero(labels[1] == 0)
     R, last = (g - 1) // 2, g // 2  # last = R + 1 for even g
     walks = 1 + sum(k * (k - 1) ** (level - 1) for level in range(1, last + 1))
     step = max(1, _CHUNK // max(walks, n))
-    for lo in range(0, n, step):
-        roots = np.arange(lo, min(lo + step, n), dtype=nb.dtype)
+    for lo in range(0, len(starts), step):
+        roots = starts[lo:lo + step].astype(nb.dtype)
         ends = roots[:, None]
         levels = [ends]
         for level in range(1, last + 1):

@@ -3,10 +3,11 @@
 The one numeric eigensolver returns full eigenvalue lists (multiset
 comparison needs every multiplicity).  Every built graph is invariant under
 the shear group K = {g(0, b, x, y)} of order q^3, which acts freely with one
-orbit per c1 and side (``_shear_orbits``).  After an exact integer check that
-K's 3e generators are graph automorphisms, the graph splits into q^3
-Hermitian blocks of order q (2q for D(4,q)), one per additive character of
-K, in the style of Babai (JCTB 1979).  For odd p the block of the character
+orbit per c1 and side.  ``graphs.shear_orbits`` labels the orbits and checks
+exactly, in integers, that K's 3e generators are graph automorphisms (the
+girth scan reads the same labels); the graph then splits into q^3 Hermitian
+blocks of order q (2q for D(4,q)), one per additive character of K, in the
+style of Babai (JCTB 1979).  For odd p the block of the character
 -chi is the complex conjugate of chi's, so only one of each such pair is
 solved, and its eigenvalues count twice.  The blocks go to one stacked
 ``numpy.linalg.eigvalsh``; the package needs numpy alone.
@@ -51,34 +52,12 @@ class NumericSpectrum:
         return True
 
 
-def _shear_orbits(adj: AdjacencyStructure, spec: ff.FieldSpec):
-    """(orbit, k) of every vertex under K, k = (b, x, y) encoded b + q*x + q^2*y.
-
-    k maps a point or Gamma vertex to (c1, c2+b, c3-b*c1+x, c4+y), a Cay(G, S)
-    vertex to (c1, c2+b, c3-2b*c1+x, c4+y) (right multiplication by
-    g(0, b, x, y)) and a D(4,q) line to (c1, c2-b, c3-x, c4+b*c1-y).  v is k
-    of its orbit's vertex with c2 = c3 = c4 = 0; orbits are numbered c1,
-    lines after points."""
-    q = spec.q
-    side, j = np.divmod(np.arange(adj.n), q ** 4)
-    c1, c2, c3, c4 = graphs.vertex_coords(q, j)
-    shear = spec.mul(c1, c2)
-    if adj.name == "CAYLEY4":
-        shear = spec.add(shear, shear)
-    line = side == 1
-    b = np.where(line, spec.neg(c2), c2)
-    x = np.where(line, spec.neg(c3), spec.add(c3, shear))
-    y = np.where(line, spec.neg(spec.add(c4, shear)), c4)
-    return side * q + c1, b + q * x + q * q * y
-
-
 def numeric_spectrum(adj: AdjacencyStructure,
                      max_dense_n: int = DEFAULT_MAX_DENSE_N) -> NumericSpectrum:
     """Full eigenvalue list from the q^3 Hermitian blocks of K's characters.
 
-    First checked in integers, else VerificationError: each generator
-    pi: k -> k + p^i on one axis of K carries every row onto its image's row,
-    sort(pi[nb]) = nb[pi], and R[r, c, k] = A[r, k c] over orbit
+    First checked in integers, else VerificationError: graphs.shear_orbits
+    finds that K acts on adj, and R[r, c, k] = A[r, k c] over orbit
     representatives r, c has R[c, r, -k] = R[r, c, k].  Each additive
     character chi(b, x, y) = zeta_p^tr(alpha*b + beta*x + gamma*y) then gives
     the block B_chi[r, c] = sum_k R[r, c, k] chi(k)."""
@@ -87,26 +66,17 @@ def numeric_spectrum(adj: AdjacencyStructure,
             f"{adj.n} vertices exceed the dense budget {max_dense_n}; "
             "use the closed-form path")
     spec = ff.field_for(adj.q)
-    q, q3, nb = spec.q, spec.q ** 3, adj.neighbors
-    orbit, k = _shear_orbits(adj, spec)
-    m = adj.n // q3
-    vertex = np.empty(adj.n, dtype=nb.dtype)
-    vertex[orbit * q3 + k] = np.arange(adj.n)
-    gens = [vertex[orbit * q3 + k + (spec.add(digit, w) - digit) * axis]
-            for axis in (1, q, q * q) for digit in [k // axis % q]
-            for w in (spec.p ** i for i in range(spec.e))]
-    # in 1024-row blocks, each cast to intp once: numpy gathers faster by intp
-    automorphic = all(
-        np.array_equal(np.sort(pi[block], axis=1), nb[pi[v]])
-        for v in (slice(i, i + 1024) for i in range(0, adj.n, 1024))
-        for block in [nb[v].astype(np.intp)] for pi in gens)
-    rows = nb[vertex[::q3]]  # the representatives' rows, by orbit
-    counts = np.bincount(
-        ((k[rows] * m + np.arange(m)[:, None]) * m + orbit[rows]).ravel(),
-        minlength=q3 * m * m).reshape(q, q, q, m, m)  # [y, x, b, r, c]
+    q, q3 = spec.q, spec.q ** 3
+    labels, m = graphs.shear_orbits(adj), adj.n // q3
     neg = spec.neg(np.arange(q))
-    if not (automorphic and np.array_equal(counts, counts[
-            neg[:, None, None], neg[:, None], neg].transpose(0, 1, 2, 4, 3))):
+    if labels is not None:
+        orbit, k = labels
+        rows = adj.neighbors[k == 0]  # the representatives' rows, by orbit
+        counts = np.bincount(
+            ((k[rows] * m + np.arange(m)[:, None]) * m + orbit[rows]).ravel(),
+            minlength=q3 * m * m).reshape(q, q, q, m, m)  # [y, x, b, r, c]
+    if labels is None or not np.array_equal(counts, counts[
+            neg[:, None, None], neg[:, None], neg].transpose(0, 1, 2, 4, 3)):
         raise VerificationError(
             f"{adj.name} q={q}: the shears of K are not automorphisms")
     a = np.arange(q)

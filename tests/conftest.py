@@ -247,6 +247,69 @@ def two_switch():
     return _two_switch
 
 
+def _sheared(adj, spec, f):
+    """adj with every vertex (c1, c2, c3, c4) renamed (c1, c2, c3 + f(c2), c4):
+    isomorphic and still invariant under the (c3, c4) translations, but for
+    nonlinear f no longer under the c2 shear of the built coordinates."""
+    q = spec.q
+    v = np.arange(adj.n)
+    c2, c3 = v // q % q, v // q ** 2 % q
+    rename = v + q * q * (spec.add(c3, f(c2)) - c3)
+    nb = np.empty_like(adj.neighbors)
+    nb[rename] = rename[adj.neighbors]
+    nb.sort(axis=1)
+    out = graphs.AdjacencyStructure(adj.name, q, adj.n, nb)
+    assert out.validate()
+    return out
+
+
+@pytest.fixture(scope="session")
+def sheared():
+    """sheared(adj, spec, f): adj renamed by c3 -> c3 + f(c2), a mutant for K's check."""
+    return _sheared
+
+
+def _coset_switch(adj, spec):
+    """adj with the 2-switch a-b, c-d -> a-c, b-d made at h(a), h(b), h(c), h(d)
+    for every h in H = F_p^3, the shears whose digits all have weight 1.  No
+    representative is in the four H-cosets, so their rows stay as they were."""
+    q, q3, p = spec.q, spec.q ** 3, spec.p
+    orbit, k = graphs.shear_orbits(adj)
+    vertex = np.empty(adj.n, dtype=np.int64)
+    vertex[orbit * q3 + k] = np.arange(adj.n)
+    hs = [(b, x, y) for b in range(p) for x in range(p) for y in range(p)]
+
+    def coset(v):
+        return [int(vertex[orbit[v] * q3 + sum(q ** i * spec.add(int(k[v]) // q ** i % q, h[i])
+                                               for i in range(3))]) for h in hs]
+
+    def far(*vs):  # pairwise distinct H-cosets, none holding a representative
+        return len({frozenset(coset(v)) for v in vs}) == len(vs) and all(
+            max(int(k[v]) // q ** i % q for i in range(3)) >= p for v in vs)
+
+    nb = adj.neighbors
+    a = adj.n - 1
+    b = next(b for b in nb[a].tolist() if far(a, b))
+    c, d = next((c, d) for c in range(adj.n) for d in nb[c].tolist()
+                if c not in nb[a] and d not in nb[b] and far(a, b, c, d))
+    rows = [set(r) for r in nb.tolist()]
+    for ha, hb, hc, hd in zip(coset(a), coset(b), coset(c), coset(d)):
+        for u, old, new in ((ha, hb, hc), (hb, ha, hd), (hc, hd, ha), (hd, hc, hb)):
+            rows[u].remove(old)
+            rows[u].add(new)
+    out = graphs.AdjacencyStructure(adj.name, adj.q, adj.n,
+                                    np.array([sorted(r) for r in rows], dtype=np.int32))
+    assert out.validate()
+    return out
+
+
+@pytest.fixture(scope="session")
+def coset_switch():
+    """coset_switch(adj, spec): adj 2-switched on every F_p^3 translate of four
+    vertices, a mutant that only a weight-p generator of K refuses."""
+    return _coset_switch
+
+
 def _swapped_field(q: int) -> ff.FieldSpec:
     """An uncached GF(q) whose powers g^1 and g^2 trade places in ``exp``
     (both copies), so that ``mul`` is wrong while every table keeps its size."""

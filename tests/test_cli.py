@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -84,6 +85,14 @@ def test_verify_empty_list(capsys):
 def test_verify_non_prime_power_exits_2(capsys):
     code, _, err = run(capsys, ["verify", "--q", "3,6"])
     assert code == 2 and "prime power" in err
+
+
+def test_verify_checks_every_q_before_computing_any(capsys):
+    # q = 4093 alone takes about a second; q = 6 is refused before it starts
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--q", "4093,6", "--no-timestamp"])
+    assert code == 2 and out == "" and "q=6 is not a prime power" in err
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_verify_total_mismatch_exits_1(capsys, monkeypatch):

@@ -348,9 +348,13 @@ def test_d4_components_q2(graph):
     assert ncomp == 4 and sizes == [8, 8, 8, 8]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_d4_no_short_cycles(q, graph):
-    assert graphs.girth_at_least(graph("d4", q), 8)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_d4_no_short_cycles(q, graph, girth_reference):
+    # girth 8 at every buildable q but 3, where it is 12
+    girth, adj = 12 if q == 3 else 8, graph("d4", q)
+    assert graphs.girth_at_least(adj, girth) and not graphs.girth_at_least(adj, girth + 1)
+    if q <= 5:  # the scalar BFS from every vertex agrees
+        assert girth_reference(adj, girth) and not girth_reference(adj, girth + 1)
 
 
 def test_girth_detects_squares():
@@ -397,8 +401,51 @@ def test_girth_one_root_per_chunk(monkeypatch, girth_reference):
 
 
 def test_d4_q7_girth_is_eight(graph):
-    assert graphs.girth_at_least(graph("d4", 7), 8)
-    assert not graphs.girth_at_least(graph("d4", 7), 9)
+    for g in range(3, 14):
+        assert graphs.girth_at_least(graph("d4", 7), g) == (g <= 8), g
+
+
+def _walked_roots(monkeypatch, adj, g):
+    """(girth_at_least(adj, g), the number of roots it walks from), read from
+    the n slots per root of each chunk's count table."""
+    slots, bincount = [], np.bincount
+
+    def spy(x, minlength=0):
+        slots.append(minlength)
+        return bincount(x, minlength=minlength)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "bincount", spy)
+        answer = graphs.girth_at_least(adj, g)
+    return answer, sum(slots) // adj.n
+
+
+@pytest.mark.parametrize("kind, q", [("d4", 2), ("d4", 5), ("d4", 9), ("gamma", 4),
+                                     ("gamma", 7), ("cayley", 3), ("cayley", 8)])
+def test_girth_walks_one_root_per_shear_orbit(kind, q, graph, monkeypatch):
+    # at g = 3 every chunk is walked: no simple graph has a shorter cycle
+    roots = 2 * q if kind == "d4" else q
+    assert _walked_roots(monkeypatch, graph(kind, q), 3) == (True, roots)
+    if kind == "d4":
+        assert _walked_roots(monkeypatch, graph(kind, q), 8) == (True, roots)
+
+
+def test_girth_of_unshearable_mutants_walks_every_root(graph, field, sheared, coset_switch,
+                                                       girth_reference, monkeypatch):
+    # the coset switch leaves the representatives' rows as they were but makes
+    # 4-cycles through other vertices: walked from the representatives alone,
+    # D(4,4)'s mutant would pass girth 5 to 8
+    F3, d4 = field(3), graph("d4", 4)
+    mutants = [sheared(graph("d4", 3), F3, lambda c2: F3.mul(c2, c2)),
+               coset_switch(d4, field(4))]
+    rep = graphs.shear_orbits(d4)[1] == 0
+    assert np.array_equal(mutants[1].neighbors[rep], d4.neighbors[rep])
+    for adj in mutants:
+        assert graphs.shear_orbits(adj) is None
+        assert _walked_roots(monkeypatch, adj, 3) == (True, adj.n)
+        for g in range(3, 11):
+            assert graphs.girth_at_least(adj, g) == girth_reference(adj, g), (adj.q, g)
+    assert not graphs.girth_at_least(mutants[1], 5)
 
 
 @pytest.mark.parametrize("q", [5, 7])

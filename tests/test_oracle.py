@@ -78,10 +78,10 @@ def test_asymmetric_translation_invariant_graph_is_refused():
         oracle.numeric_spectrum(adj)
 
 
-def test_shear_orbits_are_a_bijection(graph, field):
+def test_shear_orbits_are_a_bijection(graph):
     for kind, q in (("gamma", 4), ("gamma", 9), ("d4", 3), ("cayley", 5), ("cayley", 8)):
         adj, q3 = graph(kind, q), q ** 3
-        orbit, k = oracle._shear_orbits(adj, field(q))
+        orbit, k = graphs.shear_orbits(adj)
         assert sorted(orbit * q3 + k) == list(range(adj.n))
         # k = 0 exactly on the orbit representatives, c2 = c3 = c4 = 0
         assert np.array_equal(k == 0, np.arange(adj.n) % q ** 4 < q)
@@ -91,110 +91,62 @@ def test_shear_orbits_are_a_bijection(graph, field):
 def test_cayley_shear_is_right_multiplication(q, graph, field):
     # vertex g of Cay(G, S) is g(c1, 0, 0, 0) * g(0, b, x, y), k = (b, x, y)
     spec = field(q)
-    orbit, k = oracle._shear_orbits(graph("cayley", q), spec)
+    orbit, k = graphs.shear_orbits(graph("cayley", q))
     for i in range(q ** 4):
         rep = graphs.vertex_coords(q, int(orbit[i]))
         shear = graphs.vertex_coords(q, q * int(k[i]))
         assert graphs.vertex_index(q, graphs.group_mul(spec, rep, shear)) == i
 
 
-def _sheared(adj, spec, f):
-    """adj with every vertex (c1, c2, c3, c4) renamed (c1, c2, c3 + f(c2), c4):
-    isomorphic and still invariant under the (c3, c4) translations, but for
-    nonlinear f no longer under the c2 shear of the built coordinates."""
-    q = spec.q
-    v = np.arange(adj.n)
-    c2, c3 = v // q % q, v // q ** 2 % q
-    rename = v + q * q * (spec.add(c3, f(c2)) - c3)
-    nb = np.empty_like(adj.neighbors)
-    nb[rename] = rename[adj.neighbors]
-    nb.sort(axis=1)
-    out = graphs.AdjacencyStructure(adj.name, q, adj.n, nb)
-    assert out.validate()
-    return out
-
-
 @pytest.mark.parametrize("q", [3, 9])
-def test_unshearable_graph_is_refused(q, graph, field):
+def test_unshearable_graph_is_refused(q, graph, field, sheared):
     spec = field(q)
-    mutant = _sheared(graph("gamma", q), spec, lambda c2: spec.mul(c2, c2))
+    mutant = sheared(graph("gamma", q), spec, lambda c2: spec.mul(c2, c2))
     with pytest.raises(oracle.VerificationError, match="not automorphisms"):
         oracle.numeric_spectrum(mutant)
 
 
-def _shear_is_automorphism(adj, spec, h):
-    """True iff the shear by h = (b, x, y) in K permutes adj's rows."""
+def _shear_is_automorphism(adj, built, spec, h):
+    """True iff the shear by h = (b, x, y) in K permutes adj's rows, by the row
+    check of graphs.shear_orbits; K's orbits are those it finds on built, the
+    built graph of adj's kind and q."""
     q, q3 = spec.q, spec.q ** 3
-    orbit, k = oracle._shear_orbits(adj, spec)
+    orbit, k = graphs.shear_orbits(built)
     vertex = np.empty(adj.n, dtype=np.int64)
     vertex[orbit * q3 + k] = np.arange(adj.n)
     pi = vertex[orbit * q3 + sum(q ** i * spec.add(k // q ** i % q, h[i]) for i in range(3))]
-    return np.array_equal(np.sort(pi[adj.neighbors], axis=1), adj.neighbors[pi])
+    return graphs._permutes_rows(adj.neighbors, [pi])
 
 
-def test_second_digit_shear_mutant_is_refused(graph, field):
+def test_second_digit_shear_mutant_is_refused(graph, field, sheared):
     # f = d1^2, d1 the base-3 digit of c2 at weight 3: the weight-1 generators
     # commute with the renaming, the weight-3 one on the b axis does not (and,
     # f being even, neither does the count symmetry)
-    spec = field(9)
-    mutant = _sheared(graph("gamma", 9), spec, lambda c2: (c2 // 3 % 3) ** 2 % 3)
-    assert all(_shear_is_automorphism(mutant, spec, h)
+    spec, adj = field(9), graph("gamma", 9)
+    mutant = sheared(adj, spec, lambda c2: (c2 // 3 % 3) ** 2 % 3)
+    assert all(_shear_is_automorphism(mutant, adj, spec, h)
                for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert not _shear_is_automorphism(mutant, spec, (3, 0, 0))
+    assert not _shear_is_automorphism(mutant, adj, spec, (3, 0, 0))
     with pytest.raises(oracle.VerificationError, match="not automorphisms"):
         oracle.numeric_spectrum(mutant)
 
 
-def _coset_switch(adj, spec):
-    """adj with the 2-switch a-b, c-d -> a-c, b-d made at h(a), h(b), h(c), h(d)
-    for every h in H = F_p^3, the shears whose digits all have weight 1.  No
-    representative is in the four H-cosets, so their rows stay as they were."""
-    q, q3, p = spec.q, spec.q ** 3, spec.p
-    orbit, k = oracle._shear_orbits(adj, spec)
-    vertex = np.empty(adj.n, dtype=np.int64)
-    vertex[orbit * q3 + k] = np.arange(adj.n)
-    hs = [(b, x, y) for b in range(p) for x in range(p) for y in range(p)]
-
-    def coset(v):
-        return [int(vertex[orbit[v] * q3 + sum(q ** i * spec.add(int(k[v]) // q ** i % q, h[i])
-                                               for i in range(3))]) for h in hs]
-
-    def far(*vs):  # pairwise distinct H-cosets, none holding a representative
-        return len({frozenset(coset(v)) for v in vs}) == len(vs) and all(
-            max(int(k[v]) // q ** i % q for i in range(3)) >= p for v in vs)
-
-    nb = adj.neighbors
-    a = adj.n - 1
-    b = next(b for b in nb[a].tolist() if far(a, b))
-    c, d = next((c, d) for c in range(adj.n) for d in nb[c].tolist()
-                if c not in nb[a] and d not in nb[b] and far(a, b, c, d))
-    rows = [set(r) for r in nb.tolist()]
-    for ha, hb, hc, hd in zip(coset(a), coset(b), coset(c), coset(d)):
-        for u, old, new in ((ha, hb, hc), (hb, ha, hd), (hc, hd, ha), (hd, hc, hb)):
-            rows[u].remove(old)
-            rows[u].add(new)
-    out = graphs.AdjacencyStructure(adj.name, adj.q, adj.n,
-                                    np.array([sorted(r) for r in rows], dtype=np.int32))
-    assert out.validate()
-    return out
-
-
-def test_weight_one_shear_invariant_graph_is_refused(graph, field):
+def test_weight_one_shear_invariant_graph_is_refused(graph, field, coset_switch):
     # every generator of weight 1 is an automorphism and the representatives'
     # counts are Gamma's: only a generator of weight 3 can refuse this graph
     spec, adj = field(9), graph("gamma", 9)
-    mutant = _coset_switch(adj, spec)
-    assert all(_shear_is_automorphism(mutant, spec, h)
+    mutant = coset_switch(adj, spec)
+    assert all(_shear_is_automorphism(mutant, adj, spec, h)
                for h in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert np.array_equal(mutant.neighbors[:9], adj.neighbors[:9])
     with pytest.raises(oracle.VerificationError, match="not automorphisms"):
         oracle.numeric_spectrum(mutant)
 
 
-def test_unshearable_graph_is_refused_under_O(graph, field, tmp_path):
+def test_unshearable_graph_is_refused_under_O(graph, field, sheared, tmp_path):
     spec = field(3)
     path = tmp_path / "sheared.npy"
-    np.save(path, _sheared(graph("gamma", 3), spec, lambda c2: spec.mul(c2, c2)).neighbors)
+    np.save(path, sheared(graph("gamma", 3), spec, lambda c2: spec.mul(c2, c2)).neighbors)
     code = ("import numpy as np\n"
             "from luspec import graphs, oracle\n"
             f"nb = np.load({str(path)!r})\n"
