@@ -25,8 +25,15 @@ Every field, up to ``DEFAULT_MAX_Q``, has one representation of O(q) size:
 The operations ``add, sub, neg, mul, inv, pow, tr`` work elementwise on an
 integer ndarray of indices or on a single Python int, which gives a Python
 int back, so one formula written with them serves a scalar and a whole
-coordinate array alike.  The polynomial helpers below build the arrays and serve as the
-reference the tests compare them against.
+coordinate array alike.
+
+The arrays come from one matrix arithmetic, which :mod:`luspec.gr9` shares:
+``_x_powers`` gives the e x e matrices of X^0, ..., X^(e-1) in (Z/m)[X]/(f),
+and ``_matpow`` raises a matrix to a power mod m.  The modulus search runs
+Rabin's irreducibility test on them; g is the smallest index whose matrix
+sum_j a_j X^j has no power (q-1)/r equal to the identity, r a prime factor of
+q - 1; tr(X^j) is the trace of X^j's matrix; and exp is built by block
+doubling with the matrix of g^m.
 
 The root-count profiles that ``verify`` checks the arithmetic with are plain
 ``{roots: count}`` dicts over every nonzero a*lead(t) + b*t + c, compared
@@ -56,18 +63,7 @@ def _check_size(q: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _factorize(n) == {n: 1}
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -96,87 +92,50 @@ def _prime_power(q: int):
 
 
 # ----------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (tuples, constant term first)
+# the ring (Z/m)[X]/(f) through e x e matrices of multiplication
 
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pmulmod(a, b, modulus, p):
-    """a*b mod (modulus, p); modulus monic, full coefficient tuple."""
-    if not a or not b:
-        return ()
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] = (c[i + j] + ai * bj) % p
+def _x_powers(modulus, m: int) -> np.ndarray:
+    """The matrices of the basis X^0, ..., X^(e-1) of (Z/m)[X]/(f), f =
+    ``modulus`` (monic, constant term first) of degree e: column j of an
+    element's matrix holds the coefficients of the element times X^j."""
     e = len(modulus) - 1
-    for k in range(len(c) - 1, e - 1, -1):
-        ck = c[k]
-        if ck:
-            c[k] = 0
-            for j in range(e):
-                c[k - e + j] = (c[k - e + j] - ck * modulus[j]) % p
-    return _ptrim(c)
+    comp = np.eye(e, k=-1, dtype=np.int64)  # multiplication by X
+    comp[:, -1] = np.negative(modulus[:e]) % m
+    powers = [np.eye(e, dtype=np.int64)]
+    for _ in range(e - 1):
+        powers.append(comp @ powers[-1] % m)
+    return np.array(powers)
 
 
-def _ppow(a, n, modulus, p):
-    result = (1,)
-    base = a
-    while n > 0:
-        if n & 1:
-            result = _pmulmod(result, base, modulus, p)
-        base = _pmulmod(base, base, modulus, p)
-        n >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        db, da = len(b) - 1, len(r) - 1
-        while da >= db and any(r):
-            lead = r[da]
-            if lead:
-                f = (lead * inv_lead) % p
-                for j in range(db + 1):
-                    r[da - db + j] = (r[da - db + j] - f * b[j]) % p
-            da -= 1
-        a, b = b, _ptrim(r)
-    return a
+def _matpow(mat: np.ndarray, k: int, m: int) -> np.ndarray:
+    """mat**k mod m."""
+    out = np.eye(len(mat), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ mat % m
+        mat = mat @ mat % m
+        k >>= 1
+    return out
 
 
 def _is_irreducible(modulus, p: int) -> bool:
-    """Monic polynomial irreducibility over F_p.
+    """Rabin's test for a monic polynomial f of degree e over F_p.
 
-    Uses the standard criterion: x^(p^e) == x mod f, and for every prime
-    r | e the polynomial x^(p^(e/r)) - x is coprime to f.
+    f is irreducible iff X^(p^e) = X mod f and, for every prime r | e,
+    h = X^(p^(e/r)) - X is a unit mod f.  Once X^(p^e) = X holds, f is
+    squarefree with factors of degrees dividing e, so h is a unit iff
+    h^(p^e - 1) = 1.
     """
     e = len(modulus) - 1
     if e == 1:
         return True
-    x = (0, 1)
-    t = x
-    for _ in range(e):
-        t = _ppow(t, p, modulus, p)
-    if t != x:
+    x = _x_powers(modulus, p)[1]
+    if not np.array_equal(_matpow(x, p ** e, p), x):
         return False
-    for r in _factorize(e):
-        t = x
-        for _ in range(e // r):
-            t = _ppow(t, p, modulus, p)
-        diff = list(t) + [0] * max(0, 2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(_ptrim(diff), modulus, p)
-        if len(g) > 1:
-            return False
-    return True
+    eye = np.eye(e, dtype=np.int64)
+    return all(np.array_equal(_matpow((_matpow(x, p ** (e // r), p) - x) % p,
+                                      p ** e - 1, p), eye)
+               for r in _factorize(e))
 
 
 def _smallest_irreducible(p: int, e: int):
@@ -230,16 +189,18 @@ class FieldSpec:
     def _build(self):
         p, e, q = self.p, self.e, self.q
         n = q - 1
-        # the trace is F_p-linear: accumulate it digit by digit
+        basis = _x_powers(self.modulus, p)
+        # the trace is F_p-linear, and tr(X^j) is the trace of X^j's matrix:
+        # accumulate it digit by digit
         idx = np.arange(q, dtype=np.int64)
         trace = np.zeros(q, dtype=np.int64)
-        for j, w in enumerate(self._weights):
-            trace += idx // w % p * self._basis_trace(j)
+        for w, t in zip(self._weights, np.trace(basis, axis1=1, axis2=2) % p):
+            trace += idx // w % p * t
         self.trace = trace % p
 
         # block doubling: g^(m+i) = g^m * g^i, so one matrix product maps the
         # first m powers onto the next m
-        mat = self._mul_matrix(self._find_generator())
+        mat = np.tensordot(self.index_coeffs(self._find_generator()), basis, 1) % p
         exp = np.ones(1, dtype=np.int64)
         while exp.size < n:
             exp = np.concatenate([exp, self._apply(mat, exp[:n - exp.size])])
@@ -252,21 +213,16 @@ class FieldSpec:
         self.log[exp] = np.arange(n)
         self.exp = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
 
-    def _mul_matrix(self, g: int) -> np.ndarray:
-        """The e x e matrix over F_p of multiplication by g."""
-        gpoly = _ptrim(self.index_coeffs(g))
-        cols = [_pmulmod((0,) * j + (1,), gpoly, self.modulus, self.p)
-                for j in range(self.e)]
-        return np.array([c + (0,) * (self.e - len(c)) for c in cols],
-                        dtype=np.int64).T
-
     def _apply(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Indices of mat applied to the coefficient vectors of the indices x.
 
         The map is linear, so it is tabulated separately on the low e//2
         and the high e - e//2 base-p digits, and the two images are added.
+        A prime field has one digit and no table: mat is a scalar.
         """
         p, w = self.p, np.array(self._weights, dtype=np.int64)
+        if self.e == 1:
+            return x * mat[0, 0] % p
         split = p ** (self.e // 2)
 
         def image(v):
@@ -277,26 +233,16 @@ class FieldSpec:
         high = image(np.arange(self.q // split, dtype=np.int64) * split)
         return self.add(low[x % split], high[x // split])
 
-    def _basis_trace(self, j: int) -> int:
-        base = _ptrim((0,) * j + (1,))
-        t = base
-        acc = list(base) + [0] * self.e
-        for _ in range(self.e - 1):
-            t = _ppow(t, self.p, self.modulus, self.p)
-            for k, c in enumerate(t):
-                acc[k] = (acc[k] + c) % self.p
-        if any(acc[1:self.e]):
-            raise RuntimeError("trace of a basis element must be scalar")
-        return acc[0]
-
     def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        order_facts = list(_factorize(self.q - 1))
+        """The smallest index of multiplicative order q - 1: no power
+        (q-1)/r of its matrix, r a prime factor of q - 1, is the identity."""
+        p, n = self.p, self.q - 1
+        basis = _x_powers(self.modulus, p)
+        eye = np.eye(self.e, dtype=np.int64)
+        cofactors = [n // r for r in _factorize(n)]
         for i in range(1, self.q):
-            a = _ptrim(self.index_coeffs(i))
-            if all(_ppow(a, (self.q - 1) // r, self.modulus, self.p) != (1,)
-                   for r in order_facts):
+            mat = np.tensordot(self.index_coeffs(i), basis, 1) % p
+            if not any(np.array_equal(_matpow(mat, k, p), eye) for k in cofactors):
                 return i
         raise RuntimeError("no generator found")  # pragma: no cover
 
@@ -344,13 +290,6 @@ class FieldSpec:
     def tr(self, a):
         """Absolute trace GF(p^e) -> F_p, as integers in [0, p)."""
         return _out(self.trace[a])
-
-    def eval_poly(self, coeffs, a):
-        """Horner evaluation of a polynomial given by element indices."""
-        acc = 0
-        for c in reversed(list(coeffs)):
-            acc = self.add(self.mul(acc, a), c)
-        return acc
 
     def __repr__(self):
         return f"FieldSpec(GF({self.q}) = GF({self.p}^{self.e}), modulus={self.modulus})"

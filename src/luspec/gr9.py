@@ -7,11 +7,14 @@ the lift of a.  The spectra use the ring only through sums over T (see
 :func:`luspec.cyclo.exp_sum_gr`), so a spec holds one O(q) vector,
 ``teich_trace[a] = Tr(T(a))`` in Z/9 for each field index a.
 
-Tr(y) is the trace of the matrix of multiplication by y, so Tr(X^i) =
-trace(C^i) mod 9 for the companion matrix C of f, and Tr is linear in the
-coefficients.  The units are T* x (1 + 3R) with 1 + 3R of order q, so for a
-lift b of g = ``field.exp[1]``, beta = b^q = T(g) and T(g^j) = beta^j.  The
-powers beta^j are built by block doubling, as in ``ff.FieldSpec._build``.
+The ring is computed with the field's matrix arithmetic, taken mod 9:
+``ff._x_powers`` gives the matrices of multiplication by X^j and
+``ff._matpow`` raises them to powers.  Tr(y) is the trace of y's matrix, so
+Tr(X^j) is the trace of X^j's matrix, and Tr is linear in the coefficients.
+The units are T* x (1 + 3R) with 1 + 3R of order q, so for the lift b of
+g = ``field.exp[1]`` (the matrix sum_j b_j X^j), beta = b^q = T(g) and
+T(g^j) = beta^j.  The powers beta^j are built by block doubling, as in
+``ff.FieldSpec._build``.
 """
 
 from __future__ import annotations
@@ -19,16 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import ff
-
-
-def _matpow(mat: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(len(mat), dtype=np.int64)
-    while k:
-        if k & 1:
-            out = out @ mat % 9
-        mat = mat @ mat % 9
-        k >>= 1
-    return out
 
 
 def _combine(rows: np.ndarray, weights) -> np.ndarray:
@@ -55,16 +48,11 @@ class GR9Spec:
 
     def _build(self):
         e, q, n, field = self.e, self.q, self.q - 1, self.field
-        comp = np.eye(e, k=-1, dtype=np.int64)  # multiplication by X
-        comp[:, -1] = np.negative(self.modulus[:e]) % 9
-        powers = [np.eye(e, dtype=np.int64)]
-        for _ in range(e - 1):
-            powers.append(comp @ powers[-1] % 9)
-        basis_trace = np.array([np.trace(m) % 9 for m in powers])
-
+        powers = ff._x_powers(self.modulus, 9)
+        basis_trace = np.trace(powers, axis1=1, axis2=2) % 9  # Tr(X^j)
         b = field.index_coeffs(int(field.exp[1]))
-        mat = _matpow(sum(c * m for c, m in zip(b, powers)) % 9, q)  # beta
-        if not np.array_equal(_matpow(mat, n), np.eye(e, dtype=np.int64)):
+        mat = ff._matpow(np.tensordot(b, powers, 1) % 9, q, 9)  # beta
+        if not np.array_equal(ff._matpow(mat, n, 9), np.eye(e, dtype=np.int64)):
             raise RuntimeError("beta^(q-1) must be 1")
         # Entries are < 9 and e <= 12, so every dot product is at most 768:
         # the doubling runs in int16 and the rows are stored in int8.

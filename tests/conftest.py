@@ -67,6 +67,67 @@ def field():
     return ff.field_for
 
 
+# Polynomials over F_p as coefficient tuples, constant term first.  ff builds
+# its tables with e x e matrices; this is the tests' independent reference.
+
+def _ptrim(c):
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return tuple(c[:i])
+
+
+def _pmul(a, b, p):
+    """a*b over F_p, unreduced."""
+    if not a or not b:
+        return ()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            c[i + j] = (c[i + j] + ai * bj) % p
+    return _ptrim(c)
+
+
+def _pmulmod(a, b, modulus, p):
+    """a*b mod (modulus, p); modulus monic, full coefficient tuple."""
+    c = list(_pmul(a, b, p))
+    e = len(modulus) - 1
+    for k in range(len(c) - 1, e - 1, -1):
+        ck = c[k]
+        if ck:
+            c[k] = 0
+            for j in range(e):
+                c[k - e + j] = (c[k - e + j] - ck * modulus[j]) % p
+    return _ptrim(c)
+
+
+def _ppow(a, n, modulus, p):
+    result = (1,)
+    base = a
+    while n > 0:
+        if n & 1:
+            result = _pmulmod(result, base, modulus, p)
+        base = _pmulmod(base, base, modulus, p)
+        n >>= 1
+    return result
+
+
+def _eval_poly(spec: ff.FieldSpec, coeffs, a):
+    """Horner evaluation at a of a polynomial whose coefficients are field indices."""
+    acc = 0
+    for c in reversed(list(coeffs)):
+        acc = spec.add(spec.mul(acc, a), c)
+    return acc
+
+
+@pytest.fixture(scope="session")
+def poly():
+    """Polynomial arithmetic on coefficient tuples: trim, mul(a, b, p),
+    mulmod(a, b, modulus, p), pow(a, n, modulus, p), and eval(spec, coeffs, a)."""
+    return types.SimpleNamespace(trim=_ptrim, mul=_pmul, mulmod=_pmulmod,
+                                 pow=_ppow, eval=_eval_poly)
+
+
 @functools.lru_cache(maxsize=None)
 def _teichmueller_matrices(e: int) -> dict:
     """{a: Z/9 matrix of multiplication by T(a)} for GR(9, e), from the

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -199,11 +200,11 @@ REFERENCE_QS = [4, 9, 169, 243, 251, 256, 257, 343, 625]
 class Reference:
     """Field arithmetic on element indices through polynomial tuples."""
 
-    def __init__(self, spec):
-        self.spec = spec
+    def __init__(self, spec, poly):
+        self.spec, self.poly = spec, poly
 
     def _poly(self, a):
-        return ff._ptrim(self.spec.index_coeffs(a))
+        return self.poly.trim(self.spec.index_coeffs(a))
 
     def add(self, a, b):
         s = self.spec
@@ -215,13 +216,13 @@ class Reference:
 
     def mul(self, a, b):
         s = self.spec
-        return _index(s, ff._pmulmod(self._poly(a), self._poly(b), s.modulus, s.p))
+        return _index(s, self.poly.mulmod(self._poly(a), self._poly(b), s.modulus, s.p))
 
     def pow(self, a, k):
         s = self.spec
         if a and k < 0:
             k %= s.q - 1
-        return _index(s, ff._ppow(self._poly(a), k, s.modulus, s.p))
+        return _index(s, self.poly.pow(self._poly(a), k, s.modulus, s.p))
 
     def inv(self, a):
         return self.pow(a, self.spec.q - 2)
@@ -237,9 +238,9 @@ class Reference:
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_operations_match_polynomial_reference(data):
+def test_operations_match_polynomial_reference(poly, data):
     q = data.draw(st.sampled_from(REFERENCE_QS))
-    spec, ref = ff.field_for(q), Reference(ff.field_for(q))
+    spec, ref = ff.field_for(q), Reference(ff.field_for(q), poly)
     a = data.draw(st.integers(0, q - 1))
     b = data.draw(st.integers(0, q - 1))
     k = data.draw(st.integers(0, 3 * q))
@@ -286,18 +287,53 @@ def test_zero_has_no_inverse_in_arrays():
 
 
 @pytest.mark.parametrize("p,e", [(2, 20), (3, 12), (1048573, 1)])
-def test_largest_fields_build_in_linear_space(p, e):
+def test_largest_fields_build_in_linear_space(p, e, poly):
     spec = ff.FieldSpec(p, e)  # uncached, so its arrays are freed afterwards
     q = spec.q
     assert spec.exp.nbytes + spec.log.nbytes + spec.trace.nbytes <= 6 * 8 * q
     g = primitive_element(spec)
     assert all(spec.pow(g, (q - 1) // r) != 1 for r in ff._factorize(q - 1))
     assert np.bincount(spec.trace, minlength=p).tolist() == [q // p] * p
-    ref = Reference(spec)
+    ref = Reference(spec, poly)
     for a, b in [(g, q - 1), (q // 3, q // 2 + 1), (q - 1, q - 2)]:
         assert spec.mul(a, b) == ref.mul(a, b)
         assert spec.add(a, b) == ref.add(a, b)
         assert spec.inv(a) == ref.inv(a)
+
+
+def _monic(p, d):
+    """Every monic polynomial of degree d over F_p, constant term first."""
+    return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+
+@pytest.mark.parametrize("p, e", [(2, e) for e in range(2, 9)]
+                         + [(3, e) for e in range(2, 6)] + [(5, 2), (5, 3), (7, 2)])
+def test_irreducibility_matches_products_of_factors(p, e, poly):
+    # a monic f of degree e is reducible iff it is the product of two monic
+    # factors of degrees d and e - d for some 1 <= d <= e/2
+    reducible = {poly.mul(f, g, p) for d in range(1, e // 2 + 1)
+                 for f in _monic(p, d) for g in _monic(p, e - d)}
+    assert [f for f in _monic(p, e) if ff._is_irreducible(f, p) == (f in reducible)] == []
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 1024),
+                                    pytest.param(1025, 1 << 16, marks=pytest.mark.slow)])
+def test_generator_and_trace_match_polynomial_reference(lo, hi, poly):
+    for q in range(lo, hi + 1):
+        pe = ff._prime_power(q)
+        if pe is None:
+            continue
+        spec = ff.FieldSpec(*pe)  # uncached, so its arrays are freed afterwards
+        ref, n, g = Reference(spec, poly), q - 1, primitive_element(spec)
+
+        def primitive(a):
+            return all(ref.pow(a, n // r) != 1 for r in ff._factorize(n))
+
+        # g has order q - 1, and it is the smallest index that has
+        assert ref.pow(g, n) == 1 and primitive(g), q
+        assert not any(primitive(a) for a in range(1, g)), q
+        sample = sorted({0, 1, g, n} | set(range(2, q, max(1, q // 7))))
+        assert [spec.tr(a) for a in sample] == [ref.tr(a) for a in sample], q
 
 
 def test_construction_checks_raise(monkeypatch):
@@ -306,7 +342,8 @@ def test_construction_checks_raise(monkeypatch):
         m.setattr(ff.FieldSpec, "_find_generator", lambda self: 1)
         with pytest.raises(RuntimeError, match="exactly once"):
             ff.FieldSpec(5, 2)
-    # over the reducible modulus x^2 the trace of x is x, not a scalar
+    # over the reducible modulus x^2 the first index with no power 4 equal to 1
+    # is x, and its powers 1, x, 0, ... reach zero
     monkeypatch.setattr(ff, "_smallest_irreducible", lambda p, e: (0, 0, 1))
-    with pytest.raises(RuntimeError, match="scalar"):
+    with pytest.raises(RuntimeError, match="exactly once"):
         ff.FieldSpec(3, 2)
