@@ -24,8 +24,6 @@ import types
 from datetime import datetime, timezone
 from functools import cache
 
-import numpy as np
-
 from . import closedform, cyclo, ff, graphs, oracle
 
 
@@ -186,24 +184,14 @@ def _verify_one(spec: ff.FieldSpec, args, lines: list[str]) -> bool:
     check("closed-form degree conservation", s.total == q ** 4)
 
     if q <= graphs.DEFAULT_MAX_GRAPH_Q:
-        sigma, n3 = graphs.cayley_vertex_map(spec).reshape(q, -1), q ** 3  # c4 slabs
-        (low, high), (glow, ghigh) = graphs.cayley_slabs(spec), graphs.gamma_slabs(spec)
-        # Row sigma(g) of Gamma must be sigma of Cay(G,S)'s row g, column for column.  If
-        # sigma keeps c4 (sigma[w] = sigma[0] + q^3*w < q^4, so sigma[0] < q^3), that is
-        # sigma[0][low] + q^3*high[w] = glow[sigma[0]] + q^3*ghigh[w] for every slab w, in
-        # base-q^3 digits below q^3 and below q: true iff both digit grids agree
-        check("Cayley graph matches collinearity graph", np.array_equal(
-            sigma, sigma[0] + n3 * np.arange(q)[:, None]) and np.array_equal(
-            sigma[0][low], glow[sigma[0]]) and np.array_equal(high, ghigh))
-        # the BFS reads Gamma's rows from its slab pair: only the oracle needs them whole
-        ncomp, _ = graphs.connected_components((glow, ghigh))
+        gamma = graphs.gamma_slabs(spec)  # Gamma's slab pair: the BFS reads its rows there
+        check("Cayley graph matches collinearity graph", graphs.cayley_matches_gamma(spec, gamma))
+        ncomp, _ = graphs.connected_components(gamma)
         check("component count equals top multiplicity",
               ncomp == s.largest.multiplicity)
-        if q ** 4 <= args.max_dense_n:
-            gam = graphs.AdjacencyStructure("GAMMA4", q, q ** 4, graphs.slab_rows(glow, ghigh))
-            gam.neighbors.sort(axis=1)  # the oracle compares sorted rows
+        if q ** 4 <= args.max_dense_n:  # only the oracle needs Gamma's rows whole
             rep = oracle.compare_spectra(s, oracle.numeric_spectrum(
-                gam, max_dense_n=args.max_dense_n), tol=args.tol)
+                graphs.build_gamma(spec), max_dense_n=args.max_dense_n), tol=args.tol)
             check("closed form vs numeric spectrum", rep.passed,
                   f"worst dev {rep.worst_dev:.2e}")
         if 2 * q ** 4 <= args.max_dense_n:

@@ -76,11 +76,10 @@ class CycInt:
 
     @classmethod
     def from_histogram(cls, spec: CycSpec, hist) -> "CycInt":
-        h = list(hist)  # the exponents >= phi fold onto the lower ones, as in reduce_rows
+        h = np.asarray(hist, dtype=np.int64)
         if len(h) != spec.n:
             raise RuntimeError(f"histogram of length {len(h)}, expected {spec.n}")
-        top = h[spec.phi:] * (spec.phi // (spec.n - spec.phi))
-        return cls(spec, [a - b for a, b in zip(h, top)])
+        return cls(spec, reduce_rows(spec, h).tolist())
 
     @classmethod
     def integer(cls, spec: CycSpec, n: int) -> "CycInt":
@@ -211,7 +210,7 @@ def trace_histogram(f, spec: ff.FieldSpec) -> np.ndarray:
 
 def exp_sum_field(f, spec: ff.FieldSpec) -> CycInt:
     """sum over a in GF(q) of zeta_p^trace(f(a)), exact in Z[zeta_p]."""
-    return CycInt.from_histogram(cyc_spec(spec.p), trace_histogram(f, spec).tolist())
+    return CycInt.from_histogram(cyc_spec(spec.p), trace_histogram(f, spec))
 
 
 def exp_sum_gr(c: int, spec: gr9.GR9Spec) -> CycInt:
@@ -224,7 +223,7 @@ def exp_sum_gr(c: int, spec: gr9.GR9Spec) -> CycInt:
     field = spec.field
     tr = spec.teich_trace + 3 * field.tr(field.mul(c, np.arange(spec.q)))
     hist = np.bincount(tr % 9, minlength=9)
-    return CycInt.from_histogram(cyc_spec(9), hist.tolist())
+    return CycInt.from_histogram(cyc_spec(9), hist)
 
 
 def weil_check(spec: CycSpec, rows: np.ndarray, q: int) -> np.ndarray:

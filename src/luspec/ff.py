@@ -177,12 +177,7 @@ class FieldSpec:
     # -- index <-> coefficient vector
 
     def index_coeffs(self, i: int):
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            i, r = divmod(i, p)
-            out.append(r)
-        return tuple(out)
+        return tuple(i // w % self.p for w in self._weights)
 
     # -- construction
 
@@ -190,13 +185,12 @@ class FieldSpec:
         p, e, q = self.p, self.e, self.q
         n = q - 1
         basis = _x_powers(self.modulus, p)
-        # the trace is F_p-linear, and tr(X^j) is the trace of X^j's matrix:
-        # accumulate it digit by digit
-        idx = np.arange(q, dtype=np.int64)
-        trace = np.zeros(q, dtype=np.int64)
-        for w, t in zip(self._weights, np.trace(basis, axis1=1, axis2=2) % p):
-            trace += idx // w % p * t
-        self.trace = trace % p
+        # the trace is F_p-linear, and tr(X^j) is the trace of X^j's matrix.  The
+        # digits go most significant first: a next digit d turns index i into p*i + d
+        trace = np.zeros(1, dtype=np.int64)
+        for t in np.trace(basis, axis1=1, axis2=2)[::-1] % p:
+            trace = (trace[:, None] + np.arange(p) * t % p).ravel() % p
+        self.trace = trace
 
         # block doubling: g^(m+i) = g^m * g^i, so one matrix product maps the
         # first m powers onto the next m

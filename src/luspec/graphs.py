@@ -30,9 +30,10 @@ unsorted rows in one slab form, a w-free grid of low digits plus a c4 digit
 per slab and column, which slab_rows adds into rows.  Both take their q^2
 digit from a q x q uint16 table by one np.take and add the other digits in
 uint16, so neither builds a full-size int64 grid.  Gamma's columns follow
-S's (t, r) order, so sigma carries Cay(G, S)'s rows onto Gamma's column for column.
+S's (t, r) order, so sigma carries Cay(G, S)'s rows onto Gamma's column for column,
+and cayley_matches_gamma checks that on the digit grids of the two slab pairs.
 connected_components reads rows from the slab form itself, so verify builds
-Gamma's rows only for the numeric oracle.
+Gamma's rows, with build_gamma, only for the numeric oracle.
 """
 
 from __future__ import annotations
@@ -291,15 +292,28 @@ def action_permutation(spec: FieldSpec, g) -> np.ndarray:
 
 
 def cayley_vertex_map(spec: FieldSpec) -> np.ndarray:
-    """Permutation sigma with sigma[enc(g)] = point index of P(0,0,0,0)*g.
-
-    P(0,0,0,0)*g(t,u,v,w) = P(t, u, v + t*u, w); this is the regular-action
-    bijection carrying Cay(G, S) onto the collinearity graph.
+    """Permutation sigma with sigma[enc(g)] = point index of P(0,0,0,0)*g: act_point
+    at the origin on the coordinate axes, P(0,0,0,0)*g(t,u,v,w) = P(t, u, v + t*u, w).
+    This is the regular-action bijection carrying Cay(G, S) onto the collinearity graph.
     """
     _check_size(spec)
-    q = spec.q
-    T, U, V, W = _coord_axes(q)
-    return _encode(q, T, U, spec.add(V, spec.mul(T, U)), W).ravel()
+    return _encode(spec.q, *act_point(spec, (0, 0, 0, 0), _coord_axes(spec.q))).ravel()
+
+
+def cayley_matches_gamma(spec: FieldSpec, gamma) -> bool:
+    """True iff sigma carries Cay(G, S) onto Gamma's slab pair gamma = (glow, ghigh)
+    column for column: row sigma(g) of Gamma is sigma of Cay(G, S)'s row g.
+
+    Cay(G, S)'s slab c4 = w is low + q^3*high[w] (cayley_slabs).  If sigma keeps c4
+    (sigma[w] = sigma[0] + q^3*w < q^4 on the c4 slabs, so sigma[0] < q^3), the
+    identity reads sigma[0][low] + q^3*high[w] = glow[sigma[0]] + q^3*ghigh[w] for
+    every slab w, in base-q^3 digits below q^3 and below q: true iff both digit
+    grids agree, sigma[0][low] = glow[sigma[0]] and high = ghigh."""
+    q, (glow, ghigh) = spec.q, gamma
+    sigma, (low, high) = cayley_vertex_map(spec).reshape(q, -1), cayley_slabs(spec)
+    s0 = sigma[0]
+    return (np.array_equal(sigma, s0 + q ** 3 * np.arange(q)[:, None])
+            and np.array_equal(s0[low], glow[s0]) and np.array_equal(high, ghigh))
 
 
 def shear_orbits(adj: AdjacencyStructure):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cyclo, graphs
-from .cyclo import CycInt, cyc_spec
+from .cyclo import cyc_spec
 from .cyclo import exp_sum_field  # noqa: F401 -- perfbench/tracer.py wraps reps.exp_sum_field
 from .ff import FieldSpec
 
@@ -54,10 +54,10 @@ def psi_orthogonality(spec: FieldSpec) -> bool:
         # hist[j, k]: elements (0,0,v,w) where psi_i * conj(psi_j) = q^2 * zeta^k
         diff = np.arange(L)[:, None] * cspec.n + scale * ((K[i] - K) % p)
         hist = np.bincount(diff.reshape(-1), minlength=L * cspec.n).reshape(L, -1)
-        for j, h in enumerate(hist.tolist()):
-            acc = q * q * CycInt.from_histogram(cspec, h)
-            if not (acc.is_rational and acc.as_int == (q ** 4 if i == j else 0)):
-                return False
+        # q^2 times row j is the group sum: it must be q^4 for j = i and 0 otherwise
+        rows = cyclo.reduce_rows(cspec, hist)
+        if rows[:, 1:].any() or not np.array_equal(rows[:, 0], q * q * (np.arange(L) == i)):
+            return False
     return True
 
 

@@ -263,6 +263,31 @@ def test_verify_fails_one_changed_cell_of_gamma_low_digits(capsys, monkeypatch):
     assert out.endswith("VERIFICATION FAILURES PRESENT\n")
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_verify_fails_a_moved_gamma_multiplicity(q, capsys, monkeypatch):
+    # one multiplicity moves from the fourth to the third entry of the merged Gamma
+    # multiset: the total stays q^4 and the top entry stays, so only the numeric
+    # oracles can see it.  Above the dense budget (q = 13) it escapes (ROADMAP item 22)
+    real = closedform.SpectrumMultiset.assemble.__func__
+
+    def assemble(cls, graph, *args, **kwargs):
+        out = real(cls, graph, *args, **kwargs)
+        if graph != "GAMMA4":
+            return out
+        e = list(out.entries)
+        e[2] = dataclasses.replace(e[2], multiplicity=e[2].multiplicity + 1)
+        e[3] = dataclasses.replace(e[3], multiplicity=e[3].multiplicity - 1)
+        return cls(graph, out.q, e)
+
+    monkeypatch.setattr(closedform.SpectrumMultiset, "assemble", classmethod(assemble))
+    code, out, _ = run(capsys, ["verify", "--q", str(q), "--no-timestamp"])
+    failed = [line.split("  (")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert code == 1 and failed == [f"[FAIL] q={q} closed form vs numeric spectrum",
+                                    f"[FAIL] q={q} bipartite lift vs numeric spectrum"]
+    assert f"[PASS] q={q} closed-form degree conservation\n" in out
+    assert out.endswith("VERIFICATION FAILURES PRESENT\n")
+
+
 def test_verify_passes_past_the_graph_bound(capsys):
     # above graphs.DEFAULT_MAX_GRAPH_Q: the profiles, the Weil bound and the total
     code, out, _ = run(capsys, ["verify", "--q", "211,243,256,343", "--no-timestamp"])

@@ -157,21 +157,18 @@ def test_cayley_slabs_tile_build_cayley(q, builders_reference):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_gamma_columns_follow_the_cayley_slabs(q):
-    # Gamma's column (t, r) at sigma(g) is sigma(s*g), s = S's (t, r) element.  In
-    # slab form: sigma keeps c4, sigma maps the Cayley low digits onto Gamma's at
-    # sigma, and the c4 digits are equal.  p = 2 drops the 2*ts*u term, q = 4, 8, 9
-    # have e > 1
+    # Gamma's column (t, r) at sigma(g) is sigma(s*g), s = S's (t, r) element.
+    # cayley_matches_gamma checks it on the digit grids of the two slab pairs.
+    # p = 2 drops the 2*ts*u term, q = 4, 8, 9 have e > 1
     spec, n3 = ff.field_for(q), q ** 3
-    sigma = graphs.cayley_vertex_map(spec).reshape(q, n3)
+    sigma = graphs.cayley_vertex_map(spec)
     (low, high), (glow, ghigh) = graphs.cayley_slabs(spec), graphs.gamma_slabs(spec)
     assert glow.dtype == ghigh.dtype == graphs.INDEX_DTYPE
     assert glow.shape == (n3, q * q - q) and ghigh.shape == (q, q * q - q)
     assert glow.max() < n3 and ghigh.max() < q
-    assert np.array_equal(sigma, sigma[0] + n3 * np.arange(q)[:, None])
-    assert np.array_equal(sigma[0][low], glow[sigma[0]])
-    assert np.array_equal(high, ghigh)
+    assert graphs.cayley_matches_gamma(spec, (glow, ghigh))
     # the same identity on the full rows that slab_rows builds, slab by slab
-    rows, sigma = graphs.slab_rows(glow, ghigh), sigma.ravel()
+    rows = graphs.slab_rows(glow, ghigh)
     assert rows.dtype == graphs.INDEX_DTYPE and rows.shape == (q ** 4, q * q - q)
     for w in range(q):
         assert np.array_equal(sigma[low + n3 * high[w]], rows[sigma[w * n3:(w + 1) * n3]])

@@ -160,6 +160,20 @@ def test_public_names_have_a_reader():
     assert sorted(unread) == sorted(_READ_IN_THEIR_MODULE)
 
 
+def test_cli_holds_no_array_code():
+    # Gamma's slab format stays behind graphs: cli imports nothing from numpy and
+    # builds no rows or adjacency structures itself
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+    assert {"slab_rows", "AdjacencyStructure"}.isdisjoint(_referenced_names(tree))
+
+
 _COMMANDS = [["spectrum", "--q", "7"], ["epsilons", "--q", "7"],
              ["ramanujan", "--q", "5"],
              ["verify", "--q", "2,3,4,5", "--max-dense-n", "2401"]]
