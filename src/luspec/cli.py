@@ -232,46 +232,47 @@ def cmd_epsilons(args) -> int:
     table = closedform.epsilon_orbits(spec)
     # every orbit's eps and eps^2: sigma_j permutes a base's square as it does the base
     cspec, eps, squares = table.bases[0].spec, table.eps, table.square_rows(slice(None))
-    prime_field = spec.e == 1 and spec.p >= 5
-    reps_set = closedform.representatives(spec.p) if prime_field else None
+    a, c = table.first  # each orbit's first position: its family and fiber cells are read there
+    if spec.e == 1 and spec.p >= 5:
+        # the representatives' sums are pairwise distinct, so eps fixes the class; over
+        # F_p, eps = sum_s |f^-1(s)| zeta^s and the counts sum to p, so eps fixes the profile
+        families = ["class of %d*t^3+%d*t" % rc for rc in
+                    zip(*closedform.representatives(spec.p).representative_of(a, c))]
+        fibers = ["|".join(map(str, f)) for f in closedform.fiber_profile([0, c, 0, a], spec)]
+    else:
+        families = ["t^3+3*c*t over GR(9,e), c = teich[%d]" % x if spec.p == 3
+                    else "a*t^3+c*t" for x in c.tolist()]
+        fibers = ["-"] * len(families)
     orbits = []
-    for e, sq, text, x, margin, a, c in zip(
+    for e, sq, text, x, margin, family, fiber in zip(
             eps, squares, cyclo.format_rows(eps), cyclo.embed_rows(cspec, eps).tolist(),
-            cyclo.weil_check(cspec, eps, q).tolist(),
-            # each orbit's first position (a, c): its family and fiber cells are read there
-            *(x.tolist() for x in table.first)):
+            cyclo.weil_check(cspec, eps, q).tolist(), families, fibers):
         shift = closedform.ExactValue.eps2q(cspec, e, sq, math.nan, q)  # for its serial
         shift.text = text  # formatted above, with the other orbits' rows
-        orbits.append([
-            # the representatives' sums are pairwise distinct, so eps fixes the class
-            "class of %d*t^3+%d*t" % reps_set.representative_of(a, c) if prime_field
-            else "t^3+3*c*t over GR(9,e), c = teich[%d]" % c if spec.p == 3
-            else "a*t^3+c*t",
-            f"{text}@{cspec.n}", f"{x:.10g}", shift.serial(), f"{margin:.10g}",
-            # over F_p, eps = sum_s |f^-1(s)| zeta^s and the counts sum to p, so
-            # eps fixes the fiber profile
-            "|".join(map(str, closedform.fiber_profile([0, c, 0, a], spec)))
-            if prime_field else "-"])
+        orbits.append([family, f"{text}@{cspec.n}", f"{x:.10g}", shift.serial(),
+                       f"{margin:.10g}", fiber])
     # each orbit's cells become the text before a and the text after c
     if args.format == "csv":
         line = csv.writer(types.SimpleNamespace(write=str)).writerow  # returns the line
         header, sep, wa, wc = line(EPSILON_COLUMNS), ",", 0, 0
-        cells = [(line(o[:1])[:-2] + ",", "," + line(o[1:])) for o in orbits]
+        heads, tails = zip(*[(line(o[:1])[:-2] + ",", "," + line(o[1:])) for o in orbits])
     else:
         widths = [max(map(len, col)) for col in
                   zip(EPSILON_COLUMNS[:1] + EPSILON_COLUMNS[3:], *orbits)]
         sep, wa, wc = "  ", len(str(table.rows[-1])), len(str(q - 1))
         header = "  ".join(k.ljust(w) for k, w in
                            zip(EPSILON_COLUMNS, [widths[0], wa, wc, *widths[1:]])) + "\n"
-        cells = [(o[0].ljust(widths[0]) + "  ", "  " + "  ".join(
-            x.ljust(w) for x, w in zip(o[1:], widths[1:])) + "\n") for o in orbits]
-    a_text, c_text = ([str(x).ljust(w) for x in range(q)] for w in (wa, wc))
-    # each position (a, c), row by row, between the cells of its orbit k
-    rows = (f"{head}{a_text[a]}{sep}{c_text[c]}{tail}"
-            for (a, c), k in closedform.epsilon_family(table) for head, tail in [cells[k]])
+        heads, tails = zip(*[(o[0].ljust(widths[0]) + "  ", "  " + "  ".join(
+            x.ljust(w) for x, w in zip(o[1:], widths[1:])) + "\n") for o in orbits])
+    a_text = [str(x).ljust(wa) + sep for x in range(q)]
+    c_text = [str(x).ljust(wc) for x in range(q)]
     stamp = _stamp(args)
     header = (f"# generated={stamp}\n" if stamp and args.format == "csv" else "") + header
-    blocks = iter(lambda: "".join(itertools.islice(rows, 1024)), "")  # until one is empty
+    # each row a of the table in blocks of at most 1,024 positions (a, c), each between
+    # the cells of its orbit k
+    blocks = ("".join([f"{heads[k]}{a_text[a]}{ct}{tails[k]}" for k, ct in
+                       zip(ks[lo:lo + 1024], c_text[lo:lo + 1024])])
+              for a, ks in closedform.epsilon_family(table) for lo in range(0, q, 1024))
     _write(args, itertools.chain([header], blocks))  # streamed: never the whole table at once
     return 0
 

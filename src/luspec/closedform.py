@@ -310,12 +310,12 @@ def epsilon_orbits(spec: ff.FieldSpec) -> EpsilonOrbits:
 
 
 def epsilon_family(orbits: EpsilonOrbits):
-    """((a, c), k) for each position of ``orbits``, row by row: (a, c) lies on orbit k.
-    For p = 3, c is the Teichmueller index of the GR(9,e) family t^3 + 3*c*t."""
+    """(a, ks) for each row a of ``orbits``: position (a, c) lies on orbit ks[c], and
+    ks is a tuple over c = 0 .. q-1.  For p = 3, c is the Teichmueller index of the
+    GR(9,e) family t^3 + 3*c*t."""
     cs = np.arange(orbits.spec.q)
     for a in orbits.rows:
-        for c, k in enumerate(orbits.ids(a, cs).tolist()):
-            yield (a, c), k
+        yield a, tuple(orbits.ids(a, cs).tolist())
 
 
 def eps_classes(orbits: EpsilonOrbits) -> list:
@@ -367,16 +367,17 @@ class RepresentativeSet:
     p: int
     members: tuple  # (a, c) element values
 
-    def representative_of(self, a: int, c: int):
-        """The unique member sharing its exponential sum with a*t^3 + c*t."""
-        p = self.p
-        spec = ff.ff_make(p, 1)
-        if a % p == 0:
+    def representative_of(self, a, c):
+        """The unique member (ra, rc) sharing its exponential sum with a*t^3 + c*t;
+        for arrays a and c, the lists ra and rc of one member per position."""
+        p, spec = self.p, ff.ff_make(self.p, 1)
+        a, c = np.asarray(a) % p, np.asarray(c) % p
+        if not a.all():
             raise ValueError("a must be nonzero")
-        k = int(_raw_id(spec, a % p, c % p))  # (g^k, 1), (g^(k-p+1), 0) or (1, k)
+        k = _raw_id(spec, a, c)  # (g^k, 1), (g^(k-p+1), 0) or (1, k)
         if p % 3 == 2:
-            return (1, k)
-        return (int(spec.exp[k]), 1) if k < p - 1 else (int(spec.exp[k - p + 1]), 0)
+            return np.ones_like(k).tolist(), k.tolist()
+        return spec.exp[k % (p - 1)].tolist(), (k < p - 1).astype(int).tolist()
 
 
 def representatives(p: int) -> RepresentativeSet:
@@ -393,10 +394,16 @@ def representatives(p: int) -> RepresentativeSet:
 
 
 def fiber_profile(f, spec: ff.FieldSpec):
-    """|f^-1(s)| for s = 0..p-1; prime fields only (where it determines eps)."""
+    """|f^-1(s)| for s = 0..p-1 of f = sum_k f[k]*t^k, counted over t in F_p; prime
+    fields only (where it determines eps).  For array coefficients, one list per f."""
     if spec.e != 1:
         raise ValueError("fiber profiles characterize sums over prime fields only")
-    return tuple(trace_histogram([int(c) % spec.p for c in f], spec).tolist())  # tr = id
+    p, tk, vals = spec.p, np.ones(spec.p, np.int64), 0
+    for c in f:  # vals[..., t] = f(t) mod p, one power t^k at a time
+        vals, tk = (vals + np.multiply.outer(np.asarray(c) % p, tk)) % p, tk * np.arange(p) % p
+    rows = vals.reshape(-1, p)  # one row per f, offset into its own p bins
+    hist = np.bincount((rows + p * np.arange(len(rows))[:, None]).ravel(), minlength=rows.size)
+    return tuple(hist.reshape(vals.shape).tolist())
 
 
 # ----------------------------------------------------------------------

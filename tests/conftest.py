@@ -1,6 +1,5 @@
 import csv
 import functools
-import io
 import types
 from collections import Counter
 from dataclasses import dataclass
@@ -514,52 +513,55 @@ def orbit_grid():
 # The epsilons table as one dict per row, written by csv.DictWriter: every
 # cell of every row formatted and CSV-quoted at that row.
 
-def _epsilons_reference(q: int, fmt: str) -> str:
-    """``epsilons --q q --format fmt --no-timestamp`` output, row by row."""
+def _epsilons_reference(q: int, fmt: str):
+    """``epsilons --q q --format fmt --no-timestamp`` output, one line per row, lazily:
+    the table is never held, so the check reaches q whose output fills gigabytes."""
     spec = ff.field_for(q)
     prime_field = spec.e == 1 and spec.p >= 5
     reps_set = closedform.representatives(spec.p) if prime_field else None
-    rows = []
     columns: dict = {}  # eps -> its columns, shared by the positions of an orbit
     orbits = closedform.epsilon_orbits(spec)
-    for (a, c), k in closedform.epsilon_family(orbits):
-        eps = CycInt(orbits.bases[0].spec, orbits.eps[k])
-        cols = columns.get(eps)
-        if cols is None:
-            cols = columns[eps] = {
-                "family": "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
-                if reps_set is not None else "a*t^3+c*t",
-                "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
-                "eps_float": f"{cyclo.embed(eps).real:.10g}",
-                "eps_sq_minus_q": _eps2q(eps, q).serial(),
-                "weil_margin": f"{2 * float(q) ** 0.5 - abs(cyclo.embed(eps)):.10g}",
-                "fiber_profile": "|".join(
-                    str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
-                if prime_field else "-",
-            }
-        row = {"a": a, "c": c, **cols}
-        if spec.p == 3:
-            row["family"] = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
-        rows.append(row)
-    buf = io.StringIO()
-    if fmt == "csv":
-        writer = csv.DictWriter(buf, fieldnames=cli.EPSILON_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+
+    def rows():
+        for a, ks in closedform.epsilon_family(orbits):
+            for c, k in enumerate(ks):
+                eps = CycInt(orbits.bases[0].spec, orbits.eps[k])
+                cols = columns.get(eps)
+                if cols is None:
+                    cols = columns[eps] = {
+                        "family": "class of %d*t^3+%d*t" % reps_set.representative_of(a, c)
+                        if reps_set is not None else "a*t^3+c*t",
+                        "eps_exact": f"{list(eps.coeffs)}@{eps.spec.n}",
+                        "eps_float": f"{cyclo.embed(eps).real:.10g}",
+                        "eps_sq_minus_q": _eps2q(eps, q).serial(),
+                        "weil_margin": f"{2 * float(q) ** 0.5 - abs(cyclo.embed(eps)):.10g}",
+                        "fiber_profile": "|".join(
+                            str(x) for x in closedform.fiber_profile([0, c, 0, a], spec))
+                        if prime_field else "-",
+                    }
+                row = {"a": a, "c": c, **cols}
+                if spec.p == 3:
+                    row["family"] = "t^3+3*c*t over GR(9,e), c = teich[%d]" % c
+                yield row
+
+    if fmt == "csv":  # a write that returns its line makes each writerow return it
+        writer = csv.DictWriter(types.SimpleNamespace(write=str), fieldnames=cli.EPSILON_COLUMNS)
+        yield writer.writeheader()
+        yield from map(writer.writerow, rows())
     else:
-        widths = {k: max(len(k), *(len(str(r[k])) for r in rows))
-                  for k in cli.EPSILON_COLUMNS}
-        buf.write("  ".join(k.ljust(widths[k]) for k in cli.EPSILON_COLUMNS) + "\n")
-        for r in rows:
-            buf.write("  ".join(str(r[k]).ljust(widths[k])
-                                for k in cli.EPSILON_COLUMNS) + "\n")
-    return buf.getvalue()
+        widths = {k: len(k) for k in cli.EPSILON_COLUMNS}
+        for r in rows():  # a first pass for the widths, a second to write
+            for k in widths:
+                widths[k] = max(widths[k], len(str(r[k])))
+        yield "  ".join(k.ljust(widths[k]) for k in cli.EPSILON_COLUMNS) + "\n"
+        for r in rows():
+            yield "  ".join(str(r[k]).ljust(widths[k]) for k in cli.EPSILON_COLUMNS) + "\n"
 
 
 @pytest.fixture(scope="session")
 def epsilons_reference():
     """epsilons_reference(q, 'csv'|'table'): the epsilons output built one
-    row dict at a time and written by csv.DictWriter."""
+    row dict at a time and written by csv.DictWriter, as an iterator of lines."""
     return _epsilons_reference
 
 

@@ -2,12 +2,14 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -359,14 +361,27 @@ def test_epsilons_q13_contains_extreme_sum(capsys):
 
 
 ODD_PRIME_POWERS_TO_31 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+# 2187 = 3^7: one row of 2,187 positions, so more than one block per row
+EPSILONS_QS = ODD_PRIME_POWERS_TO_31 + [61, 81, 125, 169, 2187]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])
-@pytest.mark.parametrize("q", ODD_PRIME_POWERS_TO_31 + [61, 81, 125, 169])
-def test_epsilons_match_row_loop(q, fmt, capsys, epsilons_reference):
-    code, out, _ = run(capsys, ["epsilons", "--q", str(q), "--format", fmt,
-                                "--no-timestamp"])
-    assert code == 0 and out == epsilons_reference(q, fmt)
+@pytest.mark.parametrize("q", EPSILONS_QS + [
+    pytest.param(q, marks=pytest.mark.slow) for q in range(3, 420, 2)
+    if ff._prime_power(q) and q not in EPSILONS_QS])  # with these, every odd q <= 419
+def test_epsilons_match_row_loop(q, fmt, monkeypatch, epsilons_reference):
+    # each chunk that _write hands to stdout against as many reference lines, so
+    # that neither table is held
+    want, sizes, same = epsilons_reference(q, fmt), [], []
+
+    def write(chunk):
+        sizes.append(chunk.count("\n"))
+        same.append(chunk == "".join(itertools.islice(want, sizes[-1])))
+
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=write))
+    assert cli.main(["epsilons", "--q", str(q), "--format", fmt, "--no-timestamp"]) == 0
+    assert all(same) and next(want, None) is None
+    assert max(sizes) <= 1024  # streamed in blocks of at most 1,024 lines
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])
@@ -393,9 +408,9 @@ def test_epsilons_out_file_with_timestamp(tmp_path, capsys):
 
 
 def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
-    # the cells come from the orbit table in one block: a representative and a
-    # fiber profile per orbit, one square per Galois base, no per-orbit sums and
-    # one bulk Weil check
+    # the cells come from the orbit table in one block: one representative call and
+    # one fiber profile call for all orbits, one square per Galois base, no
+    # per-orbit sums and one bulk Weil check
     table = closedform.epsilon_orbits(ff.field_for(61))
     calls = {"representative_of": 0, "fiber_profile": 0, "__mul__": 0, "embed": 0,
              "weil_check": 0}
@@ -414,7 +429,7 @@ def test_epsilons_format_each_orbit_once(capsys, monkeypatch):
     monkeypatch.setattr(cyclo, "weil_check", counted(cyclo.weil_check))
     code, out, _ = run(capsys, ["epsilons", "--q", "61", "--no-timestamp"])
     assert code == 0 and len(table.mults) == 61 + 2
-    assert calls == {"representative_of": 61 + 2, "fiber_profile": 61 + 2,
+    assert calls == {"representative_of": 1, "fiber_profile": 1,
                      "__mul__": len(table.bases), "embed": 0, "weil_check": 1}
     assert out.count("\r\n") == 1 + 60 * 61
 

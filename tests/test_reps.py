@@ -191,6 +191,26 @@ def test_psi_orthogonality_detects_a_wrong_exponent(monkeypatch):
     assert not reps.psi_orthogonality(F(5))
 
 
+def test_psi_orthogonality_detects_an_irrational_sum(monkeypatch):
+    # two labels whose exponent rows differ by 0, 1 and 4 five times each and by 3 ten
+    # times: in the basis 1 .. zeta^3 of Z[zeta_5], zeta^4 = -(1 + ... + zeta^3),
+    # so both orders of the pair sum to 5*(zeta^3 - zeta^2) or its negative, whose
+    # rational part is the 0 that orthogonality asks for
+    exponents = reps._psi_exponents
+
+    def corrupted(spec):
+        labels, K = exponents(spec)
+        K = K[:2].copy()
+        moved = (K[0] - K[1]) % spec.p == 2
+        K[1, moved] = (K[1, moved] - 1) % spec.p
+        return labels[:2], K
+
+    _, K = corrupted(F(5))
+    assert np.bincount((K[0] - K[1]) % 5).tolist() == [5, 5, 0, 10, 5]
+    monkeypatch.setattr(reps, "_psi_exponents", corrupted)
+    assert not reps.psi_orthogonality(F(5))
+
+
 def test_psi_orthogonality_size_cap(monkeypatch):
     with pytest.raises(ValueError):
         reps.psi_orthogonality(F(4))

@@ -231,6 +231,8 @@ def test_hooked_layers_are_reached(monkeypatch):
     count(closedform, "epsilon_family")
     count(closedform.SpectrumMultiset, "assemble", classmethod, lambda f: f.__func__)
     count(closedform, "lift_to_bipartite")
+    count(closedform.RepresentativeSet, "representative_of")
+    count(closedform, "fiber_profile")
     for argv in (["spectrum", "--graph", "d4", "--q", "5"], ["epsilons", "--q", "7"],
                  ["verify", "--q", "2,3"]):
         with contextlib.redirect_stdout(io.StringIO()):
